@@ -27,7 +27,6 @@ positive floor on the separation bounds (limsup-positive surrogate).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,8 +49,6 @@ from .symbolic import (
     schedule_roles,
 )
 from .systems import SystemSpec, code_orbit_point, derive_ifs
-
-_COUNT_CHUNK = 1 << 17
 
 
 # --------------------------------------------------------------------------
@@ -93,8 +90,8 @@ def ternary_ladder(min_exp: int, max_exp: int) -> tuple[float, ...]:
 
 
 def geometric_ladder(eps_max: float, eps_min: float, ratio: float = 2.0) -> tuple[float, ...]:
-    if not (0 < eps_min <= eps_max) or ratio <= 1.0:
-        raise ValidationError("ladder needs 0 < eps_min <= eps_max and ratio > 1")
+    if not (0 < eps_min <= eps_max < math.inf) or ratio <= 1.0:
+        raise ValidationError("ladder needs 0 < eps_min <= eps_max < inf and ratio > 1")
     out = []
     e = eps_max
     while e >= eps_min * (1 - 1e-12):
@@ -103,39 +100,52 @@ def geometric_ladder(eps_max: float, eps_min: float, ratio: float = 2.0) -> tupl
     return tuple(out)
 
 
-def _distinct_cells(points: np.ndarray, eps: float, threads: int) -> int:
+def _distinct_cells(points: np.ndarray, eps: float) -> int:
+    """Occupied cells of a w > 1 cloud: one sort of a packed cell key.
+
+    Cell indices are shifted to start at 0 per column and packed as mixed-
+    radix digits into one int64 key; when the product of the column spans
+    does not fit, the rows are sorted lexicographically instead.
+    """
     cells = np.floor(points / eps).astype(np.int64)
-    if cells.shape[1] == 1:
-        flat = cells[:, 0]
-        if threads <= 1 or flat.size <= _COUNT_CHUNK:
-            return int(np.unique(flat).size)
-        parts = [
-            np.unique(flat[i : i + _COUNT_CHUNK]) for i in range(0, flat.size, _COUNT_CHUNK)
-        ]
-        return int(np.unique(np.concatenate(parts)).size)
-    packed = np.ascontiguousarray(cells)
-    view = packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
-    if threads <= 1 or view.size <= _COUNT_CHUNK:
-        return int(np.unique(view).size)
-    chunks = [view[i : i + _COUNT_CHUNK] for i in range(0, view.size, _COUNT_CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(np.unique, chunks))
-    return int(np.unique(np.concatenate(parts)).size)
+    lo = cells.min(axis=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, cells.max(axis=0))]
+    if math.prod(spans) >= 2**63:
+        rows = cells[np.lexsort(cells.T)]
+        return int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1))) + 1
+    key = cells[:, 0] - lo[0]
+    for j in range(1, cells.shape[1]):
+        key *= spans[j]
+        key += cells[:, j] - lo[j]
+    key.sort()
+    return int(np.count_nonzero(np.diff(key))) + 1
 
 
-def box_count(points, epsilons, threads: int = 1) -> BoxCountEstimate:
-    """Occupied-grid-cell counts of a point cloud over a decreasing ladder."""
+def box_count(points, epsilons) -> BoxCountEstimate:
+    """Occupied-grid-cell counts of a point cloud over a decreasing ladder.
+
+    1-D clouds are sorted once: floor(x / eps) is monotone in x, so each
+    level counts the changes of the floored sorted values.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.size == 0:
         raise EmptyInput("box_count needs at least one point")
+    if not np.isfinite(pts).all():
+        raise ValidationError("box_count points must be finite")
     eps = tuple(float(e) for e in epsilons)
     if not eps or any(e <= 0 for e in eps):
         raise ValidationError("epsilon ladder must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilon ladder must be strictly decreasing")
-    counts = tuple(_distinct_cells(pts, e, threads) for e in eps)
+    if not float(np.abs(pts).max()) / eps[-1] < 2.0**63:
+        raise ValidationError("grid cell indices of the finest level exceed int64")
+    if pts.shape[1] == 1:
+        xs = np.sort(pts[:, 0])
+        counts = tuple(int(np.count_nonzero(np.diff(np.floor(xs / e)))) + 1 for e in eps)
+    else:
+        counts = tuple(_distinct_cells(pts, e) for e in eps)
     return BoxCountEstimate(eps, counts, sample_count=pts.shape[0])
 
 

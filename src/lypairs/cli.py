@@ -21,6 +21,7 @@ codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -106,22 +107,34 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _write_text(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _open_output(out: str | None):
     if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(out, "w") as fh:
+        yield sys.stdout
+    else:
+        with open(out, "w") as fh:
+            yield fh
+
+
+def _write_text(text: str, out: str | None) -> None:
+    with _open_output(out) as fh:
         fh.write(text)
+        if fh is sys.stdout and not text.endswith("\n"):
+            fh.write("\n")
 
 
-def _points_csv(points: np.ndarray) -> str:
+_CSV_BLOCK = 1 << 16  # rows formatted per write
+
+
+def _write_points_csv(points: np.ndarray, out: str | None) -> None:
+    """Header x1..xw, then one row per point with 17 significant digits."""
     w = points.shape[1]
-    lines = [",".join(f"x{i + 1}" for i in range(w))]
-    for row in points:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    row_fmt = ",".join(["%.17g"] * w) + "\n"
+    with _open_output(out) as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(w)) + "\n")
+        for start in range(0, points.shape[0], _CSV_BLOCK):
+            block = points[start : start + _CSV_BLOCK]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _estimate_csv(est) -> str:
@@ -229,7 +242,7 @@ def cmd_dimension(args) -> int:
         seed = _resolve_seed(args)
         name, ifs = directions[0]
         sample = sample_attractor(ifs, args.count, args.depth, seed, args.threads)
-        est = dimension_fit(box_count(sample.centers, _ladder(args), args.threads))
+        est = dimension_fit(box_count(sample.centers, _ladder(args)))
         d0 = report["directions"][0]["dimension"]
         print(
             f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
@@ -401,7 +414,7 @@ def _boxdim_points(args) -> np.ndarray:
 
 def cmd_boxdim(args) -> int:
     points = _boxdim_points(args)
-    est = dimension_fit(box_count(points, _ladder(args), args.threads))
+    est = dimension_fit(box_count(points, _ladder(args)))
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -416,10 +429,9 @@ def cmd_boxdim(args) -> int:
 def cmd_sample(args) -> int:
     points = _boxdim_points(args)
     if args.format == "csv":
-        text = _points_csv(points)
+        _write_points_csv(points, args.out)
     else:
-        text = _json_text({"points": [list(row) for row in points]})
-    _write_text(text, args.out)
+        _write_text(_json_text({"points": [list(row) for row in points]}), args.out)
     return EXIT_OK
 
 
@@ -477,7 +489,7 @@ def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override its keys")
     p.add_argument("--seed", type=int, help="RNG seed (mandatory for sampling; no default)")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p.add_argument("--threads", type=int, help="sampling worker threads (default 1)")
     p.add_argument("--out", help="output file, '-' = stdout (default stdout)")
     p.add_argument("--format", choices=_CHOICES["format"],
                    help="output format (default json)")
@@ -559,7 +571,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_and_defaults(args) -> None:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action, for every flag of ``command`` but --help."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: a for a in sub.choices[command]._actions
+        if a.option_strings and a.default is not argparse.SUPPRESS
+    }
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value, coerced and checked like the flag it stands for."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"config key {key!r} takes a string or a number, got {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"config key {key!r} must be one of {', '.join(action.choices)}")
+    return value
+
+
+def _apply_config_and_defaults(args, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise ValidationError(f"config file not found: {args.config}")
@@ -567,10 +605,12 @@ def _apply_config_and_defaults(args) -> None:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
+        actions = _flag_actions(parser, args.command)
         for key, value in data.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions:
                 raise ValidationError(f"config key {key!r} unknown for this command")
+            value = _config_value(actions[attr], key, value)
             current = getattr(args, attr)
             if current is None or current is False:
                 setattr(args, attr, value)
@@ -579,14 +619,6 @@ def _apply_config_and_defaults(args) -> None:
     for attr, value in defaults.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
-    for attr, allowed in (
-        ("format", _CHOICES["format"]),
-        ("target", _CHOICES["target"]),
-        ("pair_mode", _CHOICES["pair_mode"]),
-    ):
-        current = getattr(args, attr, None)
-        if current is not None and current not in allowed:
-            raise ValidationError(f"{attr} must be one of {', '.join(allowed)}")
 
 
 def main(argv=None) -> int:
@@ -596,7 +628,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        _apply_config_and_defaults(args)
+        _apply_config_and_defaults(args, parser)
         return args.func(args)
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -606,6 +638,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

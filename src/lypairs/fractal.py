@@ -384,8 +384,17 @@ def _digit_dtype(m: int):
 
 
 def _draw_digits(rng: np.random.Generator, cum: np.ndarray, shape) -> np.ndarray:
+    """Digit 1 + #{c in cum : c <= u} for each uniform u.
+
+    Every entry of ``cum`` is compared, the last included, so a rounded
+    ``cum[-1]`` below 1 gives the same digits as ``searchsorted(cum, u,
+    "right") + 1``.
+    """
     u = rng.random(shape)
-    return (np.searchsorted(cum, u, side="right") + 1).astype(_digit_dtype(cum.size))
+    digits = np.ones(shape, dtype=_digit_dtype(cum.size))
+    for c in cum:
+        digits += u >= c
+    return digits
 
 
 def _validate_sampling(count: int, depth: int, seed: int) -> None:

@@ -84,12 +84,47 @@ def test_box_count_scale_covariance():
     assert base.counts == scaled.counts
 
 
-def test_box_count_threads_match_serial():
+def unique_cell_counts(pts, epsilons) -> tuple[int, ...]:
+    """Reference box counts: one np.unique over the int64 cell rows per level."""
+    pts = np.asarray(pts, dtype=float).reshape(len(pts), -1)
+    return tuple(
+        np.unique(np.floor(pts / e).astype(np.int64), axis=0).shape[0] for e in epsilons
+    )
+
+
+def test_box_count_2d_matches_unique_reference():
     rng = np.random.default_rng(13)
     pts = rng.random((400000, 2))
-    a = box_count(pts, dyadic_ladder(2, 8), threads=1)
-    b = box_count(pts, dyadic_ladder(2, 8), threads=4)
-    assert a.counts == b.counts
+    est = box_count(pts, dyadic_ladder(2, 8))
+    assert est.counts == unique_cell_counts(pts, dyadic_ladder(2, 8))
+
+
+@pytest.mark.parametrize(
+    "shape, scale, shift, epsilons",
+    [
+        ((20000,), 1.0, 0.0, dyadic_ladder(1, 20)),
+        ((20000, 1), 3.0, -1.5, ternary_ladder(1, 14)),
+        ((20000, 2), 1.0, 0.0, dyadic_ladder(1, 16)),
+        ((20000, 2), 2.0, -1.0, (1e-3, 1e-6, 1e-9)),   # key spans up to 4e18
+        ((20000, 3), 1.0, -0.5, dyadic_ladder(1, 12)),
+        ((20000, 3), 1.0, 0.0, (1e-2, 1e-7)),           # spans 1e21: lexsort path
+    ],
+)
+def test_box_count_matches_unique_reference(shape, scale, shift, epsilons):
+    rng = np.random.default_rng(sum(shape))
+    pts = rng.random(shape) * scale + shift
+    pts[: len(pts) // 4] = pts[len(pts) // 4 : len(pts) // 2]   # repeated points
+    if pts.ndim == 2 and pts.shape[1] > 1:
+        pts[:, 0] = np.round(pts[:, 0] * 4) / 4   # ties in the first column
+    est = box_count(pts, epsilons)
+    assert est.counts == unique_cell_counts(pts, epsilons)
+
+
+def test_box_count_spans_beyond_int64_not_packed():
+    # spans 5 * (2^62 + 1): a packed key would wrap, and cell (4, 0) would
+    # share the key 4 with cell (0, 4)
+    pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [0.0, 2.0**62]])
+    assert box_count(pts, (1.0,)).counts == unique_cell_counts(pts, (1.0,)) == (4,)
 
 
 def test_box_count_validation():
@@ -99,12 +134,21 @@ def test_box_count_validation():
         box_count(np.zeros((5, 1)), (0.1, 0.2))
     with pytest.raises(ValidationError):
         box_count(np.zeros((5, 1)), (0.1, -0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.zeros((5, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            box_count(pts, dyadic_ladder())
+    with pytest.raises(ValidationError, match="int64"):
+        box_count(np.array([0.5, 1e300]), (1e-10,))
 
 
 def test_geometric_ladder_matches_dyadic():
     assert geometric_ladder(2.0**-4, 2.0**-14, 2.0) == dyadic_ladder(4, 14)
     with pytest.raises(ValidationError):
         geometric_ladder(0.1, 0.2, 2.0)
+    with pytest.raises(ValidationError):
+        geometric_ladder(math.inf, 0.2, 2.0)
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from lypairs import cli
 from lypairs.cli import main
 
 
@@ -330,6 +332,49 @@ def test_sample_system_target(capsys, tmp_path):
     assert len(lines) == 1001
 
 
+def reference_csv(points) -> str:
+    """Reference CSV text: every value through format(v, ".17g")."""
+    header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
+    rows = [",".join(format(v, ".17g") for v in row) for row in points.tolist()]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def csv_clouds():
+    rng = np.random.default_rng(4)
+    odd = np.array([[np.nan, -0.0, np.inf, -np.inf, 1e-320, -2.5e300]])
+    return [
+        rng.normal(size=(cli._CSV_BLOCK * 2 + 3, 2)),
+        np.array([[1 / 3]]),
+        np.vstack([rng.random((5, 6)), odd]),
+    ]
+
+
+@pytest.mark.parametrize("points", csv_clouds(), ids=["three-blocks", "one-row", "non-finite"])
+def test_points_csv_matches_format_reference(capsys, tmp_path, points):
+    want = reference_csv(points)
+    out_file = tmp_path / "points.csv"
+    cli._write_points_csv(points, str(out_file))
+    # lines first: on a mismatch pytest then names the first differing row
+    # instead of diffing two multi-megabyte strings
+    assert out_file.read_text().splitlines() == want.splitlines()
+    assert out_file.read_text() == want
+    for out in (None, "-"):
+        cli._write_points_csv(points, out)
+        assert capsys.readouterr().out == want
+
+
+def test_sample_csv_stdout_matches_file(capsys, cantor_json, tmp_path):
+    argv = ["sample", "--ifs", cantor_json, "--target", "pairs", "--count", "5000",
+            "--depth", "20", "--seed", "3", "--format", "csv"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    out_file = tmp_path / "pairs.csv"
+    rc, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert rc == 0
+    assert out_file.read_text() == out
+    assert out.count("\n") == 5001
+
+
 def test_config_file_supplies_options(capsys, tmp_path):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(json.dumps({"system": "tent", "a": 2.0, "seed": 5, "blocks": 10}))
@@ -355,6 +400,77 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "--config", str(cfg))
     assert rc == 2
     assert "bogus" in err
+
+
+def boxdim_argv(cantor_json, tmp_path, name):
+    return ["boxdim", "--ifs", cantor_json, "--depth", "20", "--seed", "4",
+            "--out", str(tmp_path / name)]
+
+
+@pytest.mark.parametrize("config", [
+    {"count": "abc"},
+    {"count": "1000.5"},
+    {"count": 1000.0},
+    {"count": True},
+    {"count": [1000]},
+    {"eps_min": "tiny"},
+    {"target": "everything"},
+    {"format": 3},
+])
+def test_config_bad_values_exit_2(capsys, cantor_json, tmp_path, config):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(config))
+    rc, _, err = run(capsys, *boxdim_argv(cantor_json, tmp_path, "est.json"),
+                     "--config", str(cfg))
+    assert rc == 2
+    assert next(iter(config)) in err
+
+
+def test_config_numeric_strings_coerce_like_flags(capsys, cantor_json, tmp_path):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({"count": "20000", "eps_max": "0.0625", "threads": 2}))
+    rc, _, _ = run(capsys, *boxdim_argv(cantor_json, tmp_path, "config.json"),
+                   "--config", str(cfg))
+    assert rc == 0
+    rc, _, _ = run(capsys, *boxdim_argv(cantor_json, tmp_path, "flags.json"),
+                   "--count", "20000", "--eps-max", "0.0625")
+    assert rc == 0
+    assert (tmp_path / "config.json").read_text() == (tmp_path / "flags.json").read_text()
+
+
+def test_config_bool_key(capsys, cantor_json, tmp_path):
+    cfg = tmp_path / "experiment.json"
+    argv = ["dimension", "--ifs", cantor_json, "--count", "20000", "--depth", "20",
+            "--seed", "3", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"check_box": "yes"}))
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert "check_box" in err
+    cfg.write_text(json.dumps({"check_box": 1}))
+    assert run(capsys, *argv)[0] == 2
+    cfg.write_text(json.dumps({"check_box": True}))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "box-count check" in out
+    cfg.write_text(json.dumps({"check_box": False}))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "box-count check" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "{bad}"],
+    ["verify", "--system", "{bad", "--seed", "1"],
+    ["verify", "--system", "tent", "--a", "2", "--seed", "1", "--gaps", "list:{bad}"],
+    ["boxdim", "--ifs", "{bad}", "--seed", "1", "--count", "100"],
+    ["construct", "--length", "5", "--seed", "1", "--base", "{bad}"],
+])
+def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"system": "tent",')
+    rc, _, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    assert rc == 2
+    assert "malformed JSON" in err
 
 
 def test_config_missing_file_rejected(capsys):

@@ -25,6 +25,7 @@ from lypairs.fractal import (
     sample_restricted,
     verify_separation,
 )
+from lypairs.fractal import _digit_dtype, _draw_digits
 from lypairs.symbolic import GapSequence, SymbolSequence, extract_filler, random_sequence
 
 CHI2_99_DF1 = 6.6348966010212145  # 0.99 quantile of chi-square with 1 dof
@@ -225,6 +226,24 @@ def test_separation_transport():
 
 # --------------------------------------------------------------------------
 # samplers
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 40), (32768, 3), (1000,)])
+def test_draw_digits_matches_searchsorted(m, shape):
+    rng = np.random.default_rng(m)
+    weights = rng.random(m) + 0.05
+    cums = [
+        np.cumsum(bernoulli_weights([1 / (m + 1)] * m)),
+        np.cumsum(weights / weights.sum()),
+        np.cumsum(weights / weights.sum()) * 0.9,   # cum[-1] < 1: digit m + 1 occurs
+    ]
+    for k, cum in enumerate(cums):
+        got = _draw_digits(np.random.default_rng(k), cum, shape)
+        u = np.random.default_rng(k).random(shape)
+        want = (np.searchsorted(cum, u, side="right") + 1).astype(_digit_dtype(m))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_sampler_deterministic_across_threads():
