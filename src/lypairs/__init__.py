@@ -50,10 +50,8 @@ from .fractal import (
     sample_attractor,
     sample_pair_set,
     sample_restricted,
-    verify_separation,
 )
 from .symbolic import (
-    CylinderSet,
     GapConditionReport,
     GapSequence,
     PairSchedule,
@@ -64,13 +62,11 @@ from .symbolic import (
     check_gap_condition,
     construct_partner,
     extract_filler,
-    is_partner,
     random_sequence,
     sequence_dist,
     shift,
 )
 from .systems import (
-    Cloud,
     DerivedIfs,
     SystemSpec,
     apply_map,

@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .symbolic import (
+    FREE,
     ONE_SIDED,
     TWO_SIDED,
     GapSequence,
@@ -46,6 +47,7 @@ from .symbolic import (
     construct_partner,
     extract_filler,
     random_sequence,
+    schedule_covering,
     schedule_roles,
 )
 from .systems import SystemSpec, code_orbit_point, derive_ifs
@@ -89,12 +91,22 @@ def ternary_ladder(min_exp: int, max_exp: int) -> tuple[float, ...]:
     return tuple(3.0**-j for j in range(min_exp, max_exp + 1))
 
 
+_MAX_LADDER_LEVELS = 4096
+
+
 def geometric_ladder(eps_max: float, eps_min: float, ratio: float = 2.0) -> tuple[float, ...]:
-    if not (0 < eps_min <= eps_max < math.inf) or ratio <= 1.0:
+    if not (0 < eps_min <= eps_max < math.inf) or not ratio > 1.0:
         raise ValidationError("ladder needs 0 < eps_min <= eps_max < inf and ratio > 1")
+    levels = math.floor((math.log(eps_max) - math.log(eps_min)) / math.log(ratio)) + 1
+    if levels > _MAX_LADDER_LEVELS:
+        raise ValidationError(
+            f"ladder of about {levels} levels exceeds {_MAX_LADDER_LEVELS}; "
+            "raise the ratio or narrow the range"
+        )
     out = []
     e = eps_max
-    while e >= eps_min * (1 - 1e-12):
+    # the level bound also ends the loop where a subnormal e / ratio rounds back to e
+    while e >= eps_min * (1 - 1e-12) and len(out) <= levels:
         out.append(e)
         e /= ratio
     return tuple(out)
@@ -352,9 +364,11 @@ def required_future_length(gaps: GapSequence, block_count: int, depth: int, side
 
 def shadow_filler(base: SymbolSequence, gaps: GapSequence, length: int) -> SymbolSequence:
     """Filler that copies the base digits at the free positions, so the
-    partner differs from the base only at the flipped positions."""
-    free = schedule_roles(gaps, length)[2]
-    return SymbolSequence(base.m, tuple(base.digits[i] for i in free))
+    partner differs from the base only at the flipped positions.  Only
+    stored base digits are copied, so a short base gives a short filler."""
+    digits = np.asarray(base.digits[:length], dtype=np.int64)
+    free = schedule_roles(gaps, length)[: digits.size] == FREE
+    return SymbolSequence(base.m, tuple(digits[free].tolist()))
 
 
 def build_verification_pair(
@@ -403,13 +417,8 @@ def break_pair_after_block(
     """Negative control: revert the flipped digits after ``last_kept_block``,
     so the pair becomes eventually equal and separation must fail."""
     digits = list(partner.digits)
-    count = last_kept_block + 2
-    sched = block_schedule(gaps, count)
-    while sched.span < len(digits):
-        count += 1
-        sched = block_schedule(gaps, count)
-    for blk in sched.blocks:
-        if blk.index > last_kept_block and blk.mismatch_pos <= len(digits):
+    for blk in schedule_covering(gaps, len(digits)).blocks[last_kept_block + 1 :]:
+        if blk.mismatch_pos <= len(digits):
             digits[blk.mismatch_pos - 1] = base.digits[blk.mismatch_pos - 1]
     if partner.side == ONE_SIDED:
         return SymbolSequence(partner.m, tuple(digits))

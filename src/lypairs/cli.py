@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .fractal import (
-    load_ifs,
+    IfsSystem,
     moran_dimension,
     sample_attractor,
     sample_pair_set,
@@ -148,6 +148,21 @@ def _estimate_csv(est) -> str:
 # argument resolution
 
 
+def _read_json(path: str, what: str):
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} not found: {path}")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _from_json(build, data, what: str):
+    """build(data) on decoded JSON input; a missing key or a wrong type exits 2."""
+    try:
+        return build(data)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
 def _parse_gaps(text: str) -> GapSequence:
     if text == "zero":
         return GapSequence.zero()
@@ -161,14 +176,9 @@ def _parse_gaps(text: str) -> GapSequence:
         except ValueError as exc:
             raise ValidationError(f"bad constant gap value in {text!r}") from exc
     if text.startswith("list:"):
-        path = text.split(":", 1)[1]
-        if not os.path.exists(path):
-            raise ValidationError(f"gap list file not found: {path}")
-        with open(path) as fh:
-            data = json.load(fh)
-        if isinstance(data, list):
-            return GapSequence.from_list(data)
-        return GapSequence.from_json(data)
+        data = _read_json(text.split(":", 1)[1], "gap list file")
+        build = GapSequence.from_list if isinstance(data, list) else GapSequence.from_json
+        return _from_json(build, data, "gap list file")
     raise ValidationError(
         f"unknown gap rule {text!r}; use zero|constant:c|linear|quadratic|list:file"
     )
@@ -176,8 +186,10 @@ def _parse_gaps(text: str) -> GapSequence:
 
 def _build_system(args) -> SystemSpec:
     text = args.system
+    if not text:
+        raise ValidationError(f"{args.command} needs --system")
     if text.lstrip().startswith("{"):
-        return SystemSpec.from_json(json.loads(text))
+        return _from_json(SystemSpec.from_json, json.loads(text), "--system JSON")
     params = {}
     for name in ("a", "beta1", "beta2", "beta", "tau"):
         v = getattr(args, name, None)
@@ -199,10 +211,11 @@ def _ladder(args) -> tuple[float, ...]:
 
 
 def _load_sequence_file(path: str) -> SymbolSequence:
-    if not os.path.exists(path):
-        raise ValidationError(f"sequence file not found: {path}")
-    with open(path) as fh:
-        return SymbolSequence.from_json(json.load(fh))
+    return _from_json(SymbolSequence.from_json, _read_json(path, "sequence file"), "sequence file")
+
+
+def _load_ifs(path: str) -> IfsSystem:
+    return _from_json(IfsSystem.from_json, _read_json(path, "IFS file"), "IFS file")
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +225,7 @@ def _load_sequence_file(path: str) -> SymbolSequence:
 def cmd_dimension(args) -> int:
     report: dict = {"directions": []}
     if args.ifs:
-        ifs = load_ifs(args.ifs)
+        ifs = _load_ifs(args.ifs)
         directions = [("ifs", ifs)]
     elif args.system:
         spec = _build_system(args)
@@ -388,7 +401,7 @@ def _boxdim_points(args) -> np.ndarray:
                                      args.threads)
         return cloud.centers
     if args.ifs:
-        ifs = load_ifs(args.ifs)
+        ifs = _load_ifs(args.ifs)
     elif args.system:
         spec = _build_system(args)
         derived = derive_ifs(spec)
@@ -599,10 +612,7 @@ def _config_value(action: argparse.Action, key: str, value):
 
 def _apply_config_and_defaults(args, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ValidationError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            data = json.load(fh)
+        data = _read_json(args.config, "config file")
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
         actions = _flag_actions(parser, args.command)
@@ -636,10 +646,10 @@ def main(argv=None) -> int:
     except LypairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -33,14 +33,20 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    InsufficientPrefix,
     InvalidDigit,
     InvalidRatio,
     OverlapError,
     ParameterOutOfRange,
     ValidationError,
 )
-from .symbolic import GapSequence, SymbolSequence, schedule_roles
+from .symbolic import (
+    FREE,
+    GapSequence,
+    SymbolSequence,
+    apply_pattern,
+    covered_base,
+    schedule_roles,
+)
 
 _CHUNK = 1 << 15  # fixed sampling chunk; part of the determinism contract
 _MORAN_TOL = 1e-12
@@ -211,19 +217,6 @@ def load_ifs(path_or_data, separation_required: bool = True) -> IfsSystem:
     return IfsSystem.from_json(data, separation_required)
 
 
-def verify_separation(ifs: IfsSystem) -> float:
-    """Minimal distance between distinct first-level image boxes.
-
-    Raises ``OverlapError`` when any two images meet (touching included):
-    the separation arguments need a strictly positive gap.
-    """
-    if ifs.m == 1:
-        raise ValidationError("separation needs at least two maps")
-    if ifs.gap <= 0.0:
-        raise OverlapError("first-level images intersect or touch; no positive gap")
-    return ifs.gap
-
-
 # --------------------------------------------------------------------------
 # the Moran equation
 
@@ -289,9 +282,6 @@ class CodedPoint:
     radius: float
     prefix: tuple
 
-    def __iter__(self):
-        return iter(self.center)
-
 
 def _check_prefix(ifs: IfsSystem, prefix: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in prefix)
@@ -339,11 +329,10 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class PointSample:
-    """Array-backed sequence of CodedPoints from one sampling run."""
+    """Coded points of one sampling run: row i is the ball (centers[i],
+    radii[i]) of the digit prefix digits[i] (``digits`` may be None)."""
 
-    def __init__(self, ifs: IfsSystem, centers: np.ndarray, radii: np.ndarray,
-                 digits: np.ndarray | None):
-        self.ifs = ifs
+    def __init__(self, centers: np.ndarray, radii: np.ndarray, digits: np.ndarray | None):
         self.centers = centers
         self.radii = radii
         self.digits = digits
@@ -351,21 +340,11 @@ class PointSample:
     def __len__(self) -> int:
         return self.centers.shape[0]
 
-    def __getitem__(self, i: int) -> CodedPoint:
-        prefix = () if self.digits is None else tuple(int(d) for d in self.digits[i])
-        return CodedPoint(self.centers[i], float(self.radii[i]), prefix)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
 
 class PairSample:
     """Joint sample of (attractor point, partner point) pairs in R^{2w}."""
 
-    def __init__(self, ifs: IfsSystem, points: np.ndarray,
-                 base_digits: np.ndarray, partner_digits: np.ndarray):
-        self.ifs = ifs
+    def __init__(self, points: np.ndarray, base_digits: np.ndarray, partner_digits: np.ndarray):
         self.points = points
         self.base_digits = base_digits
         self.partner_digits = partner_digits
@@ -447,7 +426,7 @@ def sample_attractor(
         radii[start : start + n] = r
 
     _run_chunks(count, worker, threads)
-    return PointSample(ifs, centers, radii, digits)
+    return PointSample(centers, radii, digits)
 
 
 def _restricted_template(
@@ -457,18 +436,9 @@ def _restricted_template(
         raise ValidationError("restricted sampling takes a one-sided base")
     if base.m != ifs.m:
         raise ValidationError("base alphabet must match the number of IFS maps")
-    match, flip, free = schedule_roles(gaps, depth)
-    needed = max(match + flip, default=-1) + 1
-    if len(base.digits) < needed:
-        raise InsufficientPrefix(
-            f"base prefix of length {len(base.digits)} does not cover position {needed}"
-        )
-    template = np.zeros(depth, dtype=_digit_dtype(ifs.m))
-    for i in match:
-        template[i] = base.digits[i]
-    for i in flip:
-        template[i] = base.digits[i] % ifs.m + 1
-    return template, np.asarray(free, dtype=np.intp)
+    roles = schedule_roles(gaps, depth)
+    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
+    return template.astype(_digit_dtype(ifs.m)), roles == FREE
 
 
 def sample_restricted(
@@ -489,7 +459,8 @@ def sample_restricted(
     of the natural measure onto the restricted set.
     """
     _validate_sampling(count, depth, seed)
-    template, free_idx = _restricted_template(ifs, base, gaps, depth)
+    template, free = _restricted_template(ifs, base, gaps, depth)
+    n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
     centers = np.empty((count, ifs.w), dtype=float)
@@ -498,15 +469,14 @@ def sample_restricted(
     def worker(chunk_index: int, start: int, n: int) -> None:
         rng = _chunk_rng(seed, stream, chunk_index)
         d = np.tile(template, (n, 1))
-        if free_idx.size:
-            d[:, free_idx] = _draw_digits(rng, cum, (n, free_idx.size))
+        d[:, free] = _draw_digits(rng, cum, (n, n_free))
         c, r = _code_batch(ifs, d)
         digits[start : start + n] = d
         centers[start : start + n] = c
         radii[start : start + n] = r
 
     _run_chunks(count, worker, threads)
-    return PointSample(ifs, centers, radii, digits)
+    return PointSample(centers, radii, digits)
 
 
 def sample_pair_set(
@@ -525,12 +495,10 @@ def sample_pair_set(
     coordinates are distributed like ``sample_attractor`` output.
     """
     _validate_sampling(count, depth, seed)
-    match, flip, free = schedule_roles(gaps, depth)
-    match_idx = np.asarray(match, dtype=np.intp)
-    flip_idx = np.asarray(flip, dtype=np.intp)
-    free_idx = np.asarray(free, dtype=np.intp)
+    roles = schedule_roles(gaps, depth)
+    free = roles == FREE
+    n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    m = ifs.m
     points = np.empty((count, 2 * ifs.w), dtype=float)
     base_digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
     partner_digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
@@ -538,13 +506,8 @@ def sample_pair_set(
     def worker(chunk_index: int, start: int, n: int) -> None:
         rng = _chunk_rng(seed, stream, chunk_index)
         s = _draw_digits(rng, cum, (n, depth))
-        t = np.empty_like(s)
-        if match_idx.size:
-            t[:, match_idx] = s[:, match_idx]
-        if flip_idx.size:
-            t[:, flip_idx] = (s[:, flip_idx] % m + 1).astype(t.dtype)
-        if free_idx.size:
-            t[:, free_idx] = _draw_digits(rng, cum, (n, free_idx.size))
+        t = apply_pattern(roles, s, ifs.m)
+        t[:, free] = _draw_digits(rng, cum, (n, n_free))
         cs, _ = _code_batch(ifs, s)
         ct, _ = _code_batch(ifs, t)
         points[start : start + n, : ifs.w] = cs
@@ -553,4 +516,4 @@ def sample_pair_set(
         partner_digits[start : start + n] = t
 
     _run_chunks(count, worker, threads)
-    return PairSample(ifs, points, base_digits, partner_digits)
+    return PairSample(points, base_digits, partner_digits)

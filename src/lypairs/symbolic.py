@@ -34,10 +34,11 @@ Index conventions, relied on by the geometric layers:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,11 +51,6 @@ from .errors import (
 
 ONE_SIDED = "one"
 TWO_SIDED = "two"
-
-
-def wrap_increment(digit: int, m: int) -> int:
-    """Digit + 1 with m wrapping back to 1 (digits are 1-based)."""
-    return digit % m + 1
 
 
 def _check_digits(digits: Iterable[int], m: int, what: str) -> tuple[int, ...]:
@@ -154,6 +150,11 @@ def random_sequence(
     past_length: int = 0,
 ) -> SymbolSequence:
     """Draw a sequence with independent uniform digits from a seeded generator."""
+    if m < 2 or length < 0 or past_length < 0:
+        raise ValidationError(
+            f"random sequences need m >= 2 and lengths >= 0, got m={m}, "
+            f"length={length}, past_length={past_length}"
+        )
     future = tuple(int(d) for d in rng.integers(1, m + 1, size=length))
     if side == ONE_SIDED:
         return SymbolSequence(m, future)
@@ -401,59 +402,78 @@ class PairSchedule:
         return {"blocks": [b.to_json() for b in self.blocks], "span": self.span}
 
 
+def _blocks(gaps: GapSequence) -> Iterator[ScheduleBlock]:
+    """Blocks 0, 1, 2, ... under u_0 = 1, u_{i+1} = u_i + (i+1) + 1 + N_{i+1}."""
+    u = 1
+    for i in itertools.count():
+        free = gaps.value(i + 1)
+        yield ScheduleBlock(
+            index=i, start=u, match_len=i + 1, mismatch_pos=u + i + 1, free_count=free
+        )
+        u += i + 2 + free
+
+
 def block_schedule(gaps: GapSequence, block_count: int) -> PairSchedule:
-    """Blocks 0..block_count-1 under u_0 = 1, u_{i+1} = u_i + (i+1) + 1 + N_{i+1}."""
+    """Blocks 0..block_count-1."""
     if block_count < 1:
         raise ValidationError("block_count must be >= 1")
-    blocks = []
-    u = 1
-    for i in range(block_count):
-        free = gaps.value(i + 1)
-        blocks.append(
-            ScheduleBlock(
-                index=i,
-                start=u,
-                match_len=i + 1,
-                mismatch_pos=u + i + 1,
-                free_count=free,
-            )
-        )
-        u = u + (i + 1) + 1 + free
-    return PairSchedule(tuple(blocks))
+    return PairSchedule(tuple(itertools.islice(_blocks(gaps), block_count)))
 
 
 def schedule_covering(gaps: GapSequence, length: int) -> PairSchedule:
     """Smallest schedule whose blocks cover positions 1..length."""
     if length < 1:
         raise ValidationError("length must be >= 1")
-    count = 1
-    sched = block_schedule(gaps, count)
-    while sched.span < length:
-        count += 1
-        sched = block_schedule(gaps, count)
-    return sched
+    blocks = []
+    for blk in _blocks(gaps):
+        blocks.append(blk)
+        if blk.end >= length:
+            return PairSchedule(tuple(blocks))
 
 
-def schedule_roles(gaps: GapSequence, length: int) -> tuple[list[int], list[int], list[int]]:
-    """Classify positions 1..length into 0-based (match, flip, free) index lists."""
-    sched = schedule_covering(gaps, length)
-    match: list[int] = []
-    flip: list[int] = []
-    free: list[int] = []
-    for blk in sched.blocks:
-        for p in blk.match_positions:
-            if p <= length:
-                match.append(p - 1)
-        if blk.mismatch_pos <= length:
-            flip.append(blk.mismatch_pos - 1)
-        for p in blk.free_positions:
-            if p <= length:
-                free.append(p - 1)
-    return match, flip, free
+# position roles: a matched copy of the base digit, the flipped base digit,
+# or a free digit taken from the filler
+MATCH, FLIP, FREE = 0, 1, 2
+_BLOCK_ROLES = np.array([MATCH, FLIP, FREE], dtype=np.int8)
 
 
-def free_position_count(gaps: GapSequence, length: int) -> int:
-    return len(schedule_roles(gaps, length)[2])
+def schedule_roles(gaps: GapSequence, length: int) -> np.ndarray:
+    """Role of each position 1..length, 0-based, as an int8 array.
+
+    The covering blocks tile the index line from position 1, each one a run
+    of match_len MATCH, one FLIP and free_count FREE positions.
+    """
+    blocks = schedule_covering(gaps, length).blocks
+    runs = [(blk.match_len, 1, blk.free_count) for blk in blocks]
+    return np.repeat(np.tile(_BLOCK_ROLES, len(blocks)), np.ravel(runs))[:length]
+
+
+def covered_base(roles: np.ndarray, base: SymbolSequence) -> np.ndarray:
+    """The base digits at the positions of ``roles``, 0 past the stored prefix.
+
+    Raises ``InsufficientPrefix`` unless the base stores every MATCH and FLIP
+    position; FREE positions need no base digit.
+    """
+    fixed = np.flatnonzero(roles != FREE)
+    needed = int(fixed[-1]) + 1 if fixed.size else 0
+    if len(base.digits) < needed:
+        raise InsufficientPrefix(
+            f"base prefix of length {len(base.digits)} does not cover position {needed}"
+        )
+    out = np.zeros(roles.size, dtype=np.int64)
+    stored = base.digits[: roles.size]
+    out[: len(stored)] = stored
+    return out
+
+
+def apply_pattern(roles: np.ndarray, digits: np.ndarray, m: int) -> np.ndarray:
+    """Digits with every FLIP digit moved up by one, m wrapping to 1; the
+    other positions keep their digit.  ``digits`` is one prefix or rows of
+    prefixes, positions along the last axis."""
+    out = np.array(digits)
+    flip = roles == FLIP
+    out[..., flip] = out[..., flip] % m + 1
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -476,25 +496,16 @@ def construct_partner(
         raise ValidationError("partner construction operates on one-sided sequences")
     if base.m != filler.m:
         raise ValidationError("base and filler must share the alphabet size")
-    m = base.m
-    match, flip, free = schedule_roles(gaps, length)
-    needed_base = max(match + flip, default=-1) + 1
-    if len(base.digits) < needed_base:
+    roles = schedule_roles(gaps, length)
+    out = apply_pattern(roles, covered_base(roles, base), base.m)
+    free = roles == FREE
+    n_free = int(np.count_nonzero(free))
+    if len(filler.digits) < n_free:
         raise InsufficientPrefix(
-            f"base prefix of length {len(base.digits)} does not cover position {needed_base}"
+            f"filler prefix of length {len(filler.digits)} shorter than {n_free} free positions"
         )
-    if len(filler.digits) < len(free):
-        raise InsufficientPrefix(
-            f"filler prefix of length {len(filler.digits)} shorter than {len(free)} free positions"
-        )
-    out = [0] * length
-    for i in match:
-        out[i] = base.digits[i]
-    for i in flip:
-        out[i] = wrap_increment(base.digits[i], m)
-    for j, i in enumerate(free):
-        out[i] = filler.digits[j]
-    return SymbolSequence(m, tuple(out))
+    out[free] = filler.digits[:n_free]
+    return SymbolSequence(base.m, tuple(out.tolist()))
 
 
 def extract_filler(
@@ -505,44 +516,24 @@ def extract_filler(
     """Recover the free digits of ``partner``; inverse of ``construct_partner``.
 
     Verifies the match/flip pattern over the stored prefix of ``partner``
-    and raises ``NotInSubset`` at the first violation, so this doubles as
-    the membership test for the partner set of ``base``.
+    and raises ``NotInSubset`` at the first violating position, so this
+    doubles as the membership test for the partner set of ``base``.
     """
     if partner.side != ONE_SIDED or base.side != ONE_SIDED:
         raise ValidationError("filler extraction operates on one-sided sequences")
     if partner.m != base.m:
         raise ValidationError("partner and base must share the alphabet size")
-    m = base.m
-    span = len(partner.digits)
-    if span < 1:
+    if not partner.digits:
         raise ValidationError("partner prefix is empty")
-    match, flip, free = schedule_roles(gaps, span)
-    needed_base = max(match + flip, default=-1) + 1
-    if len(base.digits) < needed_base:
-        raise InsufficientPrefix(
-            f"base prefix of length {len(base.digits)} does not cover position {needed_base}"
-        )
-    for i in match:
-        if partner.digits[i] != base.digits[i]:
-            raise NotInSubset(
-                f"position {i + 1}: expected matched digit {base.digits[i]}, got {partner.digits[i]}"
-            )
-    for i in flip:
-        want = wrap_increment(base.digits[i], m)
-        if partner.digits[i] != want:
-            raise NotInSubset(
-                f"position {i + 1}: expected flipped digit {want}, got {partner.digits[i]}"
-            )
-    return SymbolSequence(m, tuple(partner.digits[i] for i in free))
-
-
-def is_partner(partner: SymbolSequence, base: SymbolSequence, gaps: GapSequence) -> bool:
-    """Membership test for the partner set over the stored prefix."""
-    try:
-        extract_filler(partner, base, gaps)
-    except NotInSubset:
-        return False
-    return True
+    roles = schedule_roles(gaps, len(partner.digits))
+    want = apply_pattern(roles, covered_base(roles, base), base.m)
+    got = np.asarray(partner.digits)
+    bad = np.flatnonzero((roles != FREE) & (got != want))
+    if bad.size:
+        i = int(bad[0])
+        kind = "matched" if roles[i] == MATCH else "flipped"
+        raise NotInSubset(f"position {i + 1}: expected {kind} digit {want[i]}, got {got[i]}")
+    return SymbolSequence(base.m, tuple(got[roles == FREE].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -590,31 +581,3 @@ def check_gap_condition(gaps: GapSequence, M_max: int) -> GapConditionReport:
     else:
         verdict, detail = "inconclusive", "explicit finite list: empirical trend only"
     return GapConditionReport(tuple(ratios), verdict, detail)
-
-
-# --------------------------------------------------------------------------
-# cylinder sets
-
-
-@dataclass(frozen=True)
-class CylinderSet:
-    """All one-sided sequences sharing a fixed finite prefix."""
-
-    m: int
-    prefix: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", _check_digits(self.prefix, self.m, "cylinder"))
-
-    def __len__(self) -> int:
-        return len(self.prefix)
-
-    def contains(self, seq: SymbolSequence) -> bool:
-        if seq.m != self.m:
-            raise ValidationError("alphabet size mismatch")
-        k = len(self.prefix)
-        if len(seq.digits) < k:
-            raise InsufficientPrefix(
-                f"membership in a length-{k} cylinder needs {k} stored digits"
-            )
-        return seq.digits[:k] == self.prefix

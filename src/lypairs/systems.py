@@ -46,6 +46,7 @@ from .errors import (
 from .fractal import (
     CodedPoint,
     IfsSystem,
+    PointSample,
     Similitude,
     code_point,
     sample_attractor,
@@ -221,8 +222,7 @@ def apply_map(spec: SystemSpec, point) -> np.ndarray:
     """Evaluate the system's branch formulas at a point of its domain."""
     p = np.asarray(point, dtype=float)
     if spec.kind == "tent":
-        if p.shape != (1,):
-            raise ValidationError("tent map expects a point of R^1")
+        _check_in_box(p, 1, "tent")
         x = p[0]
         return np.array([spec.a - 2.0 * spec.a * abs(x - 0.5)])
     if spec.kind == "baker":
@@ -293,31 +293,29 @@ def coded_radius(spec: SystemSpec, depth: int) -> float:
     return math.hypot(r_con, r_exp)
 
 
-_TRIAL_CHUNK = 256
+_TRIAL_CHUNK = 256  # trials per sub-seed; part of the determinism contract
 
 
 def conjugacy_defect(
-    spec: SystemSpec, trials: int, prefix_len: int, depth: int, seed: int,
-    threads: int = 1,
+    spec: SystemSpec, trials: int, prefix_len: int, depth: int, seed: int
 ) -> float:
     """Max over random sequences of |apply_map(center pi(s)) - center pi(shift s)|.
 
     Bounded by (1 + L) * coded_radius(spec, depth) up to float rounding,
     L the branch Lipschitz constant: the two centers code the same orbit
-    point through one application of the map.  Trials are chunked over
-    sub-seeds, so the result does not depend on the thread count.
+    point through one application of the map.  Trial j draws from the
+    sub-seed ``spawn_key=(j // 256,)``.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if prefix_len < depth + 1:
         raise ValidationError("prefix_len must be at least depth + 1")
-
-    def run_chunk(chunk_index: int, n: int) -> float:
+    worst = 0.0
+    for chunk_index, first in enumerate(range(0, trials, _TRIAL_CHUNK)):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
         )
-        worst = 0.0
-        for _ in range(n):
+        for _ in range(min(_TRIAL_CHUNK, trials - first)):
             if spec.side == ONE_SIDED:
                 seq = SymbolSequence(
                     2, tuple(int(d) for d in rng.integers(1, 3, prefix_len))
@@ -332,35 +330,12 @@ def conjugacy_defect(
             p1 = code_orbit_point(spec, seq, 1, depth)
             defect = float(np.linalg.norm(apply_map(spec, p0.center) - p1.center))
             worst = max(worst, defect)
-        return worst
-
-    tasks = []
-    left = trials
-    while left > 0:
-        tasks.append((len(tasks), min(_TRIAL_CHUNK, left)))
-        left -= _TRIAL_CHUNK
-    if threads <= 1 or len(tasks) == 1:
-        return max(run_chunk(i, n) for i, n in tasks)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return max(pool.map(lambda t: run_chunk(*t), tasks))
-
-
-@dataclass(frozen=True, eq=False)
-class Cloud:
-    """Plain point cloud with per-point radius bounds."""
-
-    centers: np.ndarray
-    radii: np.ndarray
-
-    def __len__(self) -> int:
-        return self.centers.shape[0]
+    return worst
 
 
 def sample_invariant_set(
     spec: SystemSpec, count: int, depth: int, seed: int, threads: int = 1
-) -> Cloud:
+) -> PointSample:
     """Sample the system's invariant set in its ambient space.
 
     Product systems draw each coordinate's digits independently (streams
@@ -369,9 +344,9 @@ def sample_invariant_set(
     derived = derive_ifs(spec)
     if spec.side == ONE_SIDED:
         ps = sample_attractor(derived.expanding_inverse, count, depth, seed, threads)
-        return Cloud(ps.centers, ps.radii)
+        return PointSample(ps.centers, ps.radii, digits=None)
     con = sample_attractor(derived.contracting[0], count, depth, seed, threads, stream=0)
     exp = sample_attractor(derived.expanding_inverse, count, depth, seed, threads, stream=1)
     centers = np.hstack([con.centers, exp.centers])
     radii = np.hypot(con.radii, exp.radii)
-    return Cloud(centers, radii)
+    return PointSample(centers, radii, digits=None)

@@ -151,6 +151,28 @@ def test_geometric_ladder_matches_dyadic():
         geometric_ladder(math.inf, 0.2, 2.0)
 
 
+def _unbounded_ladder(eps_max, eps_min, ratio):
+    """Reference: the ladder loop with no level bound."""
+    out = []
+    e = eps_max
+    while e >= eps_min * (1 - 1e-12):
+        out.append(e)
+        e /= ratio
+    return tuple(out)
+
+
+def test_geometric_ladder_is_bounded():
+    for ratio in (1.0000001, 1 + 1e-15, math.nan):
+        with pytest.raises(ValidationError):
+            geometric_ladder(2.0**-4, 2.0**-14, ratio)
+    # the level bound leaves ordinary ladders as they were, exact powers included
+    for args in ((2.0**-4, 2.0**-14, 2.0), (3.0**-15, 3.0**-23, 3.0), (0.3, 1e-300, 1.2),
+                 (1e300, 1e-300, 1.5), (0.1, 0.1, 2.0), (1.0, 2.0**-1000, 2.0)):
+        assert geometric_ladder(*args) == _unbounded_ladder(*args)
+    # below the normal range e / ratio can round back to e; the bound ends the loop
+    assert len(geometric_ladder(0.0625, 5e-324, 1.5)) == 1831
+
+
 # --------------------------------------------------------------------------
 # dimension fitting
 

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lypairs import cli
 from lypairs.cli import main
@@ -473,6 +477,41 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "1"],
+    ["verify", "--system", '{"a": 2}', "--seed", "1"],
+    ["verify", "--system", '{"kind": "tent", "a": "x"}', "--seed", "1"],
+    ["construct", "--length", "30", "--seed", "1", "--base", "{file}"],
+    ["construct", "--length", "30", "--seed", "1", "--base", "{short}", "--filler", "base"],
+    ["construct", "--length", "30", "--seed", "1", "--m", "0"],
+    ["construct", "--length", "30", "--seed", "1", "--gaps", "list:{file}"],
+    ["boxdim", "--ifs", "{file}", "--seed", "1", "--count", "100"],
+    ["verify", "--system", "baker", "--beta1", "0.3", "--beta2", "0.3", "--seed", "1",
+     "--depth", "-1"],
+    ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--out", "{dir}"],
+])
+def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
+    (tmp_path / "file.json").write_text(json.dumps({"values": ["x"], "maps": [{"ratio": "x"}]}))
+    (tmp_path / "short.json").write_text(json.dumps({"m": 2, "digits": [1, 2]}))
+    paths = {"{file}": tmp_path / "file.json", "{short}": tmp_path / "short.json",
+             "{cantor}": cantor_json, "{dir}": tmp_path}
+    for name, path in paths.items():
+        argv = [a.replace(name, str(path)) for a in argv]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_undecodable_json_input_exits_2(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for argv in (["verify", "--system", "tent", "--a", "2", "--seed", "1", "--config"],
+                 ["construct", "--length", "5", "--seed", "1", "--base"]):
+        rc, _, err = run(capsys, *argv, str(binary))
+        assert rc == 2
+        assert "malformed JSON" in err
+
+
 def test_config_missing_file_rejected(capsys):
     rc, _, err = run(capsys, "verify", "--system", "tent", "--a", "2", "--seed", "1",
                      "--config", "/nonexistent/cfg.json")
@@ -495,3 +534,161 @@ def test_help_documents_defaults(capsys):
 def test_unknown_flag_exits_2(capsys):
     rc, _, _ = run(capsys, "boxdim", "--nonsense")
     assert rc == 2
+
+
+def test_unbounded_ladder_exits_2(capsys, cantor_json):
+    for ratio in ("1.0000001", "1.000000000000001"):
+        rc, _, err = run(
+            capsys,
+            "boxdim", "--ifs", cantor_json, "--count", "1000", "--depth", "20",
+            "--seed", "2", "--eps-ratio", ratio,
+        )
+        assert rc == 2
+        assert "levels" in err
+
+
+# --------------------------------------------------------------------------
+# every input ends in exit code 0, 2 or 3
+#
+# Sizes are capped: --count and --length at 2000, --threads at 4, --depth at
+# 60 and --blocks at 30.  Huge counts are out of scope: they only test how
+# much memory the machine has.  --count is always given, because its
+# 200,000-point default is too slow for many examples.  --eps-ratio is not
+# capped: a ratio close to 1 must be refused, not looped over.
+
+_BAD_TEXT = st.sampled_from(["", "x", "1.5", "-", "-inf"])
+_BAD_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-1", "1", "1.0000001", "1e300", "5e-324"]),
+    _BAD_TEXT,
+)
+
+
+def _ints(lo, hi, bad_lo):
+    """Valid integer texts in lo..hi; invalid ones bad_lo..lo-1 or not numbers."""
+    return st.integers(lo, hi).map(str), st.one_of(st.integers(bad_lo, lo - 1).map(str), _BAD_TEXT)
+
+
+def _cli_flags(paths):
+    """dest -> (valid texts, invalid texts), or None for a switch, per subcommand."""
+    def pick(*texts):
+        for name, path in paths.items():
+            texts = [t.replace("{%s}" % name, path) for t in texts]
+        return st.sampled_from(texts)
+
+    def floats(*valid):
+        return pick(*valid), _BAD_FLOAT
+
+    common = {
+        "seed": _ints(0, 10**6, -2), "threads": _ints(-1, 4, -2),
+        "format": (pick("json", "csv"), pick("xml")),
+        "out": (pick("-", "{out}"), pick("{dir}", "{dir}/missing/out.txt")),
+    }
+    system = {
+        "system": (
+            pick("tent", "baker", "horseshoe", "solenoid", '{"kind": "tent", "a": 3}',
+                 '{"kind": "baker", "beta1": 0.3, "beta2": 0.25}',
+                 '{"kind": "solenoid", "beta1": 0.25, "beta2": 0.5}'),
+            pick("moon", "[1]", '{"kind": "horseshoe"}', '{"a": 2}', '{"kind": "tent", "a": "x"}',
+                 '{"kind": "baker", "beta1": [0.3], "beta2": 0.3}', '{"kind": 1}', "{"),
+        ),
+        "a": floats("2", "3.5"), "beta1": floats("0.3", "0.25"),
+        "beta2": floats("0.3", "0.5"), "beta": floats("0.3"), "tau": floats("3", "4"),
+    }
+    ladder = {"eps_max": floats("0.0625", "0.1", repr(3.0**-2)),
+              "eps_min": floats("1e-4", "6.103515625e-05", repr(3.0**-9)),
+              "eps_ratio": floats("2", "3", "1.5")}
+    ifs = {"ifs": (pick("{cantor}", "{planar}"),
+                   pick("{overlapping}", "{missing}", "{dir}", "{sequence}", "{bad_ifs}",
+                        "{binary}"))}
+    gaps = {"gaps": (pick("zero", "linear", "quadratic", "constant:3", "list:{gaps}"),
+                     pick("constant:-1", "constant:x", "bogus", "list:{missing}",
+                          "list:{bad_gaps}", "list:{sequence}"))}
+    sequences = ("{sequence}", "{missing}", "{bad_sequence}", "{cantor}", "{binary}")
+    sampled = {
+        **gaps,
+        "target": (pick("attractor", "restricted", "pairs", "system"), pick("x")),
+        "base": (pick("random", "{sequence}"), pick(*sequences[1:])),
+        "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1),
+    }
+    return {
+        "dimension": {**system, **ifs, **ladder, **common, "check_box": None,
+                      "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1)},
+        "construct": {**common, **gaps, "m": _ints(2, 300, -1), "length": _ints(1, 2000, -2),
+                      "base": (pick("random", "ones", "{sequence}"), pick(*sequences[1:])),
+                      "filler": (pick("random", "base", "{sequence}"), pick(*sequences[1:])),
+                      "extract": None},
+        "verify": {**system, **common, **gaps, "blocks": _ints(3, 30, -1),
+                   "depth": _ints(1, 60, -1), "filler": (pick("base", "random"), pick("x")),
+                   "pair_mode": (pick("constructed", "identical", "eventually-equal"), pick("x")),
+                   "decay": floats("0.5", "0.9"), "floor": floats("0.01", "0.2"),
+                   "unsafe_iterate": None},
+        "boxdim": {**system, **ifs, **ladder, **common, **sampled},
+        "sample": {**system, **ifs, **common, **sampled},
+    }
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_inputs")
+    files = {
+        "cantor": {"w": 1, "K": [[0, 1]],
+                   "maps": [{"ratio": 1 / 3, "t": [0]}, {"ratio": 1 / 3, "t": [2 / 3]}]},
+        "planar": {"w": 2, "K": [[0, 1], [0, 1]],
+                   "maps": [{"ratio": 0.3, "t": [0, 0]}, {"ratio": 0.35, "t": [0.65, 0.65]}]},
+        "overlapping": {"w": 1, "K": [[0, 1]],
+                        "maps": [{"ratio": 0.5, "t": [0]}, {"ratio": 0.5, "t": [0.5]}]},
+        "bad_ifs": {"w": 1, "maps": [{"ratio": "x"}]},
+        "gaps": [1, 0, 2, 5, 1],
+        "bad_gaps": {"rule": "list", "values": ["x"]},
+        "sequence": {"m": 2, "digits": [1, 2, 2, 1] * 10},
+        "bad_sequence": {"m": 2, "digits": [1, 3]},
+    }
+    paths = {"missing": str(root / "missing.json"), "out": str(root / "out.txt"),
+             "config": str(root / "config.json"), "dir": str(root)}
+    for name, data in files.items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(data))
+    paths["binary"] = str(root / "binary.json")
+    (root / "binary.json").write_bytes(b"\xff\xfe{")
+    return paths
+
+
+@st.composite
+def _cli_call(draw, paths):
+    """argv and --config object for one call; at most one flag is invalid."""
+    commands = _cli_flags(paths)
+    command = draw(st.sampled_from(sorted(commands)))
+    flags = commands[command]
+    bad = draw(st.sampled_from([None, "config", *flags]))
+    argv = [command]
+    for dest, texts in flags.items():
+        if dest not in ("seed", "count") and not draw(st.booleans()):
+            continue
+        if dest == "seed" and dest == bad and draw(st.booleans()):
+            continue
+        argv.append("--" + dest.replace("_", "-"))
+        if texts is not None:
+            argv.append(draw(texts[dest == bad]))
+    config = None
+    if bad == "config" or draw(st.booleans()):
+        keys = sorted(k for k, texts in flags.items() if texts is not None and k != "count")
+        config = {k: draw(flags[k][0]) for k in draw(st.sets(st.sampled_from(keys), max_size=3))}
+        if bad == "config":
+            key = draw(st.sampled_from([k for k in flags if k != "out"] + ["bogus"]))
+            config[key] = draw(st.sampled_from([None, [1], {"x": 1}, True, 1.5, "x"]))
+    return argv, config
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_input_exits_0_2_or_3(cli_inputs, data):
+    argv, config = data.draw(_cli_call(cli_inputs))
+    if config is not None:
+        with open(cli_inputs["config"], "w") as fh:
+            json.dump(config, fh)
+        argv += ["--config", cli_inputs["config"]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2, 3), argv

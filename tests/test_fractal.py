@@ -23,7 +23,6 @@ from lypairs.fractal import (
     sample_attractor,
     sample_pair_set,
     sample_restricted,
-    verify_separation,
 )
 from lypairs.fractal import _digit_dtype, _draw_digits
 from lypairs.symbolic import GapSequence, SymbolSequence, extract_filler, random_sequence
@@ -132,11 +131,11 @@ def test_moran_rejects_bad_inputs():
 
 
 def test_separation_middle_thirds():
-    assert verify_separation(cantor_ifs()) == pytest.approx(1 / 3, abs=1e-15)
+    assert cantor_ifs().gap == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_separation_tent_repeller():
-    assert verify_separation(tent_repeller_ifs()) == pytest.approx(0.5, abs=1e-15)
+    assert tent_repeller_ifs().gap == pytest.approx(0.5, abs=1e-15)
 
 
 def test_separation_rejects_touching_halves():
@@ -154,8 +153,6 @@ def test_touching_halves_allowed_when_flagged():
         separation_required=False,
     )
     assert ifs.gap == 0.0
-    with pytest.raises(OverlapError):
-        verify_separation(ifs)
 
 
 def test_domain_escape_rejected():
@@ -211,7 +208,7 @@ def test_cylinder_nesting():
 
 def test_separation_transport():
     ifs = cantor_ifs()
-    d = verify_separation(ifs)
+    d = ifs.gap
     rng = np.random.default_rng(9)
     for _ in range(100):
         p = tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(0, 8))))
@@ -278,9 +275,8 @@ def test_sampler_golden_marginal():
 def test_sample_single_point_lands_in_first_level_image():
     ifs = cantor_ifs()
     s = sample_attractor(ifs, 1, 1, seed=0)
-    cp = s[0]
-    img = ifs.maps[cp.prefix[0] - 1].image_box(ifs.box_arr)
-    assert img[0, 0] <= cp.center[0] <= img[0, 1]
+    img = ifs.maps[s.digits[0, 0] - 1].image_box(ifs.box_arr)
+    assert img[0, 0] <= s.centers[0, 0] <= img[0, 1]
 
 
 def test_restricted_prefixes_satisfy_pattern():
@@ -335,10 +331,9 @@ def test_batch_coding_matches_scalar_in_two_dimensions():
     )
     sample = sample_attractor(ifs, 50, 12, seed=29)
     for i in range(len(sample)):
-        cp = sample[i]
-        direct = code_point(ifs, cp.prefix)
-        assert np.allclose(direct.center, cp.center, atol=1e-15)
-        assert direct.radius == pytest.approx(cp.radius, rel=1e-12)
+        direct = code_point(ifs, sample.digits[i])
+        assert np.allclose(direct.center, sample.centers[i], atol=1e-15)
+        assert direct.radius == pytest.approx(sample.radii[i], rel=1e-12)
 
 
 def test_sampler_rejects_bad_arguments():
@@ -379,4 +374,4 @@ def test_ifs_json_matches_documented_shape():
         ],
     }
     ifs = IfsSystem.from_json(data)
-    assert verify_separation(ifs) == pytest.approx(1 / 3)
+    assert ifs.gap == pytest.approx(1 / 3)

@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 
 from lypairs.errors import InsufficientPrefix, InvalidDigit, NotInSubset, ValidationError
 from lypairs.symbolic import (
-    CylinderSet,
+    FLIP,
+    FREE,
+    MATCH,
     GapSequence,
     SymbolSequence,
+    apply_pattern,
     block_schedule,
     check_gap_condition,
     construct_partner,
+    covered_base,
     extract_filler,
-    free_position_count,
-    is_partner,
     random_sequence,
+    schedule_covering,
+    schedule_roles,
     sequence_dist,
     shift,
-    wrap_increment,
 )
 
 
@@ -198,6 +201,66 @@ def test_blocks_tile_without_gaps_or_overlaps():
         assert covered == list(range(1, sched.span + 1))
 
 
+def _roles_from_blocks(gaps, length):
+    """Reference: the role of each position read off block_schedule's layout."""
+    count = 1
+    while block_schedule(gaps, count).span < length:
+        count += 1
+    roles = {}
+    for blk in block_schedule(gaps, count).blocks:
+        roles.update((p, MATCH) for p in blk.match_positions)
+        roles[blk.mismatch_pos] = FLIP
+        roles.update((p, FREE) for p in blk.free_positions)
+    return [roles[p] for p in range(1, length + 1)], count
+
+
+def test_schedule_roles_match_block_layout():
+    for gaps in (
+        GapSequence.quadratic(),
+        GapSequence.linear(),
+        GapSequence.zero(),
+        GapSequence.constant(3),
+        GapSequence.from_list([4, 0, 2, 7, 1, 0, 3, 5, 2, 2]),
+    ):
+        for length in (1, 2, 3, 4, 5, 11, 17, 40, 57):
+            roles = schedule_roles(gaps, length)
+            want, count = _roles_from_blocks(gaps, length)
+            assert roles.dtype == np.int8
+            assert roles.tolist() == want, (gaps, length)
+            # the covering schedule is the smallest one reaching the length
+            assert schedule_covering(gaps, length) == block_schedule(gaps, count)
+
+
+def test_schedule_covering_exhausts_gap_list():
+    with pytest.raises(InsufficientPrefix):
+        schedule_covering(GapSequence.from_list([1, 1]), 20)
+    with pytest.raises(ValidationError):
+        schedule_roles(GapSequence.quadratic(), 0)
+
+
+def test_apply_pattern_rows_match_single_prefix():
+    rng = np.random.default_rng(5)
+    roles = schedule_roles(GapSequence.constant(2), 30)
+    for m, dtype in ((2, np.int8), (5, np.int8), (200, np.int16)):
+        rows = rng.integers(1, m + 1, size=(6, 30)).astype(dtype)
+        out = apply_pattern(roles, rows, m)
+        assert out.dtype == dtype
+        for row, got in zip(rows, out):
+            assert got.tolist() == apply_pattern(roles, row.astype(np.int64), m).tolist()
+        assert np.array_equal(out[:, roles != FLIP], rows[:, roles != FLIP])
+        assert np.all(out[:, roles == FLIP] != rows[:, roles == FLIP])
+
+
+def test_covered_base_needs_every_fixed_position():
+    roles = schedule_roles(GapSequence.quadratic(), 12)  # last fixed position: 12
+    base = SymbolSequence(2, (2, 1) * 6)
+    assert covered_base(roles, base).tolist() == list(base.digits)
+    with pytest.raises(InsufficientPrefix, match="does not cover position 12"):
+        covered_base(roles, base.truncated(11))
+    roles = schedule_roles(GapSequence.quadratic(), 10)  # positions 7..10 are free
+    assert covered_base(roles, base.truncated(6)).tolist() == [2, 1, 2, 1, 2, 1, 0, 0, 0, 0]
+
+
 def test_gap_list_exhaustion():
     gaps = GapSequence.from_list([1, 2])
     with pytest.raises(InsufficientPrefix):
@@ -234,11 +297,10 @@ def test_construct_partner_m3_with_free_digit():
     assert t.digits == (2, 3, 1, 2)
 
 
-def test_wrap_increment_wraps_to_one():
-    assert wrap_increment(1, 2) == 2
-    assert wrap_increment(2, 2) == 1
-    assert wrap_increment(3, 3) == 1
-    assert wrap_increment(2, 5) == 3
+def test_flip_wraps_to_one():
+    flip = np.array([FLIP], dtype=np.int8)
+    for digit, m, want in ((1, 2, 2), (2, 2, 1), (3, 3, 1), (2, 5, 3)):
+        assert apply_pattern(flip, np.array([digit]), m).tolist() == [want]
 
 
 def test_construct_partner_insufficient_base():
@@ -279,7 +341,7 @@ def test_extract_filler_round_trip_seeded():
             filler = random_sequence(m, 120, rng)
             t = construct_partner(base, gaps, filler, 100)
             got = extract_filler(t, base, gaps)
-            n_free = free_position_count(gaps, 100)
+            n_free = int(np.count_nonzero(schedule_roles(gaps, 100) == FREE))
             assert got.digits == filler.digits[:n_free]
             # and the other direction
             rebuilt = construct_partner(base, gaps, got, 100)
@@ -320,13 +382,23 @@ def test_extract_filler_rejects_missing_mismatch():
     partner = SymbolSequence(2, (1, 1, 1, 1, 2))  # position 2 should flip
     with pytest.raises(NotInSubset):
         extract_filler(partner, base, GapSequence.zero())
-    assert not is_partner(partner, base, GapSequence.zero())
 
 
 def test_extract_filler_rejects_broken_match():
     base = SymbolSequence(2, (1,) * 10)
     partner = SymbolSequence(2, (2, 2, 1, 1, 2))  # position 1 must match
     with pytest.raises(NotInSubset):
+        extract_filler(partner, base, GapSequence.zero())
+
+
+def test_extract_filler_names_first_violation():
+    base = SymbolSequence(2, (1,) * 10)
+    # position 2 should flip and position 4 should match: the flip is reported
+    partner = SymbolSequence(2, (1, 1, 1, 2, 2))
+    with pytest.raises(NotInSubset, match="position 2: expected flipped digit 2, got 1"):
+        extract_filler(partner, base, GapSequence.zero())
+    partner = SymbolSequence(2, (1, 2, 2, 1, 2))
+    with pytest.raises(NotInSubset, match="position 3: expected matched digit 1, got 2"):
         extract_filler(partner, base, GapSequence.zero())
 
 
@@ -410,14 +482,6 @@ def test_gap_condition_requires_ten_points():
 
 # --------------------------------------------------------------------------
 # cylinders and serialization
-
-
-def test_cylinder_membership():
-    cyl = CylinderSet(2, (1, 2))
-    assert cyl.contains(SymbolSequence(2, (1, 2, 2, 1)))
-    assert not cyl.contains(SymbolSequence(2, (2, 2, 2, 1)))
-    with pytest.raises(InsufficientPrefix):
-        cyl.contains(SymbolSequence(2, (1,)))
 
 
 def test_sequence_json_round_trip():
