@@ -40,7 +40,6 @@ from .fractal import (
     CodedPoint,
     IfsSystem,
     MoranSolution,
-    PairSample,
     PointSample,
     Similitude,
     bernoulli_weights,

@@ -421,7 +421,7 @@ def _boxdim_points(args) -> np.ndarray:
             ifs, base, gaps, args.count, args.depth, seed, args.threads
         ).centers
     if args.target == "pairs":
-        return sample_pair_set(ifs, gaps, args.count, args.depth, seed, args.threads).points
+        return sample_pair_set(ifs, gaps, args.count, args.depth, seed, args.threads).centers
     raise ValidationError(f"unknown target {args.target!r}")
 
 

@@ -13,8 +13,9 @@ projection of every extension of the prefix.
 
 Samplers draw digit prefixes i.i.d. with probabilities (c_1^D, ..., c_m^D)
 where D solves the Moran equation sum c_i^D = 1 -- the digit law whose
-projection is the natural self-similar measure on the attractor.  All
-randomness comes from numpy's PCG64 seeded through
+projection is the natural self-similar measure on the attractor.  They
+return the coded centers only (a ``PointSample``); a prefix's radius comes
+from ``code_point``.  All randomness comes from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, chunk_index))`` with a fixed
 chunk size, so results are bit-identical for any thread count.
 """
@@ -276,11 +277,10 @@ def bernoulli_weights(ratios: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CodedPoint:
     """Center/radius ball certifiably containing the projection of every
-    sequence extending ``prefix``."""
+    sequence extending the coded prefix."""
 
     center: np.ndarray
     radius: float
-    prefix: tuple
 
 
 def _check_prefix(ifs: IfsSystem, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -307,11 +307,11 @@ def code_point(ifs: IfsSystem, prefix: Sequence[int]) -> CodedPoint:
         s = ifs.maps[d - 1]
         x = s.apply(x)
         scale *= s.ratio
-    return CodedPoint(x, scale * ifs.diam / 2.0, digits)
+    return CodedPoint(x, scale * ifs.diam / 2.0)
 
 
-def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised ``code_point`` over rows of a (n, depth) digit array."""
+def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
+    """Centers of ``code_point`` over rows of a (n, depth) digit array."""
     n, depth = digits.shape
     ratios = np.asarray(ifs.ratios)
     flips = np.stack([s._flips_arr for s in ifs.maps])
@@ -320,8 +320,7 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndar
     for k in range(depth - 1, -1, -1):
         idx = digits[:, k].astype(np.intp) - 1
         x = ratios[idx, None] * (flips[idx] * x) + trans[idx]
-    radii = np.prod(ratios[digits.astype(np.intp) - 1], axis=1) * (ifs.diam / 2.0)
-    return x, radii
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -329,28 +328,14 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class PointSample:
-    """Coded points of one sampling run: row i is the ball (centers[i],
-    radii[i]) of the digit prefix digits[i] (``digits`` may be None)."""
+    """Coded centers of one sampling run, one point per row; a prefix's
+    radius comes from ``code_point``."""
 
-    def __init__(self, centers: np.ndarray, radii: np.ndarray, digits: np.ndarray | None):
+    def __init__(self, centers: np.ndarray):
         self.centers = centers
-        self.radii = radii
-        self.digits = digits
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-
-class PairSample:
-    """Joint sample of (attractor point, partner point) pairs in R^{2w}."""
-
-    def __init__(self, points: np.ndarray, base_digits: np.ndarray, partner_digits: np.ndarray):
-        self.points = points
-        self.base_digits = base_digits
-        self.partner_digits = partner_digits
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
@@ -385,26 +370,28 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
-def _run_chunks(count: int, worker, threads: int) -> None:
-    """Invoke worker(chunk_index, start, n) over fixed-size chunks.
+def _sample(count: int, width: int, rows, seed: int, stream: int, threads: int) -> PointSample:
+    """Fill a (count, width) sample with ``rows(rng, n)`` over fixed-size chunks.
 
-    The chunk layout (and hence every drawn number) depends only on the
+    Chunk i holds rows i*_CHUNK onward and draws from
+    ``_chunk_rng(seed, stream, i)``, so every row depends only on the
     seed, never on the thread count.
     """
-    tasks = []
-    start = 0
-    idx = 0
-    while start < count:
+    centers = np.empty((count, width), dtype=float)
+
+    def fill(chunk_index: int) -> None:
+        start = chunk_index * _CHUNK
         n = min(_CHUNK, count - start)
-        tasks.append((idx, start, n))
-        idx += 1
-        start += n
-    if threads <= 1 or len(tasks) == 1:
-        for t in tasks:
-            worker(*t)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda t: worker(*t), tasks))
+        centers[start : start + n] = rows(_chunk_rng(seed, stream, chunk_index), n)
+
+    chunks = range(-(-count // _CHUNK))
+    if threads <= 1 or len(chunks) == 1:
+        for i in chunks:
+            fill(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, chunks))
+    return PointSample(centers)
 
 
 def sample_attractor(
@@ -413,20 +400,11 @@ def sample_attractor(
     """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
     _validate_sampling(count, depth, seed)
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
-    centers = np.empty((count, ifs.w), dtype=float)
-    radii = np.empty(count, dtype=float)
 
-    def worker(chunk_index: int, start: int, n: int) -> None:
-        rng = _chunk_rng(seed, stream, chunk_index)
-        d = _draw_digits(rng, cum, (n, depth))
-        c, r = _code_batch(ifs, d)
-        digits[start : start + n] = d
-        centers[start : start + n] = c
-        radii[start : start + n] = r
+    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
+        return _code_batch(ifs, _draw_digits(rng, cum, (n, depth)))
 
-    _run_chunks(count, worker, threads)
-    return PointSample(centers, radii, digits)
+    return _sample(count, ifs.w, rows, seed, stream, threads)
 
 
 def _restricted_template(
@@ -454,29 +432,21 @@ def sample_restricted(
     """Sample the projection of the partner set of ``base``.
 
     Fillers are drawn from the (c_i^D) digit law and routed through the
-    partner construction, so every returned prefix satisfies the
-    match/flip pattern of ``base`` and the cloud samples the push-forward
-    of the natural measure onto the restricted set.
+    partner construction, so every coded prefix satisfies the match/flip
+    pattern of ``base`` and the cloud samples the push-forward of the
+    natural measure onto the restricted set.
     """
     _validate_sampling(count, depth, seed)
     template, free = _restricted_template(ifs, base, gaps, depth)
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
-    centers = np.empty((count, ifs.w), dtype=float)
-    radii = np.empty(count, dtype=float)
 
-    def worker(chunk_index: int, start: int, n: int) -> None:
-        rng = _chunk_rng(seed, stream, chunk_index)
+    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
         d = np.tile(template, (n, 1))
         d[:, free] = _draw_digits(rng, cum, (n, n_free))
-        c, r = _code_batch(ifs, d)
-        digits[start : start + n] = d
-        centers[start : start + n] = c
-        radii[start : start + n] = r
+        return _code_batch(ifs, d)
 
-    _run_chunks(count, worker, threads)
-    return PointSample(centers, radii, digits)
+    return _sample(count, ifs.w, rows, seed, stream, threads)
 
 
 def sample_pair_set(
@@ -487,11 +457,11 @@ def sample_pair_set(
     seed: int,
     threads: int = 1,
     stream: int = 0,
-) -> PairSample:
+) -> PointSample:
     """Sample (x, y) with x an attractor point and y a partner-set point of x.
 
     Each draw takes a fresh base prefix and a fresh filler, both from the
-    (c_i^D) digit law; the result is a point of R^{2w} whose first w
+    (c_i^D) digit law; each row is a point of R^{2w} whose first w
     coordinates are distributed like ``sample_attractor`` output.
     """
     _validate_sampling(count, depth, seed)
@@ -499,21 +469,11 @@ def sample_pair_set(
     free = roles == FREE
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    points = np.empty((count, 2 * ifs.w), dtype=float)
-    base_digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
-    partner_digits = np.empty((count, depth), dtype=_digit_dtype(ifs.m))
 
-    def worker(chunk_index: int, start: int, n: int) -> None:
-        rng = _chunk_rng(seed, stream, chunk_index)
+    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
         s = _draw_digits(rng, cum, (n, depth))
         t = apply_pattern(roles, s, ifs.m)
         t[:, free] = _draw_digits(rng, cum, (n, n_free))
-        cs, _ = _code_batch(ifs, s)
-        ct, _ = _code_batch(ifs, t)
-        points[start : start + n, : ifs.w] = cs
-        points[start : start + n, ifs.w :] = ct
-        base_digits[start : start + n] = s
-        partner_digits[start : start + n] = t
+        return np.hstack([_code_batch(ifs, s), _code_batch(ifs, t)])
 
-    _run_chunks(count, worker, threads)
-    return PairSample(points, base_digits, partner_digits)
+    return _sample(count, 2 * ifs.w, rows, seed, stream, threads)

@@ -279,7 +279,7 @@ def code_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int) 
     future_part = code_point(derived.expanding_inverse, shifted.digits[:depth])
     center = np.concatenate([past_part.center, future_part.center])
     radius = math.hypot(past_part.radius, future_part.radius)
-    return CodedPoint(center, radius, (past_part.prefix, future_part.prefix))
+    return CodedPoint(center, radius)
 
 
 def coded_radius(spec: SystemSpec, depth: int) -> float:
@@ -343,10 +343,7 @@ def sample_invariant_set(
     """
     derived = derive_ifs(spec)
     if spec.side == ONE_SIDED:
-        ps = sample_attractor(derived.expanding_inverse, count, depth, seed, threads)
-        return PointSample(ps.centers, ps.radii, digits=None)
+        return sample_attractor(derived.expanding_inverse, count, depth, seed, threads)
     con = sample_attractor(derived.contracting[0], count, depth, seed, threads, stream=0)
     exp = sample_attractor(derived.expanding_inverse, count, depth, seed, threads, stream=1)
-    centers = np.hstack([con.centers, exp.centers])
-    radii = np.hypot(con.radii, exp.radii)
-    return PointSample(centers, radii, digits=None)
+    return PointSample(np.hstack([con.centers, exp.centers]))

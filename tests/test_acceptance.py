@@ -141,7 +141,7 @@ def test_criterion_5_pair_set_dimension():
     started = time.perf_counter()
     ifs = cantor_ifs()
     pairs = sample_pair_set(ifs, GapSequence.quadratic(), 1_000_000, 40, seed=500)
-    est = dimension_fit(box_count(pairs.points, ternary_ladder(6, 10)))
+    est = dimension_fit(box_count(pairs.centers, ternary_ladder(6, 10)))
     assert abs(est.slope - 2 * CANTOR_D) <= 0.1, est.slope
     _report(5, "pair set doubles the dimension", started, 120.0)
 

@@ -24,8 +24,23 @@ from lypairs.fractal import (
     sample_pair_set,
     sample_restricted,
 )
-from lypairs.fractal import _digit_dtype, _draw_digits
-from lypairs.symbolic import GapSequence, SymbolSequence, extract_filler, random_sequence
+from lypairs.fractal import (
+    _CHUNK,
+    _chunk_rng,
+    _code_batch,
+    _digit_dtype,
+    _draw_digits,
+    _restricted_template,
+)
+from lypairs.symbolic import (
+    FREE,
+    GapSequence,
+    SymbolSequence,
+    apply_pattern,
+    extract_filler,
+    random_sequence,
+    schedule_roles,
+)
 
 CHI2_99_DF1 = 6.6348966010212145  # 0.99 quantile of chi-square with 1 dof
 
@@ -243,20 +258,80 @@ def test_draw_digits_matches_searchsorted(m, shape):
         assert np.array_equal(got, want)
 
 
+# The samplers keep only coded centers.  These helpers draw the digits
+# again from the samplers' chunk sub-seeds, in the samplers' order; each
+# test first checks that the redrawn digits code to the sample's centers.
+
+
+def attractor_digits(ifs, count, depth, seed, stream=0):
+    """Digits behind ``sample_attractor(ifs, count, depth, seed)``."""
+    cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    return np.vstack([
+        _draw_digits(_chunk_rng(seed, stream, i), cum, (min(_CHUNK, count - start), depth))
+        for i, start in enumerate(range(0, count, _CHUNK))
+    ])
+
+
+def restricted_digits(ifs, base, gaps, count, depth, seed):
+    """Digits behind a one-chunk ``sample_restricted`` call."""
+    assert count <= _CHUNK
+    template, free = _restricted_template(ifs, base, gaps, depth)
+    cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    d = np.tile(template, (count, 1))
+    d[:, free] = _draw_digits(_chunk_rng(seed, 0, 0), cum, (count, int(free.sum())))
+    return d
+
+
+def pair_digits(ifs, gaps, count, depth, seed):
+    """Base and partner digits behind a one-chunk ``sample_pair_set`` call."""
+    assert count <= _CHUNK
+    roles = schedule_roles(gaps, depth)
+    free = roles == FREE
+    cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    rng = _chunk_rng(seed, 0, 0)
+    s = _draw_digits(rng, cum, (count, depth))
+    t = apply_pattern(roles, s, ifs.m)
+    t[:, free] = _draw_digits(rng, cum, (count, int(free.sum())))
+    return s, t
+
+
 def test_sampler_deterministic_across_threads():
     ifs = cantor_ifs()
     a = sample_attractor(ifs, 70000, 12, seed=42, threads=1)
-    b = sample_attractor(ifs, 70000, 12, seed=42, threads=4)
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.digits, b.digits)
+    digits = attractor_digits(ifs, 70000, 12, seed=42)
+    assert np.array_equal(_code_batch(ifs, digits), a.centers)
+    for threads in (2, 4):
+        b = sample_attractor(ifs, 70000, 12, seed=42, threads=threads)
+        assert np.array_equal(a.centers, b.centers)
     c = sample_attractor(ifs, 70000, 12, seed=43)
-    assert not np.array_equal(a.digits, c.digits)
+    assert not np.array_equal(digits, attractor_digits(ifs, 70000, 12, seed=43))
+    assert not np.array_equal(a.centers, c.centers)
+
+
+@pytest.mark.parametrize("target", ["restricted", "pairs"])
+def test_sampler_thread_invariant(target):
+    # 70,000 rows: two full chunks and a partial third
+    ifs = cantor_ifs()
+    gaps = GapSequence.quadratic()
+    base = random_sequence(2, 48, np.random.default_rng(8))
+    samples = []
+    for threads in (1, 2, 4):
+        if target == "restricted":
+            sample = sample_restricted(ifs, base, gaps, 70000, 40, seed=6, threads=threads)
+        else:
+            sample = sample_pair_set(ifs, gaps, 70000, 40, seed=6, threads=threads)
+        samples.append(sample.centers)
+    assert samples[0].shape == (70000, ifs.w if target == "restricted" else 2 * ifs.w)
+    assert np.array_equal(samples[0], samples[1])
+    assert np.array_equal(samples[0], samples[2])
 
 
 def test_sampler_digit_marginals_uniform_for_equal_ratios():
     ifs = cantor_ifs()
     sample = sample_attractor(ifs, 100000, 1, seed=7)
-    ones = int(np.sum(sample.digits == 1))
+    digits = attractor_digits(ifs, 100000, 1, seed=7)
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
+    ones = int(np.sum(digits == 1))
     n = len(sample)
     expected = n / 2
     chi2 = (ones - expected) ** 2 / expected + ((n - ones) - expected) ** 2 / expected
@@ -268,14 +343,18 @@ def test_sampler_golden_marginal():
     p1 = bernoulli_weights(ifs.ratios)[0]
     assert p1 == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
     sample = sample_attractor(ifs, 100000, 1, seed=11)
-    phat = float(np.mean(sample.digits == 1))
+    digits = attractor_digits(ifs, 100000, 1, seed=11)
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
+    phat = float(np.mean(digits == 1))
     assert abs(phat - p1) < 0.006  # ~4 sigma at n = 1e5
 
 
 def test_sample_single_point_lands_in_first_level_image():
     ifs = cantor_ifs()
     s = sample_attractor(ifs, 1, 1, seed=0)
-    img = ifs.maps[s.digits[0, 0] - 1].image_box(ifs.box_arr)
+    digits = attractor_digits(ifs, 1, 1, seed=0)
+    assert np.array_equal(_code_batch(ifs, digits), s.centers)
+    img = ifs.maps[digits[0, 0] - 1].image_box(ifs.box_arr)
     assert img[0, 0] <= s.centers[0, 0] <= img[0, 1]
 
 
@@ -285,8 +364,10 @@ def test_restricted_prefixes_satisfy_pattern():
     base = random_sequence(2, 60, rng)
     gaps = GapSequence.quadratic()
     sample = sample_restricted(ifs, base, gaps, 200, 40, seed=5)
+    digits = restricted_digits(ifs, base, gaps, 200, 40, seed=5)
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     for i in range(0, 200, 7):
-        row = SymbolSequence(2, tuple(int(d) for d in sample.digits[i]))
+        row = SymbolSequence(2, tuple(int(d) for d in digits[i]))
         extract_filler(row, base, gaps)  # raises NotInSubset on violation
 
 
@@ -294,7 +375,9 @@ def test_restricted_zero_gaps_is_deterministic():
     ifs = cantor_ifs()
     base = SymbolSequence(2, (1, 2) * 30)
     sample = sample_restricted(ifs, base, GapSequence.zero(), 500, 30, seed=3)
-    assert np.all(sample.digits == sample.digits[0])
+    digits = restricted_digits(ifs, base, GapSequence.zero(), 500, 30, seed=3)
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
+    assert np.all(digits == digits[0])
     assert np.ptp(sample.centers) == 0.0
 
 
@@ -309,14 +392,16 @@ def test_pair_sample_components():
     ifs = cantor_ifs()
     gaps = GapSequence.quadratic()
     pairs = sample_pair_set(ifs, gaps, 300, 25, seed=13)
-    assert pairs.points.shape == (300, 2)
+    assert pairs.centers.shape == (300, 2)
+    s, t = pair_digits(ifs, gaps, 300, 25, seed=13)
+    assert np.array_equal(np.hstack([_code_batch(ifs, s), _code_batch(ifs, t)]), pairs.centers)
     # first coordinate re-codes the base digits
     for i in range(0, 300, 17):
-        cp = code_point(ifs, tuple(int(d) for d in pairs.base_digits[i]))
-        assert cp.center[0] == pytest.approx(pairs.points[i, 0], abs=1e-15)
+        cp = code_point(ifs, tuple(int(d) for d in s[i]))
+        assert cp.center[0] == pairs.centers[i, 0]
         # and the partner digits satisfy the pattern relative to the base
-        row_t = SymbolSequence(2, tuple(int(d) for d in pairs.partner_digits[i]))
-        row_s = SymbolSequence(2, tuple(int(d) for d in pairs.base_digits[i]))
+        row_t = SymbolSequence(2, tuple(int(d) for d in t[i]))
+        row_s = SymbolSequence(2, tuple(int(d) for d in s[i]))
         extract_filler(row_t, row_s, gaps)
 
 
@@ -329,11 +414,12 @@ def test_batch_coding_matches_scalar_in_two_dimensions():
         ),
         ((0.0, 1.0), (0.0, 1.0)),
     )
-    sample = sample_attractor(ifs, 50, 12, seed=29)
+    sample = sample_attractor(ifs, 2000, 12, seed=29)
+    digits = attractor_digits(ifs, 2000, 12, seed=29)
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     for i in range(len(sample)):
-        direct = code_point(ifs, sample.digits[i])
-        assert np.allclose(direct.center, sample.centers[i], atol=1e-15)
-        assert direct.radius == pytest.approx(sample.radii[i], rel=1e-12)
+        direct = code_point(ifs, digits[i])
+        assert np.array_equal(direct.center, sample.centers[i])
 
 
 def test_sampler_rejects_bad_arguments():

@@ -11,7 +11,15 @@ from lypairs.errors import (
     UndefinedRegion,
     ValidationError,
 )
-from lypairs.fractal import code_point, moran_dimension, sample_attractor
+from lypairs.fractal import (
+    _chunk_rng,
+    _code_batch,
+    _draw_digits,
+    bernoulli_weights,
+    code_point,
+    moran_dimension,
+    sample_attractor,
+)
 from lypairs.symbolic import SymbolSequence
 from lypairs.systems import (
     SystemSpec,
@@ -244,15 +252,32 @@ def test_orbit_invariance_on_samples():
     derived = derive_ifs(TENT2)
     ifs = derived.expanding_inverse
     sample = sample_attractor(ifs, 50, 20, seed=21)
+    # the sample keeps only centers: draw its digits again from chunk 0
+    cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    digits = _draw_digits(_chunk_rng(21, 0, 0), cum, (50, 20))
+    assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     for i in range(len(sample)):
         image = apply_map(TENT2, sample.centers[i])
-        parent = code_point(ifs, sample.digits[i, 1:])
-        tol = TENT2.lipschitz * sample.radii[i] + parent.radius + 1e-12
+        parent = code_point(ifs, digits[i, 1:])
+        tol = TENT2.lipschitz * code_point(ifs, digits[i]).radius + parent.radius + 1e-12
         assert abs(image[0] - parent.center[0]) <= tol
 
 
 # --------------------------------------------------------------------------
 # invariant-set sampling
+
+
+def test_sample_invariant_set_thread_invariant():
+    # 70,000 rows: two full chunks and a partial third.  The baker's
+    # contracting coordinate draws from stream 0, its expanding one from 1.
+    clouds = [sample_invariant_set(BAKER3, 70000, 30, seed=4, threads=t) for t in (1, 2, 4)]
+    assert clouds[0].centers.shape == (70000, 2)
+    assert np.array_equal(clouds[0].centers, clouds[1].centers)
+    assert np.array_equal(clouds[0].centers, clouds[2].centers)
+    derived = derive_ifs(BAKER3)
+    con = sample_attractor(derived.contracting[0], 70000, 30, seed=4, stream=0)
+    exp = sample_attractor(derived.expanding_inverse, 70000, 30, seed=4, stream=1)
+    assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp.centers]))
 
 
 def test_sample_invariant_set_stays_in_box():
