@@ -50,7 +50,8 @@ from .symbolic import (
     schedule_covering,
     schedule_roles,
 )
-from .systems import SystemSpec, code_orbit_point, derive_ifs
+from .systems import SystemSpec, _row_norms, _sequence_orbit, derive_ifs
+from .systems import code_orbit_point  # noqa: F401  (bench/spans.py wraps this name)
 
 
 # --------------------------------------------------------------------------
@@ -295,23 +296,18 @@ def liyorke_profile(
         )
     scale, gap, max_ratio = _profile_parameters(spec)
     sep_offset = 0 if spec.side == ONE_SIDED else 1
-    proximity = []
-    separation = []
-    for blk in sched.blocks:
-        t_prox = blk.start - 1
-        p_b = code_orbit_point(spec, base, t_prox, depth)
-        p_p = code_orbit_point(spec, partner, t_prox, depth)
-        slack = p_b.radius + p_p.radius
-        dist = float(np.linalg.norm(p_b.center - p_p.center))
-        proximity.append(Checkpoint(blk.index, t_prox, dist + slack, slack))
-        t_sep = blk.start + blk.index + sep_offset
-        s_b = code_orbit_point(spec, base, t_sep, depth)
-        s_p = code_orbit_point(spec, partner, t_sep, depth)
-        slack = s_b.radius + s_p.radius
-        dist = float(np.linalg.norm(s_b.center - s_p.center))
-        separation.append(Checkpoint(blk.index, t_sep, max(0.0, dist - slack), slack))
+    # per block: the proximity time, then the separation time
+    times = [t for b in sched.blocks for t in (b.start - 1, b.start + b.index + sep_offset)]
+    centers_b, radii_b = _sequence_orbit(spec, base, times, depth)
+    centers_p, radii_p = _sequence_orbit(spec, partner, times, depth)
+    dists = _row_norms(centers_b - centers_p).tolist()
+    checkpoints = ([], [])  # proximity, separation
+    for k, (t, dist, r_b, r_p) in enumerate(zip(times, dists, radii_b, radii_p)):
+        slack = r_b + r_p
+        bound = max(0.0, dist - slack) if k % 2 else dist + slack
+        checkpoints[k % 2].append(Checkpoint(sched.blocks[k // 2].index, t, bound, slack))
     return LiYorkeProfile(
-        tuple(proximity), tuple(separation), scale, gap, max_ratio, spec.side, depth
+        *map(tuple, checkpoints), scale, gap, max_ratio, spec.side, depth
     )
 
 

@@ -98,22 +98,11 @@ class SymbolSequence:
         return seq
 
     @classmethod
-    def one_sided(cls, m: int, digits: Iterable[int]) -> "SymbolSequence":
-        return cls(m, tuple(digits))
-
-    @classmethod
     def two_sided(cls, m: int, past: Iterable[int], future: Iterable[int]) -> "SymbolSequence":
         return cls(m, tuple(future), TWO_SIDED, tuple(past))
 
-    @property
-    def future(self) -> tuple[int, ...]:
-        return self.digits
-
     def __len__(self) -> int:
         return len(self.digits)
-
-    def shift(self, n: int) -> "SymbolSequence":
-        return shift(self, n)
 
     def truncated(self, future_len: int, past_len: int | None = None) -> "SymbolSequence":
         """Keep only the first ``future_len`` future (and ``past_len`` past) digits."""

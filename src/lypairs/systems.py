@@ -48,10 +48,10 @@ from .fractal import (
     IfsSystem,
     PointSample,
     Similitude,
-    code_point,
+    _code_batch,
     sample_attractor,
 )
-from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, shift
+from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence
 
 KINDS = ("tent", "baker", "horseshoe", "solenoid")
 
@@ -119,10 +119,6 @@ class SystemSpec:
         if self.kind == "horseshoe":
             return self.tau
         return 2.0
-
-    @property
-    def ambient_box(self) -> tuple[tuple[float, float], ...]:
-        return (UNIT,) * self.w
 
     @property
     def ambient_diam(self) -> float:
@@ -211,75 +207,110 @@ def _half_fold_ifs() -> IfsSystem:
     )
 
 
-def _check_in_box(point: np.ndarray, w: int, kind: str) -> None:
-    if point.shape != (w,):
-        raise ValidationError(f"{kind} map expects a point of R^{w}")
-    if np.any(point < -1e-9) or np.any(point > 1 + 1e-9):
-        raise ParameterOutOfRange(f"point {point.tolist()} outside the {kind} domain box")
-
-
 def apply_map(spec: SystemSpec, point) -> np.ndarray:
-    """Evaluate the system's branch formulas at a point of its domain."""
+    """Evaluate the system's branch formulas at a point of its domain, or at
+    each row of an (n, w) array of points; errors name the first bad row.
+    A point outside the domain box (NaN included) raises ParameterOutOfRange."""
     p = np.asarray(point, dtype=float)
-    if spec.kind == "tent":
-        _check_in_box(p, 1, "tent")
-        x = p[0]
-        return np.array([spec.a - 2.0 * spec.a * abs(x - 0.5)])
-    if spec.kind == "baker":
-        _check_in_box(p, 2, "baker")
-        x, y = p
-        if y <= 0.5:
-            return np.array([spec.beta1 * x, 2.0 * y])
-        return np.array([1.0 - spec.beta2 + spec.beta2 * x, 2.0 - 2.0 * y])
-    if spec.kind == "horseshoe":
-        _check_in_box(p, 2, "horseshoe")
-        x, y = p
-        # 1e-12 slack keeps exact strip boundaries out of the undefined region
-        if y <= 1.0 / spec.tau + 1e-12:
-            return np.array([spec.beta * x, spec.tau * y])
-        if y >= 1.0 - 1.0 / spec.tau - 1e-12:
-            return np.array([1.0 - spec.beta * x, spec.tau - spec.tau * y])
-        raise UndefinedRegion(
-            f"y = {y} lies in the middle strip (1/tau, 1 - 1/tau); the fold is not modelled"
+    if p.ndim not in (1, 2) or p.shape[-1] != spec.w:
+        raise ValidationError(f"{spec.kind} map expects a point of R^{spec.w}")
+    rows = p.reshape(-1, spec.w)
+    where = "" if p.ndim == 1 else "row {}: "
+    # NaN fails both comparisons, so it counts as outside
+    outside = ~np.all((rows >= -1e-9) & (rows <= 1 + 1e-9), axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ParameterOutOfRange(
+            f"{where.format(i)}point {rows[i].tolist()} outside the {spec.kind} domain box"
         )
-    _check_in_box(p, 3, "solenoid")
-    x, y, z = p
-    if z <= 0.5:
-        return np.array([spec.beta1 * x, spec.beta1 * y, 2.0 * z])
-    return np.array(
-        [1.0 - spec.beta2 + spec.beta2 * x, 1.0 - spec.beta2 + spec.beta2 * y, 2.0 - 2.0 * z]
-    )
+    if spec.kind == "tent":
+        return spec.a - 2.0 * spec.a * np.abs(p - 0.5)
+    x, y = rows[:, :-1], rows[:, -1:]
+    if spec.kind == "horseshoe":
+        # 1e-12 slack keeps exact strip boundaries out of the undefined region
+        down = y <= 1.0 / spec.tau + 1e-12
+        middle = ~down & (y < 1.0 - 1.0 / spec.tau - 1e-12)
+        if middle.any():
+            i = int(np.argmax(middle))
+            raise UndefinedRegion(
+                f"{where.format(i)}y = {rows[i, -1]} lies in the middle strip "
+                "(1/tau, 1 - 1/tau); the fold is not modelled"
+            )
+        low = (spec.beta * x, spec.tau * y)
+        high = (1.0 - spec.beta * x, spec.tau - spec.tau * y)
+    else:  # baker and solenoid: contract the leading coordinates, fold the last
+        down = y <= 0.5
+        low = (spec.beta1 * x, 2.0 * y)
+        high = (1.0 - spec.beta2 + spec.beta2 * x, 2.0 - 2.0 * y)
+    return np.where(down, np.hstack(low), np.hstack(high)).reshape(p.shape)
 
 
-def code_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int) -> CodedPoint:
-    """Coded point of shift(seq, n): the n-th orbit point evaluated through
-    the coding rather than by floating-point iteration of the map."""
+def _code_orbit(
+    spec: SystemSpec, past: np.ndarray, future: np.ndarray, times, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (len(times), k, w) and radii (len(times), k) of the orbit
+    points of k sequences: past digits (k, P), most recent first, and future
+    digits (k, F).  The point at time t codes shift(seq, t) as ``code_point``
+    does: future digits t+1..t+depth through ``expanding_inverse`` and, if
+    two-sided, the depth most recent past digits through ``contracting[0]``,
+    radii joined by ``math.hypot``.  Callers check that the windows are stored.
+    """
+    derived = derive_ifs(spec)
+    line = np.hstack([past[:, ::-1], future])  # s_-P .. s_-1, s_1 .. s_F
+    front = past.shape[1] + np.asarray(times)[:, None]  # column of s_{t+1}
+    steps = np.arange(depth)
+    windows = [(derived.expanding_inverse, front + steps)]
+    if spec.side == TWO_SIDED:
+        windows.insert(0, (derived.contracting[0], front - 1 - steps))
+    centers, radii = [], []
+    for ifs, cols in windows:
+        digits = line[:, cols].swapaxes(0, 1).reshape(-1, depth)
+        centers.append(_code_batch(ifs, digits))
+        ratios = np.asarray(ifs.ratios)
+        scale = np.ones(len(digits))
+        for col in digits.T[::-1]:  # code_point's order: last digit first
+            scale = scale * ratios[col - 1]
+        radii.append((scale * ifs.diam / 2.0).tolist())
+    shape = (len(front), len(line))
+    radius = [math.hypot(*r) for r in zip(*radii)] if len(radii) == 2 else radii[0]
+    return np.hstack(centers).reshape(*shape, -1), np.reshape(radius, shape)
+
+
+def _sequence_orbit(
+    spec: SystemSpec, seq: SymbolSequence, times, depth: int
+) -> tuple[np.ndarray, list[float]]:
+    """Centers (len(times), w) and radii of ``code_orbit_point`` at each time."""
     if seq.m != 2:
         raise ValidationError("the example systems are coded over two symbols")
     if seq.side != spec.side:
         raise ValidationError(f"{spec.kind} coding needs a {spec.side}-sided sequence")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    shifted = shift(seq, n)
-    derived = derive_ifs(spec)
-    if spec.side == ONE_SIDED:
-        if len(shifted.digits) < depth:
+    for n in times:
+        if n < 0:
+            raise ValidationError("shift amount must be non-negative")
+        if len(seq.digits) < n + depth:
+            raise InsufficientPrefix(f"orbit point at time {n} needs {n + depth} future digits")
+        if spec.side == TWO_SIDED and n + len(seq.past) < depth:
             raise InsufficientPrefix(
-                f"orbit point at time {n} needs {n + depth} future digits"
+                f"orbit point at time {n} needs {depth} past digits after shifting"
             )
-        return code_point(derived.expanding_inverse, shifted.digits[:depth])
-    if len(shifted.digits) < depth:
-        raise InsufficientPrefix(f"orbit point at time {n} needs {n + depth} future digits")
-    if len(shifted.past) < depth:
-        raise InsufficientPrefix(
-            f"orbit point at time {n} needs {depth} past digits after shifting"
-        )
-    contracting = derived.contracting[0]
-    past_part = code_point(contracting, shifted.past[:depth])
-    future_part = code_point(derived.expanding_inverse, shifted.digits[:depth])
-    center = np.concatenate([past_part.center, future_part.center])
-    radius = math.hypot(past_part.radius, future_part.radius)
-    return CodedPoint(center, radius)
+    centers, radii = _code_orbit(
+        spec, np.array([seq.past], np.int8), np.array([seq.digits], np.int8), times, depth
+    )
+    return centers[:, 0], radii[:, 0].tolist()
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Row norms, each the dot product ``np.linalg.norm`` forms for one row."""
+    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def code_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int) -> CodedPoint:
+    """Coded point of shift(seq, n): the n-th orbit point evaluated through
+    the coding rather than by floating-point iteration of the map."""
+    centers, radii = _sequence_orbit(spec, seq, (n,), depth)
+    return CodedPoint(centers[0], radii[0])
 
 
 def coded_radius(spec: SystemSpec, depth: int) -> float:
@@ -304,32 +335,24 @@ def conjugacy_defect(
     Bounded by (1 + L) * coded_radius(spec, depth) up to float rounding,
     L the branch Lipschitz constant: the two centers code the same orbit
     point through one application of the map.  Trial j draws from the
-    sub-seed ``spawn_key=(j // 256,)``.
+    sub-seed ``spawn_key=(j // 256,)``: ``depth`` past digits (two-sided
+    systems, most recent first), then ``prefix_len`` future digits.  A
+    sub-seed's trials are drawn in one call, which yields the same digits.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if prefix_len < depth + 1:
         raise ValidationError("prefix_len must be at least depth + 1")
+    past_len = depth if spec.side == TWO_SIDED else 0
     worst = 0.0
     for chunk_index, first in enumerate(range(0, trials, _TRIAL_CHUNK)):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
         )
-        for _ in range(min(_TRIAL_CHUNK, trials - first)):
-            if spec.side == ONE_SIDED:
-                seq = SymbolSequence(
-                    2, tuple(int(d) for d in rng.integers(1, 3, prefix_len))
-                )
-            else:
-                seq = SymbolSequence.two_sided(
-                    2,
-                    tuple(int(d) for d in rng.integers(1, 3, depth)),
-                    tuple(int(d) for d in rng.integers(1, 3, prefix_len)),
-                )
-            p0 = code_orbit_point(spec, seq, 0, depth)
-            p1 = code_orbit_point(spec, seq, 1, depth)
-            defect = float(np.linalg.norm(apply_map(spec, p0.center) - p1.center))
-            worst = max(worst, defect)
+        rows = rng.integers(1, 3, (min(_TRIAL_CHUNK, trials - first), past_len + prefix_len))
+        centers, _ = _code_orbit(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
+        defects = _row_norms(apply_map(spec, centers[0]) - centers[1])
+        worst = max(worst, float(defects.max()))
     return worst
 
 

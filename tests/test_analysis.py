@@ -21,13 +21,14 @@ from lypairs.analysis import (
 from lypairs.errors import (
     DegenerateFit,
     EmptyInput,
+    InsufficientPrefix,
     NotInSubset,
     TooFewCheckpoints,
     ValidationError,
 )
 from lypairs.fractal import IfsSystem, Similitude, moran_dimension, sample_attractor, sample_restricted
-from lypairs.symbolic import GapSequence, random_sequence
-from lypairs.systems import SystemSpec
+from lypairs.symbolic import TWO_SIDED, GapSequence, SymbolSequence, block_schedule, random_sequence
+from lypairs.systems import SystemSpec, code_orbit_point
 
 TENT2 = SystemSpec.tent(2.0)
 BAKER3 = SystemSpec.baker(1 / 3, 1 / 3)
@@ -224,6 +225,35 @@ def test_tent_profile_envelope_and_monotone_proximity():
     times_p = [cp.time for cp in prof.proximity]
     times_s = [cp.time for cp in prof.separation]
     assert times_p == sorted(times_p) and times_s == sorted(times_s)
+
+
+@pytest.mark.parametrize("spec", (TENT2, BAKER3, HORSE3, SOLENOID3), ids=lambda s: s.kind)
+@pytest.mark.parametrize("mode", ("base", "random"))
+def test_profile_matches_pointwise_orbit_coding(spec, mode):
+    gaps = GapSequence.quadratic()
+    base, partner = build_verification_pair(spec, gaps, 8, 20, seed=2, filler_mode=mode)
+    prof = liyorke_profile(spec, base, gaps, partner, 8, 20, strict=False)
+    sep_offset = 1 if spec.side == TWO_SIDED else 0
+    blocks = block_schedule(gaps, 8).blocks
+    assert len(prof.proximity) == len(prof.separation) == len(blocks)
+    for blk, prox, sep in zip(blocks, prof.proximity, prof.separation):
+        for cp, t in ((prox, blk.start - 1), (sep, blk.start + blk.index + sep_offset)):
+            b = code_orbit_point(spec, base, t, 20)
+            p = code_orbit_point(spec, partner, t, 20)
+            slack = b.radius + p.radius
+            dist = float(np.linalg.norm(b.center - p.center))
+            bound = dist + slack if cp is prox else max(0.0, dist - slack)
+            assert (cp.block, cp.time, cp.bound, cp.radius_slack) == (blk.index, t, bound, slack)
+
+
+def test_profile_rejects_short_windows():
+    gaps = GapSequence.quadratic()
+    base, partner = build_verification_pair(BAKER3, gaps, 6, 12, seed=8)
+    with pytest.raises(InsufficientPrefix, match="future digits"):
+        liyorke_profile(BAKER3, base.truncated(30), gaps, partner.truncated(30), 6, 12, strict=False)
+    short_past = SymbolSequence.two_sided(2, base.past[:5], base.digits)
+    with pytest.raises(InsufficientPrefix, match="at time 0 needs 12 past digits"):
+        liyorke_profile(BAKER3, short_past, gaps, partner, 6, 12, strict=False)
 
 
 def test_profile_rejects_non_partner_when_strict():

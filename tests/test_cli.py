@@ -368,6 +368,47 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SAMPLE_CSV_SHA256[target]
 
 
+# SHA-256 of `verify --out` JSON: --blocks 24 --depth 40 --seed 5, except
+# the --unsafe-iterate demo, which runs at the defaults with seed 3 and stops
+# where the naive tent orbit leaves [0, 1]
+THIRD = repr(1 / 3)
+VERIFY_SYSTEMS = {
+    "tent": ["--system", "tent", "--a", "2"],
+    "baker": ["--system", "baker", "--beta1", THIRD, "--beta2", THIRD],
+    "horseshoe": ["--system", "horseshoe", "--beta", THIRD, "--tau", "3"],
+    "solenoid": ["--system", "solenoid", "--beta1", THIRD, "--beta2", THIRD],
+}
+VERIFY_CASES = {
+    **{kind: argv + ["--blocks", "24", "--depth", "40", "--seed", "5"]
+       for kind, argv in VERIFY_SYSTEMS.items()},
+    "identical": VERIFY_SYSTEMS["horseshoe"]
+    + ["--blocks", "24", "--depth", "40", "--seed", "5", "--pair-mode", "identical"],
+    "eventually-equal": VERIFY_SYSTEMS["baker"]
+    + ["--blocks", "24", "--depth", "40", "--seed", "5", "--pair-mode", "eventually-equal"],
+    "unsafe-iterate": VERIFY_SYSTEMS["tent"] + ["--seed", "3", "--unsafe-iterate"],
+}
+VERIFY_JSON_SHA256 = {
+    "tent": "a91e07228312e3ff58eb93d6b232e228a5e19019f83ddbf5ab70228d4d2de162",
+    "baker": "1ad50e41b7ea3e251724b7bc7113e7d80857eca1ef4d5c549a7918248ff36984",
+    "horseshoe": "4de6657f38ecaac79b342a7212e42c32f8ea210a11facd81c2e5722a76572ef8",
+    "solenoid": "5557482c9ae8cd014b45b117e9d8ce40af5600df0631af408cafdbd81d3b3c29",
+    "identical": "521b917b84d51d59ee6c2f44cb54a3cb074e74175f52c14e765f72aab460b71c",
+    "eventually-equal": "d656137d2bc0c6ad9792abb111bf19db6aa4a6b78ada13a41c27ebb5084d0764",
+    "unsafe-iterate": "51d2fbccf86f254cb0c0cdfe94f2a9d37c5b3ee49c896f7afd97b137ce1ec539",
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_JSON_SHA256))
+def test_verify_json_golden_digest(capsys, tmp_path, case):
+    out_file = tmp_path / f"{case}.json"
+    rc, _, _ = run(capsys, "verify", *VERIFY_CASES[case], "--out", str(out_file))
+    assert rc == 0
+    if case == "unsafe-iterate":
+        stopped = json.loads(out_file.read_text())["unsafe_iteration"]["stopped"]
+        assert stopped == {"time": 20, "reason": "point [2.0] outside the tent domain box"}
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == VERIFY_JSON_SHA256[case]
+
+
 def reference_csv(points) -> str:
     """Reference CSV text: every value through format(v, ".17g")."""
     header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))

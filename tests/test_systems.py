@@ -20,9 +20,11 @@ from lypairs.fractal import (
     moran_dimension,
     sample_attractor,
 )
-from lypairs.symbolic import SymbolSequence
+from lypairs.symbolic import TWO_SIDED, SymbolSequence, shift
 from lypairs.systems import (
     SystemSpec,
+    _code_orbit,
+    _row_norms,
     apply_map,
     code_orbit_point,
     coded_radius,
@@ -36,6 +38,43 @@ BAKER3 = SystemSpec.baker(1 / 3, 1 / 3)
 HORSE3 = SystemSpec.horseshoe(1 / 3, 3.0)
 SOLENOID3 = SystemSpec.solenoid(1 / 3, 1 / 3)
 ALL_SYSTEMS = (TENT2, BAKER3, HORSE3, SOLENOID3)
+# the four systems plus unequal contraction ratios; at (0.05, 0.9) the
+# contracting radius can outweigh the expanding one, so its product order shows
+CODED_SYSTEMS = ALL_SYSTEMS + (
+    SystemSpec.baker(0.2, 0.45),
+    SystemSpec.solenoid(0.2, 0.45),
+    SystemSpec.baker(0.05, 0.9),
+)
+
+
+def spec_id(spec: SystemSpec) -> str:
+    return "-".join(str(v) for v in spec.to_json().values())
+
+
+def reference_map(spec: SystemSpec, point) -> list[float]:
+    """The branch formulas on one in-domain point, in Python floats."""
+    if spec.kind == "tent":
+        (x,) = point
+        return [spec.a - 2.0 * spec.a * abs(x - 0.5)]
+    *xs, y = point
+    if spec.kind == "horseshoe":
+        if y <= 1.0 / spec.tau + 1e-12:
+            return [spec.beta * xs[0], spec.tau * y]
+        return [1.0 - spec.beta * xs[0], spec.tau - spec.tau * y]
+    if y <= 0.5:
+        return [spec.beta1 * x for x in xs] + [2.0 * y]
+    return [1.0 - spec.beta2 + spec.beta2 * x for x in xs] + [2.0 - 2.0 * y]
+
+
+def reference_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int):
+    """Center and radius of ``code_point`` on the windows of shift(seq, n)."""
+    derived = derive_ifs(spec)
+    shifted = shift(seq, n)
+    future = code_point(derived.expanding_inverse, shifted.digits[:depth])
+    if spec.side != TWO_SIDED:
+        return future.center, future.radius
+    past = code_point(derived.contracting[0], shifted.past[:depth])
+    return np.concatenate([past.center, future.center]), math.hypot(past.radius, future.radius)
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +155,62 @@ def test_tent_domain_validation():
             apply_map(TENT2, [x])
     assert apply_map(TENT2, [0.0])[0] == 0.0
     assert apply_map(TENT2, [1.0])[0] == 0.0
+
+
+def domain_rows(spec: SystemSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random points of the domain box plus the branch boundaries."""
+    rows = rng.random((n, spec.w))
+    edges = [0.0, 1.0, -1e-9, 1.0 + 1e-9]
+    if spec.kind == "horseshoe":  # keep y out of the open middle strip
+        u = rows[:, 1] / spec.tau
+        rows[:, 1] = np.where(rng.random(n) < 0.5, u, 1.0 - u)
+        edges += [1.0 / spec.tau, 1.0 / spec.tau + 1e-12, 1.0 - 1.0 / spec.tau,
+                  1.0 - 1.0 / spec.tau - 1e-12]
+    else:
+        edges += [0.5, np.nextafter(0.5, 1.0)]
+    boundary = np.full((len(edges), spec.w), 0.3)
+    boundary[:, -1] = edges
+    return np.vstack([rows, boundary, boundary[:, ::-1]])
+
+
+@pytest.mark.parametrize("spec", CODED_SYSTEMS, ids=spec_id)
+def test_apply_map_rows_match_single_points(spec):
+    rows = domain_rows(spec, np.random.default_rng(3), 2000)
+    out = apply_map(spec, rows)
+    assert out.shape == rows.shape
+    assert np.array_equal(out, np.array([apply_map(spec, r) for r in rows]))
+    assert np.array_equal(out, np.array([reference_map(spec, r) for r in rows.tolist()]))
+
+
+def test_apply_map_names_the_bad_row():
+    with pytest.raises(
+        ParameterOutOfRange, match=r"^row 2: point \[1\.5, 0\.5\] outside the baker domain box$"
+    ):
+        apply_map(BAKER3, [[0.2, 0.3], [0.4, 0.9], [1.5, 0.5]])
+    with pytest.raises(UndefinedRegion, match=r"^row 1: y = 0\.5 lies in the middle strip"):
+        apply_map(HORSE3, [[0.3, 0.2], [0.3, 0.5], [0.3, 0.9]])
+    # a single point keeps the unnumbered messages
+    with pytest.raises(ParameterOutOfRange) as info:
+        apply_map(TENT2, [2.0])
+    assert str(info.value) == "point [2.0] outside the tent domain box"
+    with pytest.raises(UndefinedRegion, match=r"^y = 0\.5 lies in the middle strip"):
+        apply_map(HORSE3, [0.3, 0.5])
+    for bad in ([0.1, 0.2, 0.3], [[[0.1, 0.2]]], 0.5):
+        with pytest.raises(ValidationError, match="baker map expects a point of R\\^2"):
+            apply_map(BAKER3, bad)
+
+
+@pytest.mark.parametrize("spec", ALL_SYSTEMS, ids=spec_id)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_map_rejects_non_finite(spec, bad):
+    point = [0.25] * spec.w
+    point[-1] = bad
+    with pytest.raises(ParameterOutOfRange, match="^point "):
+        apply_map(spec, point)
+    rows = np.full((3, spec.w), 0.25)
+    rows[1, 0] = bad
+    with pytest.raises(ParameterOutOfRange, match="^row 1: point "):
+        apply_map(spec, rows)
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +312,61 @@ def test_code_orbit_prefix_errors():
         code_orbit_point(BAKER3, SymbolSequence(2, (1,) * 30), 0, 10)
 
 
+@pytest.mark.parametrize("spec", CODED_SYSTEMS, ids=spec_id)
+def test_orbit_coder_matches_shift_and_code_point(spec):
+    depth = 40
+    rng = np.random.default_rng(17)
+    past_len = depth if spec.side == TWO_SIDED else 0
+    rows = rng.integers(1, 3, (10, past_len + 95))
+    rows[5:] = np.where(rng.random((5, past_len + 95)) < 0.9, 2, 1)  # mostly digit 2
+    seqs = [SymbolSequence(2, r[past_len:], spec.side, r[:past_len]) for r in rows.tolist()]
+    times = (0, 1, 2, 39, 40, 41, 55)
+    centers, radii = _code_orbit(
+        spec,
+        np.array([s.past for s in seqs], np.int8),
+        np.array([s.digits for s in seqs], np.int8),
+        times,
+        depth,
+    )
+    assert centers.shape == (len(times), len(seqs), spec.w)
+    assert radii.shape == (len(times), len(seqs))
+    for i, n in enumerate(times):
+        for j, seq in enumerate(seqs):
+            center, radius = reference_orbit_point(spec, seq, n, depth)
+            assert np.array_equal(centers[i, j], center)
+            assert radii[i, j] == radius
+            point = code_orbit_point(spec, seq, n, depth)
+            assert np.array_equal(point.center, center)
+            assert point.radius == radius
+
+
+@pytest.mark.parametrize("w", (1, 2, 3))
+def test_row_norms_match_per_vector_norm(w):
+    d = np.random.default_rng(w).normal(size=(5000, w))
+    assert np.array_equal(_row_norms(d), [np.linalg.norm(v) for v in d])
+
+
+@pytest.mark.parametrize("spec", (TENT2, SystemSpec.baker(0.2, 0.45)), ids=spec_id)
+def test_code_orbit_point_window_checks(spec):
+    # 6 past digits (two-sided) and 60 future digits, depth 10
+    past = (1, 2, 2, 1, 1, 2) if spec.side == TWO_SIDED else ()
+    seq = SymbolSequence(2, (2, 1, 1) * 20, spec.side, past)
+    with pytest.raises(ValidationError, match="^shift amount must be non-negative$"):
+        code_orbit_point(spec, seq, -1, 10)
+    for n in (4, 50) if spec.side == TWO_SIDED else (0, 50):
+        center, radius = reference_orbit_point(spec, seq, n, 10)
+        point = code_orbit_point(spec, seq, n, 10)
+        assert np.array_equal(point.center, center)
+        assert point.radius == radius
+    with pytest.raises(InsufficientPrefix, match="^orbit point at time 51 needs 61 future digits$"):
+        code_orbit_point(spec, seq, 51, 10)
+    if spec.side == TWO_SIDED:
+        with pytest.raises(
+            InsufficientPrefix, match="^orbit point at time 3 needs 10 past digits after shifting$"
+        ):
+            code_orbit_point(spec, seq, 3, 10)
+
+
 # --------------------------------------------------------------------------
 # conjugacy
 
@@ -246,6 +396,45 @@ def test_conjugacy_defect_pinned_across_sub_seeds():
     # 600 trials draw from three 256-trial sub-seeds (spawn keys 0, 1, 2)
     defect = conjugacy_defect(TENT2, trials=600, prefix_len=21, depth=20, seed=9)
     assert defect == 1.3642420526593924e-12
+
+
+# conjugacy_defect at 256 trials, prefix length 41, depth 40, by seed
+CONJUGACY_HEX = {
+    TENT2: {1: "0x1.0000000000000p-52", 8: "0x1.0000000000000p-52"},
+    BAKER3: {1: "0x1.0000000000008p-41", 8: "0x1.0000000020000p-41"},
+    HORSE3: {1: "0x1.0000000000000p-51", 8: "0x1.0000000000000p-51"},
+    SOLENOID3: {1: "0x1.0000000000010p-41", 8: "0x1.0000000040000p-41"},
+    SystemSpec.baker(0.2, 0.45): {1: "0x1.0000000000000p-41", 8: "0x1.0000000000002p-41"},
+    SystemSpec.solenoid(0.2, 0.45): {1: "0x1.0000000000000p-41", 8: "0x1.0000000000004p-41"},
+    SystemSpec.tent(1.7): {3: "0x1.4000000000000p-52", 4: "0x1.2000000000000p-52"},
+}
+
+
+@pytest.mark.parametrize("spec", list(CONJUGACY_HEX), ids=spec_id)
+def test_conjugacy_defect_pinned(spec):
+    for seed, want in CONJUGACY_HEX[spec].items():
+        assert conjugacy_defect(spec, 256, 41, 40, seed).hex() == want
+
+
+def reference_defect(spec, trials, prefix_len, depth, seed):
+    """Trial by trial: each trial's own draws, shift, code_point, Python-float map."""
+    worst = 0.0
+    for chunk, first in enumerate(range(0, trials, 256)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        for _ in range(min(256, trials - first)):
+            past = tuple(rng.integers(1, 3, depth)) if spec.side == TWO_SIDED else ()
+            seq = SymbolSequence(2, tuple(rng.integers(1, 3, prefix_len)), spec.side, past)
+            p0, _ = reference_orbit_point(spec, seq, 0, depth)
+            p1, _ = reference_orbit_point(spec, seq, 1, depth)
+            image = np.array(reference_map(spec, p0.tolist()))
+            worst = max(worst, float(np.linalg.norm(image - p1)))
+    return worst
+
+
+@pytest.mark.parametrize("spec", CODED_SYSTEMS + (SystemSpec.tent(1.7),), ids=spec_id)
+def test_conjugacy_defect_matches_per_trial_reference(spec):
+    # 300 trials: one full 256-trial sub-seed and a partial one
+    assert conjugacy_defect(spec, 300, 21, 20, 5) == reference_defect(spec, 300, 21, 20, 5)
 
 
 def test_orbit_invariance_on_samples():
