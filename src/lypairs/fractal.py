@@ -311,16 +311,36 @@ def code_point(ifs: IfsSystem, prefix: Sequence[int]) -> CodedPoint:
 
 
 def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
-    """Centers of ``code_point`` over rows of a (n, depth) digit array."""
+    """Centers of ``code_point`` over rows of a (n, depth) digit array.
+
+    The digits are transposed once into contiguous columns, kept in their
+    own dtype, and each axis j is coded in place from them: per column k,
+    last first, x *= a[d] and then x += t[d], with a[d] = ratio * flip[j]
+    and t[d] = translation[j] of map d.  The tables are indexed by the
+    digit itself and their row 0 is NaN; ``np.take`` clips, so a digit
+    below 1 codes to a NaN center, which ``box_count`` rejects, and a digit
+    above m raises InvalidDigit before any coding.  Since a flip is +/-1,
+    ratio * flip is exact and fl(a * x) = fl(ratio * fl(flip * x)), so each
+    step rounds as ``Similitude.apply`` does and the centers equal
+    ``code_point``'s bit for bit.
+    """
     n, depth = digits.shape
-    ratios = np.asarray(ifs.ratios)
-    flips = np.stack([s._flips_arr for s in ifs.maps])
-    trans = np.stack([s._t_arr for s in ifs.maps])
-    x = np.broadcast_to(ifs.center, (n, ifs.w)).copy()
-    for k in range(depth - 1, -1, -1):
-        idx = digits[:, k].astype(np.intp) - 1
-        x = ratios[idx, None] * (flips[idx] * x) + trans[idx]
-    return x
+    cols = np.ascontiguousarray(digits.T)
+    if cols.max(initial=0) > ifs.m:
+        raise InvalidDigit(f"digit {cols.max()} outside 1..{ifs.m}")
+    out = np.empty((n, ifs.w))
+    x, buf = np.empty(n), np.empty(n)
+    for j in range(ifs.w):
+        a = np.array([np.nan] + [s.ratio * s.flips[j] for s in ifs.maps])
+        t = np.array([np.nan] + [s.translation[j] for s in ifs.maps])
+        x.fill(ifs.center[j])
+        for k in range(depth - 1, -1, -1):
+            np.take(a, cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
+            x *= buf
+            np.take(t, cols[k], out=buf, mode="clip")
+            x += buf
+        out[:, j] = x
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for similitude systems, the Moran equation, coding, and samplers."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lypairs.analysis import box_count
 from lypairs.errors import (
     InsufficientPrefix,
     InvalidDigit,
@@ -64,6 +68,17 @@ def golden_ifs() -> IfsSystem:
     return IfsSystem(
         (Similitude.of(0.5, [0.0]), Similitude.of(0.25, [0.75])),
         ((0.0, 1.0),),
+    )
+
+
+def planar_ifs() -> IfsSystem:
+    # planar system with unequal ratios and a reflection
+    return IfsSystem(
+        (
+            Similitude.of(0.3, [0.0, 0.0]),
+            Similitude.of(0.35, [1.0, 0.65], orth=[-1, 1]),
+        ),
+        ((0.0, 1.0), (0.0, 1.0)),
     )
 
 
@@ -406,20 +421,76 @@ def test_pair_sample_components():
 
 
 def test_batch_coding_matches_scalar_in_two_dimensions():
-    # planar system with unequal ratios and a reflection
-    ifs = IfsSystem(
-        (
-            Similitude.of(0.3, [0.0, 0.0]),
-            Similitude.of(0.35, [1.0, 0.65], orth=[-1, 1]),
-        ),
-        ((0.0, 1.0), (0.0, 1.0)),
-    )
+    ifs = planar_ifs()
     sample = sample_attractor(ifs, 2000, 12, seed=29)
     digits = attractor_digits(ifs, 2000, 12, seed=29)
     assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     for i in range(len(sample)):
         direct = code_point(ifs, digits[i])
         assert np.array_equal(direct.center, sample.centers[i])
+
+
+@st.composite
+def random_ifs(draw, m_range):
+    """An IFS on [0, 1]^w with unequal ratios and mixed +/-1 flips."""
+    m = draw(st.integers(*m_range))
+    w = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = []
+    for _ in range(m):
+        r = float(rng.uniform(0.01, 0.9))
+        flips = rng.choice([-1, 1], size=w)
+        low = rng.uniform(0.0, 1.0 - r, size=w)  # the image of [0, 1] is [low, low + r]
+        maps.append(Similitude.of(r, np.where(flips == 1, low, low + r), orth=flips))
+    return IfsSystem(tuple(maps), ((0.0, 1.0),) * w, separation_required=False)
+
+
+# m >= 128 draws int16 digits
+@pytest.mark.parametrize("m_range", [(1, 5), (128, 130)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_coding_matches_code_point(m_range, data):
+    ifs = data.draw(random_ifs(m_range))
+    depth = data.draw(st.integers(1, 60))
+    n = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(1, ifs.m + 1, size=(n, depth)).astype(_digit_dtype(ifs.m))
+    centers = _code_batch(ifs, digits)
+    assert centers.shape == (n, ifs.w)
+    for i in range(n):
+        assert np.all(centers[i] == code_point(ifs, digits[i]).center)
+
+
+# SHA-256 of the ``_code_batch`` centers' bytes over a fixed 70,000 x 40
+# attractor draw: the coding kernel's rounding, pinned bit for bit.
+CODE_BATCH_SHA256 = {
+    "middle-thirds": "37183815a2940820ea660b4123b5cd0dadd32ed1bf54d70c98eb3d9f8857aabd",
+    "golden": "dcd37c9f3d7df731aa472f183ee7d4890ee69ce20c1a981beee5b1ec2bdc1add",
+    "planar": "169b7d7b92512c3ca0fda24f167e85273588621474caeb482eec4e36f8269df2",
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_BATCH_SHA256))
+def test_batch_coding_golden_digest(name):
+    ifs = {"middle-thirds": cantor_ifs, "golden": golden_ifs, "planar": planar_ifs}[name]()
+    centers = _code_batch(ifs, attractor_digits(ifs, 70000, 40, seed=2024))
+    assert centers.shape == (70000, ifs.w) and centers.flags.c_contiguous
+    assert hashlib.sha256(centers.tobytes()).hexdigest() == CODE_BATCH_SHA256[name]
+
+
+def test_batch_coding_digit_below_one_codes_to_nan():
+    ifs = planar_ifs()
+    digits = np.array([[1, 2, 1], [2, 0, 1], [-1, 1, 1], [1, 1, -2]], dtype=np.int8)
+    centers = _code_batch(ifs, digits)
+    assert np.array_equal(centers[0], code_point(ifs, (1, 2, 1)).center)
+    assert np.isnan(centers[1:]).all()
+    with pytest.raises(ValidationError):
+        box_count(centers, [0.1, 0.01])
+
+
+def test_batch_coding_rejects_digit_above_m():
+    with pytest.raises(InvalidDigit):
+        _code_batch(cantor_ifs(), np.array([[1, 3, 2]], dtype=np.int8))
 
 
 def test_sampler_rejects_bad_arguments():
