@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -123,18 +124,162 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write("\n")
 
 
-_CSV_BLOCK = 1 << 16  # rows formatted per write
+_CSV_BLOCK = 1 << 14  # rows formatted per write
+_CSV_ROW = 40  # bytes per value: "-0.000" + D0 "." D1 "." ... "." D16 + separator
+_SPLIT = float(2**27 + 1)  # Veltkamp's splitting constant for doubles
+_E16, _E17 = 10**16, 10**17
+
+
+def _split(a):
+    """(hi, lo) with hi + lo == a exactly and 26-bit halves (Veltkamp)."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _csv_tables():
+    """Constant tables of the CSV kernel, built on first use.
+
+    * ``scale``: rows ``10^(16 - X)``, and its split into two halves, at
+      column ``X + 4`` for the decimal exponents X in -4..16;
+    * ``words``: the 8 bytes ``"d.d.d.d."`` of every 4-digit group 0..9999,
+      then ``"-0.000D."`` for each leading digit D at ``10000 + D``;
+    * ``zeros``: the number of trailing zero digits of each 4-digit group;
+    * ``keep``: the bytes of a value's 40-byte layout that its text keeps,
+      indexed by ``(sign * 21 + X + 4) * 17 + L``, L the index of its last
+      nonzero digit, packed into 5 words.
+    """
+    scale = np.array([float(10**k) for k in range(20, -1, -1)])
+    scale = np.stack([scale, *_split(scale)])
+    group = np.arange(10_000)
+    words = np.full((10_010, 8), ord("."), dtype=np.uint8)
+    for i in range(4):
+        words[:10_000, 2 * i] = ord("0") + group // 10 ** (3 - i) % 10
+    words[10_000:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    words[10_000:, 6] = ord("0") + np.arange(10)
+    zeros = np.zeros(10_000, dtype=np.int64)
+    for j in range(1, 5):
+        zeros[group % 10**j == 0] = j
+    pos = np.arange(_CSV_ROW)
+    digit = np.where((pos >= 6) & (pos % 2 == 0), (pos - 6) // 2, 99)
+    keep = np.zeros((2, 21, 17, _CSV_ROW), dtype=bool)
+    keep[..., -1] = True  # separator
+    keep[1, ..., 0] = True  # minus sign
+    for x in range(-4, 17):
+        for last in range(17):
+            row = keep[:, x + 4, last]
+            if x >= 0:  # integer digits, then "." and the fraction up to L
+                row |= digit <= max(x, last)
+                if last > x:
+                    row[:, 7 + 2 * x] = True
+            else:  # "0." and -X-1 zeros, then the digits up to L
+                row[:, 1 : 2 - x] = True
+                row |= digit <= last
+    tables = (scale, words.view(np.uint64).ravel(), zeros,
+              keep.reshape(-1, _CSV_ROW).view(np.uint64))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _significand(a, x, scale_table):
+    """round(a * 10^(16 - x)) half to even, exactly, as int64."""
+    scale, scale_hi, scale_lo = scale_table.take(x + 4, axis=1)
+    hi = a * scale
+    a_hi, a_lo = _split(a)
+    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _csv_text(block: np.ndarray, seps: np.ndarray) -> bytes:
+    """The rows of ``block``, each value as ``"%.17g"`` followed by its separator."""
+    scale, words, zeros, keep_table = _csv_tables()
+    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-5) & (a < 1e18)
+    a[~fast] = 1.0
+    x = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    sig = _significand(a, x, scale)
+    step = (sig >= _E17).astype(np.int64) - (sig < _E16)
+    redo = np.flatnonzero(step)
+    if redo.size:  # log10 was one off, or the rounding carried into a new decade
+        x_new = x[redo] + step[redo]
+        x[redo] = np.clip(x_new, -4, 16)
+        sig[redo] = _significand(a[redo], x[redo], scale)
+        # an exponent outside -4..16 is written in exponent notation: exact path
+        fast[redo] &= (x_new == x[redo]) & (sig[redo] >= _E16) & (sig[redo] < _E17)
+        sig[~fast], x[~fast] = _E16, 0
+
+    # word indices: the leading digit, then four 4-digit groups
+    idx = np.empty((v.size, 5), dtype=np.int64)
+    idx[:, 0] = sig // _E16
+    rest = sig - idx[:, 0] * _E16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    idx[:, 1] = high // 10**4
+    idx[:, 2] = high - idx[:, 1] * 10**4
+    idx[:, 3] = low // 10**4
+    idx[:, 4] = low - idx[:, 3] * 10**4
+    trailing = zeros.take(idx[:, 4])
+    open_rows = np.flatnonzero(trailing == 4)
+    for j in (3, 2, 1):
+        if not open_rows.size:
+            break
+        more = zeros.take(idx[open_rows, j])
+        trailing[open_rows] += more
+        open_rows = open_rows[more == 4]
+    idx[:, 0] += 10_000
+
+    text = words.take(idx, mode="clip")
+    keep = keep_table.take(
+        (np.signbit(v) * 21 + x + 4) * 17 + 16 - trailing, axis=0, mode="clip"
+    )
+    text_bytes = text.view(np.uint8)
+    keep_bytes = keep.view(np.bool_)
+    text_bytes.reshape(block.shape[0], -1, _CSV_ROW)[:, :, -1] = seps
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # +-0, nan, +-inf, |v| < 1e-4 and |v| >= 1e17 (exponent notation)
+        exact = ["%.17g" % y for y in v[slow].tolist()]
+        size = _CSV_ROW - 1
+        padded = np.array(exact, dtype=f"S{size}").view(np.uint8)
+        text_bytes[slow, :size] = padded.reshape(-1, size)
+        lengths = np.fromiter(map(len, exact), dtype=np.int64, count=len(exact))
+        keep_bytes[slow, :size] = np.arange(size) < lengths[:, None]
+    return np.compress(keep_bytes.ravel(), text_bytes.ravel()).tobytes()
 
 
 def _write_points_csv(points: np.ndarray, out: str | None) -> None:
-    """Header x1..xw, then one row per point with 17 significant digits."""
+    """Header x1..xw, then one row per point, each value as ``"%.17g" % v``.
+
+    The text is built in numpy, a block of rows at a time, and is the same
+    byte for byte as Python's.  For each value ``a = |v|`` with decimal
+    exponent X in -4..16 (the fixed-point range of ``%.17g``):
+
+    * the 17 significant digits are ``N = round(a * 10^(16 - X))``.
+      ``10^k`` is exact in a double for k <= 22, and Dekker's ``two_prod``
+      (a Veltkamp split; numpy has no fma) gives ``hi + lo == a * 10^k``
+      exactly.  ``hi`` is an even integer once it reaches 2^53 < 10^16,
+      so ``N = hi + rint(lo)``, and ``rint`` rounds half to even exactly
+      as CPython's correctly rounded dtoa does;
+    * X comes from ``log10`` and is stepped by one where N falls outside
+      ``[10^16, 10^17)``, which also catches a rounding that carries into
+      the next decade;
+    * the digits fill a fixed 40-byte layout, ``-0.000`` and then each
+      digit followed by ``.``; a mask chosen by (sign, X, last nonzero
+      digit) keeps the bytes of the text, and one ``np.compress`` joins
+      the block.
+
+    The values the layout cannot hold -- +-0, nan, +-inf, subnormals,
+    ``|v| < 1e-4`` and ``|v| >= 1e17`` -- are formatted one at a time with
+    ``"%.17g"`` and written into their rows before the join.
+    """
     w = points.shape[1]
-    row_fmt = ",".join(["%.17g"] * w) + "\n"
+    seps = np.frombuffer(b"," * (w - 1) + b"\n", dtype=np.uint8)
     with _open_output(out) as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(w)) + "\n")
         for start in range(0, points.shape[0], _CSV_BLOCK):
-            block = points[start : start + _CSV_BLOCK]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_csv_text(points[start : start + _CSV_BLOCK], seps).decode("ascii"))
 
 
 def _estimate_csv(est) -> str:
@@ -629,6 +774,8 @@ def _apply_config_and_defaults(args, parser: argparse.ArgumentParser) -> None:
     for attr, value in defaults.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
+    if args.threads < 1:
+        raise ValidationError("--threads must be >= 1")
 
 
 def main(argv=None) -> int:

@@ -405,11 +405,12 @@ def _sample(count: int, width: int, rows, seed: int, stream: int, threads: int) 
         centers[start : start + n] = rows(_chunk_rng(seed, stream, chunk_index), n)
 
     chunks = range(-(-count // _CHUNK))
-    if threads <= 1 or len(chunks) == 1:
+    workers = min(threads, len(chunks))
+    if workers <= 1:
         for i in chunks:
             fill(i)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
     return PointSample(centers)
 

@@ -440,6 +440,79 @@ def test_points_csv_matches_format_reference(capsys, tmp_path, points):
         assert capsys.readouterr().out == want
 
 
+def percent_csv(points) -> str:
+    """Reference CSV text: every value through "%.17g" % v."""
+    header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
+    return header + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in points.tolist()
+    )
+
+
+def written_csv(points) -> str:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli._write_points_csv(points, None)
+    return text.getvalue()
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-5, max_value=1e18).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_points_csv_matches_percent_format(data):
+    n = data.draw(st.integers(1, 40))
+    w = data.draw(st.integers(1, 4))
+    values = data.draw(st.lists(_ANY_FLOAT, min_size=n * w, max_size=n * w))
+    points = np.array(values, dtype=np.float64).reshape(n, w)
+    assert written_csv(points) == percent_csv(points)
+
+
+def csv_edge_values() -> np.ndarray:
+    """Values where the fast digit path could go wrong."""
+    edges = []
+    for e in range(-6, 19):  # powers of ten and one ulp on each side
+        p = 10.0**e
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    edges += [
+        # fixed-point / exponent switches of %.17g
+        1e-4, np.nextafter(1e-4, 0.0), 9.99999999999999995e-5, 1e-5,
+        1e17, np.nextafter(1e17, 0.0), np.nextafter(1e17, np.inf), 99999999999999984.0,
+        # just below a decade, where log10 can round up to the next exponent
+        np.nextafter(1.0, 0.0), np.nextafter(10.0, 0.0), np.nextafter(0.001, 0.0),
+        np.nextafter(1e16, 0.0), 0.99999999999999989, 9.9999999999999982,
+        # exact ties at the 17th digit round half to even
+        1e15 + 0.25, 1e15 + 0.75, 123456789012345.125, 123456789012345.375,
+        2.0**53 + 2, 2.0**55 + 8,
+        # trailing zeros, short fractions and integers
+        0.5, 0.25, 1.5, 100.0, 1234.0, 1e16 + 2, 0.1, 1 / 3, 2 / 3,
+        # zeros, subnormals, extremes and non-finite values
+        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, np.inf, np.nan,
+    ]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_points_csv_edge_values(w):
+    edges = csv_edge_values()
+    edges = np.concatenate([edges, np.full(-len(edges) % w, 0.5)])
+    table = edges.reshape(-1, w)
+    assert written_csv(table) == percent_csv(table)
+    # the same table across a block boundary
+    lead = np.full((cli._CSV_BLOCK - len(table) // 2, w), 1 / 7)
+    points = np.vstack([lead, table, table[::-1]])
+    want = percent_csv(points)
+    got = written_csv(points)
+    assert got.splitlines() == want.splitlines()
+    assert got == want
+
+
 def test_sample_csv_stdout_matches_file(capsys, cantor_json, tmp_path):
     argv = ["sample", "--ifs", cantor_json, "--target", "pairs", "--count", "5000",
             "--depth", "20", "--seed", "3", "--format", "csv"]
@@ -562,6 +635,8 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     ["verify", "--system", "baker", "--beta1", "0.3", "--beta2", "0.3", "--seed", "1",
      "--depth", "-1"],
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--out", "{dir}"],
+    ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "0"],
+    ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "-1"],
 ])
 def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
     (tmp_path / "file.json").write_text(json.dumps({"values": ["x"], "maps": [{"ratio": "x"}]}))
@@ -653,7 +728,7 @@ def _cli_flags(paths):
         return pick(*valid), _BAD_FLOAT
 
     common = {
-        "seed": _ints(0, 10**6, -2), "threads": _ints(-1, 4, -2),
+        "seed": _ints(0, 10**6, -2), "threads": _ints(1, 4, -2),
         "format": (pick("json", "csv"), pick("xml")),
         "out": (pick("-", "{out}"), pick("{dir}", "{dir}/missing/out.txt")),
     }

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lypairs import fractal
 from lypairs.analysis import box_count
 from lypairs.errors import (
     InsufficientPrefix,
@@ -321,6 +322,32 @@ def test_sampler_deterministic_across_threads():
     c = sample_attractor(ifs, 70000, 12, seed=43)
     assert not np.array_equal(digits, attractor_digits(ifs, 70000, 12, seed=43))
     assert not np.array_equal(a.centers, c.centers)
+
+
+def test_sampler_starts_at_most_one_worker_per_chunk(monkeypatch):
+    # a stand-in pool that records its size and runs the chunks in this thread
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(fractal, "ThreadPoolExecutor", SerialPool)
+    ifs = cantor_ifs()
+    count = 2 * _CHUNK + 5  # three chunks
+    sample = sample_attractor(ifs, count, 12, seed=42, threads=64)
+    assert sizes == [3]
+    assert np.array_equal(sample.centers, sample_attractor(ifs, count, 12, seed=42).centers)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("target", ["restricted", "pairs"])
