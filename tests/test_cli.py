@@ -409,6 +409,40 @@ def test_verify_json_golden_digest(capsys, tmp_path, case):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == VERIFY_JSON_SHA256[case]
 
 
+# SHA-256 of the `--out` file of every other command, at small counts: the
+# report layouts (field names, order, number text) are pinned byte for byte
+OUTPUT_CASES = {
+    "construct": ["construct", "--m", "3", "--length", "40", "--seed", "11", "--extract"],
+    "dimension-ifs": ["dimension", "--ifs", "{cantor}", "--check-box", "--count", "20000",
+                      "--depth", "25", "--seed", "3"],
+    "dimension-baker": ["dimension", "--system", "baker", "--beta1", THIRD, "--beta2", "0.25"],
+    "boxdim-json": ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "50000",
+                    "--depth", "30", "--seed", "3", "--eps-max", repr(3.0**-4),
+                    "--eps-min", repr(3.0**-8), "--eps-ratio", "3"],
+    "boxdim-csv": ["boxdim", "--ifs", "{cantor}", "--count", "50000", "--depth", "25",
+                   "--seed", "2", "--format", "csv"],
+    "sample-json": ["sample", "--ifs", "{cantor}", "--target", "restricted", "--count", "2000",
+                    "--depth", "25", "--seed", "7", "--format", "json"],
+}
+OUTPUT_SHA256 = {
+    "construct": "6686624b6bd96b499579c1bb99654418ab405ee7ddf468aa1e59be79268e5525",
+    "dimension-ifs": "aee2367351e365eace2a5b179e784a56b9b64ff77a09e8102e8a57c114585284",
+    "dimension-baker": "98d4719931bfb706bcc737d1b80526cf48d92a0aa7891c5fb10f7992e2b616de",
+    "boxdim-json": "5a171f448b753de20c7221aa3c4adc133b9fc031765bcc557bb2b8078ea669ef",
+    "boxdim-csv": "d9c4e24c8fc995b49aaf93f3740662a80baa756b01e9b7c126c595b839d6bcbe",
+    "sample-json": "dca26ebd421fa7346a940dd14f469aebcf6aee1ddb01b3fcb7c23b063730ef43",
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_SHA256))
+def test_output_golden_digest(capsys, cantor_json, tmp_path, case):
+    out_file = tmp_path / f"{case}.out"
+    argv = [a.replace("{cantor}", cantor_json) for a in OUTPUT_CASES[case]]
+    rc, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert rc == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUTPUT_SHA256[case]
+
+
 def reference_csv(points) -> str:
     """Reference CSV text: every value through format(v, ".17g")."""
     header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
