@@ -69,16 +69,6 @@ class BoxCountEstimate:
     stderr: float | None = None
     fit_range: tuple[int, ...] | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "counts": list(self.counts),
-            "sample_count": self.sample_count,
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "fit_range": None if self.fit_range is None else list(self.fit_range),
-        }
-
     def csv_rows(self) -> list[tuple[float, float]]:
         """(-log eps, log N) pairs ready for external plotting."""
         return [(-math.log(e), math.log(n)) for e, n in zip(self.epsilons, self.counts)]
@@ -207,14 +197,6 @@ class Checkpoint:
     bound: float
     radius_slack: float
 
-    def to_json(self) -> dict:
-        return {
-            "block": self.block,
-            "time": self.time,
-            "bound": self.bound,
-            "radius_slack": self.radius_slack,
-        }
-
 
 @dataclass(frozen=True)
 class LiYorkeProfile:
@@ -228,30 +210,12 @@ class LiYorkeProfile:
     side: str
     depth: int
 
-    def to_json(self) -> dict:
-        return {
-            "proximity": [c.to_json() for c in self.proximity],
-            "separation": [c.to_json() for c in self.separation],
-            "scale": self.scale,
-            "sep_gap": self.sep_gap,
-            "max_ratio": self.max_ratio,
-            "side": self.side,
-            "depth": self.depth,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
     reason: str
     witness: Checkpoint | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "reason": self.reason,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
 
 
 def _profile_parameters(spec: SystemSpec) -> tuple[float, float, float]:

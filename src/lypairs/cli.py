@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -83,6 +84,8 @@ def _fmt_float(x: float) -> str:
 
 
 def _json_text(obj, indent: int = 0) -> str:
+    """JSON text of dicts, lists, tuples, dataclasses (an object of their
+    fields) and scalars, keys sorted, two-space indent."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -105,6 +108,8 @@ def _json_text(obj, indent: int = 0) -> str:
         return _fmt_float(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
+    if dataclasses.is_dataclass(obj):
+        return _json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     return json.dumps(obj)
 
 
@@ -406,7 +411,7 @@ def cmd_dimension(args) -> int:
             f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
             f"(Moran D = {d0:.4f})"
         )
-        report["box_check"] = est.to_json()
+        report["box_check"] = est
 
     if args.out:
         _write_text(_json_text(report), args.out)
@@ -441,12 +446,8 @@ def cmd_construct(args) -> int:
     out = {
         "base": base.to_json(),
         "partner": partner.to_json(),
-        "schedule": sched.to_json(),
-        "gap_condition": {
-            "verdict": report_gap.verdict,
-            "detail": report_gap.detail,
-            "ratios": list(report_gap.ratios),
-        },
+        "schedule": {"blocks": sched.blocks, "span": sched.span},
+        "gap_condition": report_gap,
     }
     if args.extract:
         recovered = extract_filler(partner, base, gaps)
@@ -514,8 +515,8 @@ def cmd_verify(args) -> int:
     report = {
         "system": spec.to_json(),
         "pair_mode": args.pair_mode,
-        "verdict": verdict.to_json(),
-        "profile": profile.to_json(),
+        "verdict": verdict,
+        "profile": profile,
         "gap_condition": {"verdict": gap_report.verdict, "detail": gap_report.detail},
         "params": {
             "blocks": args.blocks,
@@ -577,8 +578,7 @@ def cmd_boxdim(args) -> int:
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
     )
-    payload = est.to_json()
-    payload["target"] = args.target
+    payload = {**dataclasses.asdict(est), "target": args.target}
     text = _estimate_csv(est) if args.format == "csv" else _json_text(payload)
     _write_text(text, args.out)
     return EXIT_OK
@@ -596,35 +596,6 @@ def cmd_sample(args) -> int:
 # --------------------------------------------------------------------------
 # parser and config-file overlay (precedence: flags > config file > defaults)
 
-_CHOICES = {
-    "format": ("json", "csv"),
-    "target": ("attractor", "restricted", "pairs", "system"),
-    "pair_mode": ("constructed", "identical", "eventually-equal"),
-    "filler_mode": ("base", "random"),
-}
-
-# built-in defaults, applied after the config overlay; keep the help texts
-# below in sync with these values
-_DEFAULTS = {
-    "dimension": {"count": 200_000, "depth": 30},
-    "construct": {"m": 2, "gaps": "quadratic", "base": "random", "filler": "random"},
-    "verify": {
-        "gaps": "quadratic", "blocks": 12, "depth": 18,
-        "filler": "base", "pair_mode": "constructed",
-    },
-    "boxdim": {"target": "attractor", "gaps": "quadratic", "base": "random",
-               "count": 200_000, "depth": 30},
-    "sample": {"target": "attractor", "gaps": "quadratic", "base": "random",
-               "count": 10_000, "depth": 30},
-}
-_COMMON_DEFAULTS = {
-    "threads": 1,
-    "format": "json",
-    "eps_min": 2.0**-14,
-    "eps_max": 2.0**-4,
-    "eps_ratio": 2.0,
-}
-
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", help="tent|baker|horseshoe|solenoid or inline JSON spec")
@@ -636,21 +607,39 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-min", type=float, help="smallest grid size (default 2^-14)")
-    p.add_argument("--eps-max", type=float, help="largest grid size (default 2^-4)")
-    p.add_argument(
-        "--eps-ratio", type=float,
-        help="ladder step ratio, 2 = dyadic, 3 = ternary (default 2)",
-    )
+    p.add_argument("--eps-min", type=float, default=2.0**-14,
+                   help="smallest grid size (default %(default)s)")
+    p.add_argument("--eps-max", type=float, default=2.0**-4,
+                   help="largest grid size (default %(default)s)")
+    p.add_argument("--eps-ratio", type=float, default=2.0,
+                   help="ladder step ratio, 2 = dyadic, 3 = ternary (default %(default)s)")
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser, count: int) -> None:
+    p.add_argument("--count", type=int, default=count, help="sample size (default %(default)s)")
+    p.add_argument("--depth", type=int, default=30, help="coding depth (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="sampling worker threads (default %(default)s)")
+
+
+def _add_target_flags(p: argparse.ArgumentParser, count: int) -> None:
+    """What boxdim and sample draw, and the format they write."""
+    p.add_argument("--ifs", help="IFS definition JSON file")
+    p.add_argument("--target", choices=("attractor", "restricted", "pairs", "system"),
+                   default="attractor", help="what to sample (default %(default)s)")
+    p.add_argument("--gaps", default="quadratic",
+                   help="gap rule for restricted/pairs (default %(default)s)")
+    p.add_argument("--base", default="random",
+                   help="random|sequence JSON file for restricted (default %(default)s)")
+    _add_sampling_flags(p, count)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="output format (default %(default)s)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override its keys")
     p.add_argument("--seed", type=int, help="RNG seed (mandatory for sampling; no default)")
-    p.add_argument("--threads", type=int, help="sampling worker threads (default 1)")
     p.add_argument("--out", help="output file, '-' = stdout (default stdout)")
-    p.add_argument("--format", choices=_CHOICES["format"],
-                   help="output format (default json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,32 +654,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--ifs", help="IFS definition JSON file")
     p.add_argument("--check-box", action="store_true", help="cross-check with a box count")
-    p.add_argument("--count", type=int, help="sample size for the check (default 200000)")
-    p.add_argument("--depth", type=int, help="coding depth for the check (default 30)")
+    _add_sampling_flags(p, count=200_000)
     _add_ladder_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("construct", help="build a partner sequence and schedule")
-    p.add_argument("--m", type=int, help="alphabet size (default 2)")
+    p.add_argument("--m", type=int, default=2, help="alphabet size (default %(default)s)")
     p.add_argument("--length", type=int, help="partner prefix length (required)")
-    p.add_argument("--gaps", help="gap rule (default quadratic)")
-    p.add_argument("--base", help="random|ones|sequence JSON file (default random)")
-    p.add_argument("--filler", help="random|base|sequence JSON file (default random)")
+    p.add_argument("--gaps", default="quadratic", help="gap rule (default %(default)s)")
+    p.add_argument("--base", default="random",
+                   help="random|ones|sequence JSON file (default %(default)s)")
+    p.add_argument("--filler", default="random",
+                   help="random|base|sequence JSON file (default %(default)s)")
     p.add_argument("--extract", action="store_true", help="round-trip the filler back out")
     _add_common_flags(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="certified Li-Yorke verdict for a pair")
     _add_system_flags(p)
-    p.add_argument("--gaps", help="gap rule (default quadratic)")
-    p.add_argument("--blocks", type=int, help="schedule blocks to check (default 12)")
-    p.add_argument("--depth", type=int, help="coding depth (default 18)")
-    p.add_argument("--filler", choices=_CHOICES["filler_mode"],
-                   help="free-digit source for the pair (default base)")
+    p.add_argument("--gaps", default="quadratic", help="gap rule (default %(default)s)")
+    p.add_argument("--blocks", type=int, default=12,
+                   help="schedule blocks to check (default %(default)s)")
+    p.add_argument("--depth", type=int, default=18, help="coding depth (default %(default)s)")
+    p.add_argument("--filler", choices=("base", "random"), default="base",
+                   help="free-digit source for the pair (default %(default)s)")
     p.add_argument(
-        "--pair-mode", choices=_CHOICES["pair_mode"],
-        help="negative controls replace the constructed partner (default constructed)",
+        "--pair-mode", choices=("constructed", "identical", "eventually-equal"),
+        default="constructed",
+        help="negative controls replace the constructed partner (default %(default)s)",
     )
     p.add_argument("--decay", type=float, help="proximity decay override (default: max ratio)")
     p.add_argument("--floor", type=float, help="separation floor override (default: gap/2)")
@@ -703,39 +695,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boxdim", help="box-counting dimension of a sampled target")
     _add_system_flags(p)
-    p.add_argument("--ifs", help="IFS definition JSON file")
-    p.add_argument("--target", choices=_CHOICES["target"],
-                   help="what to sample (default attractor)")
-    p.add_argument("--gaps", help="gap rule for restricted/pairs (default quadratic)")
-    p.add_argument("--base", help="random|sequence JSON file for restricted (default random)")
-    p.add_argument("--count", type=int, help="sample size (default 200000)")
-    p.add_argument("--depth", type=int, help="coding depth (default 30)")
+    _add_target_flags(p, count=200_000)
     _add_ladder_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_boxdim)
 
     p = sub.add_parser("sample", help="emit a raw point cloud")
     _add_system_flags(p)
-    p.add_argument("--ifs", help="IFS definition JSON file")
-    p.add_argument("--target", choices=_CHOICES["target"],
-                   help="what to sample (default attractor)")
-    p.add_argument("--gaps", help="gap rule for restricted/pairs (default quadratic)")
-    p.add_argument("--base", help="random|sequence JSON file for restricted (default random)")
-    p.add_argument("--count", type=int, help="sample size (default 10000)")
-    p.add_argument("--depth", type=int, help="coding depth (default 30)")
+    _add_target_flags(p, count=10_000)
     _add_common_flags(p)
     p.set_defaults(func=cmd_sample)
 
     return parser
-
-
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action, for every flag of ``command`` but --help."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        a.dest: a for a in sub.choices[command]._actions
-        if a.option_strings and a.default is not argparse.SUPPRESS
-    }
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -755,27 +726,24 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _apply_config_and_defaults(args, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "config", None):
-        data = _read_json(args.config, "config file")
-        if not isinstance(data, dict):
-            raise ValidationError("config file must hold a JSON object")
-        actions = _flag_actions(parser, args.command)
-        for key, value in data.items():
-            attr = key.replace("-", "_")
-            if attr not in actions:
-                raise ValidationError(f"config key {key!r} unknown for this command")
-            value = _config_value(actions[attr], key, value)
-            current = getattr(args, attr)
-            if current is None or current is False:
-                setattr(args, attr, value)
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_DEFAULTS.get(args.command, {}))
-    for attr, value in defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    if args.threads < 1:
-        raise ValidationError("--threads must be >= 1")
+def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """argv parsed again, with the --config file's keys as the subcommand's
+    defaults, so that explicit flags still override them."""
+    data = _read_json(args.config, "config file")
+    if not isinstance(data, dict):
+        raise ValidationError("config file must hold a JSON object")
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.default is not argparse.SUPPRESS}
+    values = {}
+    for key, value in data.items():
+        attr = key.replace("-", "_")
+        if attr not in actions:
+            raise ValidationError(f"config key {key!r} unknown for this command")
+        values[attr] = _config_value(actions[attr], key, value)
+    command.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -785,7 +753,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        _apply_config_and_defaults(args, parser)
+        if args.config:
+            args = _with_config(parser, args, argv)
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError("--threads must be >= 1")
         return args.func(args)
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -44,6 +44,7 @@ from .symbolic import (
     FREE,
     GapSequence,
     SymbolSequence,
+    _integers,
     apply_pattern,
     covered_base,
     schedule_roles,
@@ -64,7 +65,7 @@ class Similitude:
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
             raise InvalidRatio(f"contraction ratio must lie in (0,1), got {self.ratio}")
-        object.__setattr__(self, "flips", tuple(int(f) for f in self.flips))
+        object.__setattr__(self, "flips", _integers(self.flips, "orthogonal part"))
         object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
         if any(f not in (-1, 1) for f in self.flips):
             raise ParameterOutOfRange("orthogonal part must be a +/-1 diagonal")
@@ -90,7 +91,7 @@ class Similitude:
                         "only diagonal +/-1 orthogonal parts are supported"
                     )
                 arr = np.diag(arr)
-            flips = tuple(int(f) for f in np.atleast_1d(arr))
+            flips = tuple(np.atleast_1d(arr).tolist())
         return cls(ratio, flips, t)
 
     @property
@@ -206,6 +207,8 @@ class IfsSystem:
             Similitude.of(float(m["ratio"]), m["t"], m.get("orth")) for m in data["maps"]
         )
         box = tuple((float(lo), float(hi)) for lo, hi in data["K"])
+        if "w" in data and _integers((data["w"],), "w") != (len(box),):
+            raise ValidationError(f"w = {data['w']!r} differs from len(K) = {len(box)}")
         return cls(maps, box, separation_required)
 
 
@@ -358,8 +361,8 @@ class PointSample:
         return self.centers.shape[0]
 
 
-def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(stream, chunk_index))
+def _chunk_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
 
 

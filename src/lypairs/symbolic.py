@@ -53,8 +53,25 @@ ONE_SIDED = "one"
 TWO_SIDED = "two"
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as ints; integral floats such as 2.0 are read as ints, and
+    any other non-integer (1.7, "1", true) raises ValidationError."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {int}:  # the common case: nothing to convert
+        return values
+    try:
+        out = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be integers: {exc}") from exc
+    if bool in types or out != values:
+        bad = next(v for v, i in zip(values, out) if type(v) is bool or v != i)
+        raise ValidationError(f"{what} must be integers, got {bad!r}")
+    return out
+
+
 def _check_digits(digits: Iterable[int], m: int, what: str) -> tuple[int, ...]:
-    out = tuple(int(d) for d in digits)
+    out = _integers(digits, f"{what} digits")
     for d in out:
         if not 1 <= d <= m:
             raise InvalidDigit(f"{what} digit {d} outside alphabet 1..{m}")
@@ -126,9 +143,10 @@ class SymbolSequence:
     @classmethod
     def from_json(cls, data: dict) -> "SymbolSequence":
         side = data.get("side", ONE_SIDED)
+        (m,) = _integers((data["m"],), "alphabet size")
         if side == ONE_SIDED:
-            return cls(int(data["m"]), tuple(data["digits"]))
-        return cls.two_sided(int(data["m"]), tuple(data["past"]), tuple(data["future"]))
+            return cls(m, tuple(data["digits"]))
+        return cls.two_sided(m, tuple(data["past"]), tuple(data["future"]))
 
 
 def random_sequence(
@@ -266,11 +284,14 @@ class GapSequence:
     def __post_init__(self) -> None:
         if self.rule not in _GAP_RULES:
             raise ValidationError(f"unknown gap rule {self.rule!r}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", _integers(self.values, "gap values"))
         for v in self.values:
             if v < 0:
                 raise ValidationError("gap values must be non-negative")
-        if self.c < 0 or self.a < 0 or self.b < 0:
+        params = _integers((self.c, self.a, self.b), "gap parameters")
+        for name, v in zip("cab", params):
+            object.__setattr__(self, name, v)
+        if min(params) < 0:
             raise ValidationError("gap parameters must be non-negative")
 
     @classmethod
@@ -279,7 +300,7 @@ class GapSequence:
 
     @classmethod
     def constant(cls, c: int) -> "GapSequence":
-        return cls("constant", c=int(c))
+        return cls("constant", c=c)
 
     @classmethod
     def zero(cls) -> "GapSequence":
@@ -295,7 +316,7 @@ class GapSequence:
 
     @classmethod
     def affine(cls, a: int, b: int) -> "GapSequence":
-        return cls("affine", a=int(a), b=int(b))
+        return cls("affine", a=a, b=b)
 
     def value(self, n: int) -> int:
         """N_n for n >= 1."""
@@ -362,15 +383,6 @@ class ScheduleBlock:
     def end(self) -> int:
         return self.mismatch_pos + self.free_count
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "start": self.start,
-            "match_len": self.match_len,
-            "mismatch_pos": self.mismatch_pos,
-            "free_count": self.free_count,
-        }
-
 
 @dataclass(frozen=True)
 class PairSchedule:
@@ -386,9 +398,6 @@ class PairSchedule:
     @property
     def starts(self) -> tuple[int, ...]:
         return tuple(b.start for b in self.blocks)
-
-    def to_json(self) -> dict:
-        return {"blocks": [b.to_json() for b in self.blocks], "span": self.span}
 
 
 def _blocks(gaps: GapSequence) -> Iterator[ScheduleBlock]:

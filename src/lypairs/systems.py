@@ -48,6 +48,7 @@ from .fractal import (
     IfsSystem,
     PointSample,
     Similitude,
+    _chunk_rng,
     _code_batch,
     sample_attractor,
 )
@@ -346,10 +347,8 @@ def conjugacy_defect(
     past_len = depth if spec.side == TWO_SIDED else 0
     worst = 0.0
     for chunk_index, first in enumerate(range(0, trials, _TRIAL_CHUNK)):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-        )
-        rows = rng.integers(1, 3, (min(_TRIAL_CHUNK, trials - first), past_len + prefix_len))
+        n = min(_TRIAL_CHUNK, trials - first)
+        rows = _chunk_rng(seed, chunk_index).integers(1, 3, (n, past_len + prefix_len))
         centers, _ = _code_orbit(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
         defects = _row_norms(apply_map(spec, centers[0]) - centers[1])
         worst = max(worst, float(defects.max()))

@@ -1,5 +1,6 @@
 """Tests for box counting, dimension fitting, and Li-Yorke verification."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from lypairs.analysis import (
     ternary_ladder,
     verify_liyorke,
 )
+from lypairs.cli import _json_text
 from lypairs.errors import (
     DegenerateFit,
     EmptyInput,
@@ -377,8 +379,9 @@ def test_restricted_set_loses_dimension_with_constant_gaps():
 def test_estimate_serialization():
     est = BoxCountEstimate((0.5, 0.25), (3, 7), sample_count=100, slope=1.2, stderr=0.1,
                            fit_range=(0, 1))
-    data = est.to_json()
-    assert data["counts"] == [3, 7]
+    data = json.loads(_json_text(est))
+    assert data == {"epsilons": [0.5, 0.25], "counts": [3, 7], "sample_count": 100,
+                    "slope": 1.2, "stderr": 0.1, "fit_range": [0, 1]}
     rows = est.csv_rows()
     assert rows[0][0] == pytest.approx(math.log(2))
     assert rows[1][1] == pytest.approx(math.log(7))

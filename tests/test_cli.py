@@ -684,6 +684,55 @@ def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
     assert err.startswith("error:")
 
 
+CANTOR = {"w": 1, "K": [[0, 1]],
+          "maps": [{"ratio": 1 / 3, "t": [0]}, {"ratio": 1 / 3, "t": [2 / 3]}]}
+NON_INTEGER_INPUTS = {
+    "digit-float": ("base", {"m": 2, "digits": [1.7] + [2, 1] * 20}),
+    "digit-string": ("base", {"m": 2, "digits": ["1", "2"] * 20}),
+    "digit-bool": ("base", {"m": 2, "digits": [True] + [2, 1] * 20}),
+    "digit-infinity": ("base", {"m": 2, "digits": [float("inf")] + [2, 1] * 20}),
+    "past-digit": ("base", {"m": 2, "side": "two", "past": [1, 2.5], "future": [1, 2] * 20}),
+    "alphabet": ("base", {"m": 2.5, "digits": [1, 2] * 20}),
+    "gap-list": ("gaps", [0.5, 1.9] * 10),
+    "gap-values": ("gaps", {"rule": "list", "values": [1, 2, 3.5] * 5}),
+    "gap-constant": ("gaps", {"rule": "constant", "c": 2.7}),
+    "gap-affine": ("gaps", {"rule": "affine", "a": 1, "b": 0.5}),
+    "flips": ("ifs", {**CANTOR, "maps": [{**m, "orth": [1.5]} for m in CANTOR["maps"]]}),
+    "flips-matrix": ("ifs", {**CANTOR, "maps": [{**m, "orth": [[True]]} for m in CANTOR["maps"]]}),
+    "w": ("ifs", {**CANTOR, "w": 3}),
+}
+
+
+def non_integer_argv(kind, path):
+    if kind == "ifs":
+        return ["dimension", "--ifs", path]
+    if kind == "gaps":
+        return ["construct", "--length", "30", "--seed", "1", "--gaps", f"list:{path}"]
+    return ["construct", "--length", "30", "--seed", "1", "--base", path]
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_INPUTS))
+def test_non_integer_json_field_exits_2(capsys, tmp_path, case):
+    kind, data = NON_INTEGER_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    rc, _, err = run(capsys, *non_integer_argv(kind, str(path)))
+    assert rc == 2
+    assert "must be integers" in err or "differs" in err
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("base", {"m": 2.0, "digits": [1.0, 2.0] * 20}),
+    ("gaps", [1.0, 0.0, 2.0] * 10),
+    ("gaps", {"rule": "constant", "c": 2.0}),
+    ("ifs", {**CANTOR, "w": 1.0, "maps": [{**m, "orth": [1.0]} for m in CANTOR["maps"]]}),
+])
+def test_integral_floats_read_as_integers(capsys, tmp_path, kind, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *non_integer_argv(kind, str(path)))[0] == 0
+
+
 def test_undecodable_json_input_exits_2(capsys, tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{")
@@ -711,6 +760,51 @@ def test_help_documents_defaults(capsys):
     assert rc == 0
     assert "default 200000" in out
     assert "default quadratic" in out
+
+
+def flag_actions(command):
+    """The parser's flags of ``command``, --help excepted."""
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+COMMANDS = ["dimension", "construct", "verify", "boxdim", "sample"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_prints_every_default(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "500")  # one line per flag: no wrapped help text
+    rc, out, _ = run(capsys, command, "--help")
+    assert rc == 0
+    defaults = [a for a in flag_actions(command) if a.default is not None and a.nargs != 0]
+    assert defaults
+    for action in defaults:
+        text = action.help % {"default": action.default}
+        assert f"(default {action.default})" in text, action.dest
+        assert text in out, action.dest
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dimension", "format", "json"),
+    ("construct", "format", "json"),
+    ("verify", "format", "csv"),
+    ("construct", "threads", "2"),
+    ("verify", "threads", "1"),
+])
+def test_flag_of_another_command_exits_2(capsys, tmp_path, command, flag, value):
+    argv = {"dimension": ["--system", "tent", "--a", "2"],
+            "construct": ["--length", "5", "--seed", "1"],
+            "verify": ["--system", "tent", "--a", "2", "--seed", "1", "--blocks", "4"]}[command]
+    assert run(capsys, command, *argv)[0] == 0
+    assert flag not in {a.dest for a in flag_actions(command)}
+    rc, _, err = run(capsys, command, *argv, f"--{flag}", value)
+    assert rc == 2
+    assert f"--{flag}" in err
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({flag: value}))
+    rc, _, err = run(capsys, command, *argv, "--config", str(cfg))
+    assert rc == 2
+    assert f"config key '{flag}' unknown" in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -762,10 +856,11 @@ def _cli_flags(paths):
         return pick(*valid), _BAD_FLOAT
 
     common = {
-        "seed": _ints(0, 10**6, -2), "threads": _ints(1, 4, -2),
-        "format": (pick("json", "csv"), pick("xml")),
+        "seed": _ints(0, 10**6, -2),
         "out": (pick("-", "{out}"), pick("{dir}", "{dir}/missing/out.txt")),
     }
+    threads = {"threads": _ints(1, 4, -2)}
+    formats = {"format": (pick("json", "csv"), pick("xml"))}
     system = {
         "system": (
             pick("tent", "baker", "horseshoe", "solenoid", '{"kind": "tent", "a": 3}',
@@ -794,7 +889,7 @@ def _cli_flags(paths):
         "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1),
     }
     return {
-        "dimension": {**system, **ifs, **ladder, **common, "check_box": None,
+        "dimension": {**system, **ifs, **ladder, **common, **threads, "check_box": None,
                       "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1)},
         "construct": {**common, **gaps, "m": _ints(2, 300, -1), "length": _ints(1, 2000, -2),
                       "base": (pick("random", "ones", "{sequence}"), pick(*sequences[1:])),
@@ -805,8 +900,8 @@ def _cli_flags(paths):
                    "pair_mode": (pick("constructed", "identical", "eventually-equal"), pick("x")),
                    "decay": floats("0.5", "0.9"), "floor": floats("0.01", "0.2"),
                    "unsafe_iterate": None},
-        "boxdim": {**system, **ifs, **ladder, **common, **sampled},
-        "sample": {**system, **ifs, **common, **sampled},
+        "boxdim": {**system, **ifs, **ladder, **common, **threads, **formats, **sampled},
+        "sample": {**system, **ifs, **common, **threads, **formats, **sampled},
     }
 
 
@@ -814,8 +909,7 @@ def _cli_flags(paths):
 def cli_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_inputs")
     files = {
-        "cantor": {"w": 1, "K": [[0, 1]],
-                   "maps": [{"ratio": 1 / 3, "t": [0]}, {"ratio": 1 / 3, "t": [2 / 3]}]},
+        "cantor": CANTOR,
         "planar": {"w": 2, "K": [[0, 1], [0, 1]],
                    "maps": [{"ratio": 0.3, "t": [0, 0]}, {"ratio": 0.35, "t": [0.65, 0.65]}]},
         "overlapping": {"w": 1, "K": [[0, 1]],
