@@ -42,6 +42,7 @@ from .symbolic import (
     ONE_SIDED,
     TWO_SIDED,
     GapSequence,
+    ScheduleBlock,
     SymbolSequence,
     block_schedule,
     construct_partner,
@@ -152,27 +153,21 @@ def box_count(points, epsilons) -> BoxCountEstimate:
     return BoxCountEstimate(eps, counts, sample_count=pts.shape[0])
 
 
-def dimension_fit(
-    estimate: BoxCountEstimate,
-    min_count: int = 8,
-    max_count_fraction: float = 0.125,
-) -> BoxCountEstimate:
+def dimension_fit(estimate: BoxCountEstimate) -> BoxCountEstimate:
     """Least-squares slope of log N against -log eps over the usable window.
 
-    Ladder points with N below ``min_count`` or above ``sample_count *
-    max_count_fraction`` are saturated by finite-sample effects and
-    dropped; fewer than four survivors raise ``DegenerateFit``.
+    Ladder points with N below 8 or above ``sample_count / 8`` are
+    saturated by finite-sample effects and dropped; fewer than four
+    survivors raise ``DegenerateFit``.
     """
-    cap = estimate.sample_count * max_count_fraction
+    cap = estimate.sample_count / 8
     keep = tuple(
         i
         for i, n in enumerate(estimate.counts)
-        if min_count <= n <= cap and 1 < n < estimate.sample_count
+        if 8 <= n <= cap and 1 < n < estimate.sample_count
     )
     if len(keep) < 4:
-        raise DegenerateFit(
-            f"only {len(keep)} usable ladder points between count {min_count} and {cap:.0f}"
-        )
+        raise DegenerateFit(f"only {len(keep)} usable ladder points between count 8 and {cap:.0f}")
     x = np.array([-math.log(estimate.epsilons[i]) for i in keep])
     y = np.array([math.log(estimate.counts[i]) for i in keep])
     xb = x - x.mean()
@@ -220,16 +215,16 @@ class Verdict:
 
 def _profile_parameters(spec: SystemSpec) -> tuple[float, float, float]:
     derived = derive_ifs(spec)
-    exp = derived.expanding_inverse
-    ratios = list(exp.ratios)
-    if spec.side == ONE_SIDED:
-        gap = exp.gap
-    else:
-        con = derived.contracting[0]
-        ratios += list(con.ratios)
-        gap = con.gap
-    scale = spec.ambient_diam
-    return scale, gap, max(ratios)
+    exp, con = derived.expanding_inverse, derived.contracting
+    if con is None:
+        return spec.ambient_diam, exp.gap, max(exp.ratios)
+    return spec.ambient_diam, con.gap, max(exp.ratios + con.ratios)
+
+
+def _checkpoint_times(block: ScheduleBlock, side: str) -> tuple[int, int]:
+    """Proximity time u_i - 1 (matched block in front) and separation time
+    u_i + i (flipped digit in front) or u_i + i + 1 (most recent past digit)."""
+    return block.start - 1, block.start + block.index + (side == TWO_SIDED)
 
 
 def liyorke_profile(
@@ -259,9 +254,8 @@ def liyorke_profile(
             gaps,
         )
     scale, gap, max_ratio = _profile_parameters(spec)
-    sep_offset = 0 if spec.side == ONE_SIDED else 1
     # per block: the proximity time, then the separation time
-    times = [t for b in sched.blocks for t in (b.start - 1, b.start + b.index + sep_offset)]
+    times = [t for b in sched.blocks for t in _checkpoint_times(b, spec.side)]
     centers_b, radii_b = _sequence_orbit(spec, base, times, depth)
     centers_p, radii_p = _sequence_orbit(spec, partner, times, depth)
     dists = _row_norms(centers_b - centers_p).tolist()
@@ -279,17 +273,16 @@ def verify_liyorke(
     profile: LiYorkeProfile,
     proximity_decay: float | None = None,
     separation_floor: float | None = None,
-    skip_initial: int = 2,
 ) -> Verdict:
     """Decide the Li-Yorke surrogate criteria on a finite profile.
 
-    Proximity passes when every checkpoint from ``skip_initial`` on obeys
-    the envelope decay^(block+1) * scale + radius_slack; separation
-    passes when every certified lower bound reaches the floor.  Defaults:
+    Proximity passes when every checkpoint from block 2 on obeys the
+    envelope decay^(block+1) * scale + radius_slack; separation passes
+    when every certified lower bound reaches the floor.  Defaults:
     decay = the profile's max ratio, floor = half the separation gap.
-    The first ``skip_initial`` blocks are exempt ("eventually"): with a
-    two-sided coding the recent-past agreement only outruns the envelope
-    once the free blocks are longer than the matched blocks.
+    Blocks 0 and 1 are exempt ("eventually"): with a two-sided coding the
+    recent-past agreement only outruns the envelope once the free blocks
+    are longer than the matched blocks.
     """
     if len(profile.proximity) < 3 or len(profile.separation) < 3:
         raise TooFewCheckpoints("need at least 3 checkpoints of each kind")
@@ -300,7 +293,7 @@ def verify_liyorke(
     if not floor > 0:
         raise ValidationError("separation_floor must be positive")
     for cp in profile.proximity:
-        if cp.block < skip_initial:
+        if cp.block < 2:
             continue
         envelope = decay ** (cp.block + 1) * profile.scale + cp.radius_slack + 1e-12
         if cp.bound > envelope:
@@ -316,10 +309,9 @@ def verify_liyorke(
 
 
 def required_future_length(gaps: GapSequence, block_count: int, depth: int, side: str) -> int:
-    sched = block_schedule(gaps, block_count)
-    last = sched.blocks[-1]
-    sep_offset = 0 if side == ONE_SIDED else 1
-    return last.start + last.index + sep_offset + depth
+    """Future digits read by a profile: the last separation time plus depth."""
+    last = block_schedule(gaps, block_count).blocks[-1]
+    return _checkpoint_times(last, side)[1] + depth
 
 
 def shadow_filler(base: SymbolSequence, gaps: GapSequence, length: int) -> SymbolSequence:

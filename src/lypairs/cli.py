@@ -340,12 +340,8 @@ def _build_system(args) -> SystemSpec:
         raise ValidationError(f"{args.command} needs --system")
     if text.lstrip().startswith("{"):
         return _from_json(SystemSpec.from_json, json.loads(text), "--system JSON")
-    params = {}
-    for name in ("a", "beta1", "beta2", "beta", "tau"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
-    return SystemSpec(kind=text, **params)
+    return SystemSpec(text, a=args.a, beta1=args.beta1, beta2=args.beta2, beta=args.beta,
+                      tau=args.tau)
 
 
 def _resolve_seed(args) -> int:
@@ -380,10 +376,9 @@ def cmd_dimension(args) -> int:
     elif args.system:
         spec = _build_system(args)
         derived = derive_ifs(spec)
-        directions = []
-        for i, con in enumerate(derived.contracting):
-            directions.append((f"contracting[{i}]", con))
-        directions.append(("expanding", derived.expanding_inverse))
+        directions = [("expanding", derived.expanding_inverse)]
+        if derived.contracting is not None:
+            directions.insert(0, ("contracting[0]", derived.contracting))
         report["system"] = spec.to_json()
     else:
         raise ValidationError("dimension needs --system or --ifs")
@@ -551,7 +546,7 @@ def _boxdim_points(args) -> np.ndarray:
     elif args.system:
         spec = _build_system(args)
         derived = derive_ifs(spec)
-        ifs = derived.contracting[0] if derived.contracting else derived.expanding_inverse
+        ifs = derived.contracting or derived.expanding_inverse
     else:
         raise ValidationError("boxdim needs --ifs, --system, or --target system")
     if args.target == "attractor":

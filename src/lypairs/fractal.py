@@ -45,6 +45,7 @@ from .symbolic import (
     GapSequence,
     SymbolSequence,
     _integers,
+    _reals,
     apply_pattern,
     covered_base,
     schedule_roles,
@@ -202,23 +203,24 @@ class IfsSystem:
         }
 
     @classmethod
-    def from_json(cls, data: dict, separation_required: bool = True) -> "IfsSystem":
+    def from_json(cls, data: dict) -> "IfsSystem":
         maps = tuple(
-            Similitude.of(float(m["ratio"]), m["t"], m.get("orth")) for m in data["maps"]
+            Similitude.of(*_reals((m["ratio"],), "ratio"), _reals(m["t"], "t"), m.get("orth"))
+            for m in data["maps"]
         )
-        box = tuple((float(lo), float(hi)) for lo, hi in data["K"])
+        box = tuple(_reals(ax, "K") for ax in data["K"])
         if "w" in data and _integers((data["w"],), "w") != (len(box),):
             raise ValidationError(f"w = {data['w']!r} differs from len(K) = {len(box)}")
-        return cls(maps, box, separation_required)
+        return cls(maps, box)
 
 
-def load_ifs(path_or_data, separation_required: bool = True) -> IfsSystem:
+def load_ifs(path_or_data) -> IfsSystem:
     if isinstance(path_or_data, (str, os.PathLike)):
         with open(path_or_data) as fh:
             data = json.load(fh)
     else:
         data = path_or_data
-    return IfsSystem.from_json(data, separation_required)
+    return IfsSystem.from_json(data)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +289,7 @@ class CodedPoint:
 
 
 def _check_prefix(ifs: IfsSystem, prefix: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in prefix)
+    out = _integers(prefix, "prefix digits")
     if not out:
         raise ValidationError("prefix must contain at least one digit")
     for d in out:
@@ -451,7 +453,6 @@ def sample_restricted(
     depth: int,
     seed: int,
     threads: int = 1,
-    stream: int = 0,
 ) -> PointSample:
     """Sample the projection of the partner set of ``base``.
 
@@ -470,7 +471,7 @@ def sample_restricted(
         d[:, free] = _draw_digits(rng, cum, (n, n_free))
         return _code_batch(ifs, d)
 
-    return _sample(count, ifs.w, rows, seed, stream, threads)
+    return _sample(count, ifs.w, rows, seed, 0, threads)
 
 
 def sample_pair_set(
@@ -480,7 +481,6 @@ def sample_pair_set(
     depth: int,
     seed: int,
     threads: int = 1,
-    stream: int = 0,
 ) -> PointSample:
     """Sample (x, y) with x an attractor point and y a partner-set point of x.
 
@@ -500,4 +500,4 @@ def sample_pair_set(
         t[:, free] = _draw_digits(rng, cum, (n, n_free))
         return np.hstack([_code_batch(ifs, s), _code_batch(ifs, t)])
 
-    return _sample(count, 2 * ifs.w, rows, seed, stream, threads)
+    return _sample(count, 2 * ifs.w, rows, seed, 0, threads)

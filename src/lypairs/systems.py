@@ -52,9 +52,16 @@ from .fractal import (
     _code_batch,
     sample_attractor,
 )
-from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence
+from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _reals
 
-KINDS = ("tent", "baker", "horseshoe", "solenoid")
+# the parameters each kind takes; a parameter of another kind is an error
+PARAMS = {
+    "tent": ("a",),
+    "baker": ("beta1", "beta2"),
+    "horseshoe": ("beta", "tau"),
+    "solenoid": ("beta1", "beta2"),
+}
+KINDS = tuple(PARAMS)
 
 UNIT = (0.0, 1.0)
 
@@ -73,6 +80,16 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ParameterOutOfRange(f"unknown system kind {self.kind!r}")
+        for name in ("a", "beta1", "beta2", "beta", "tau"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if name not in PARAMS[self.kind]:
+                raise ParameterOutOfRange(
+                    f"{self.kind} takes only {', '.join(PARAMS[self.kind])}, not {name}"
+                )
+            (x,) = _reals((v,), name)
+            object.__setattr__(self, name, x)
         if self.kind == "tent":
             if self.a is None or not self.a > 1.0:
                 raise ParameterOutOfRange("tent map needs a > 1")
@@ -90,19 +107,19 @@ class SystemSpec:
 
     @classmethod
     def tent(cls, a: float) -> "SystemSpec":
-        return cls("tent", a=float(a))
+        return cls("tent", a=a)
 
     @classmethod
     def baker(cls, beta1: float, beta2: float) -> "SystemSpec":
-        return cls("baker", beta1=float(beta1), beta2=float(beta2))
+        return cls("baker", beta1=beta1, beta2=beta2)
 
     @classmethod
     def horseshoe(cls, beta: float, tau: float) -> "SystemSpec":
-        return cls("horseshoe", beta=float(beta), tau=float(tau))
+        return cls("horseshoe", beta=beta, tau=tau)
 
     @classmethod
     def solenoid(cls, beta1: float, beta2: float) -> "SystemSpec":
-        return cls("solenoid", beta1=float(beta1), beta2=float(beta2))
+        return cls("solenoid", beta1=beta1, beta2=beta2)
 
     @property
     def side(self) -> str:
@@ -126,31 +143,19 @@ class SystemSpec:
         return math.sqrt(self.w)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("a", "beta1", "beta2", "beta", "tau"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return {"kind": self.kind, **{name: getattr(self, name) for name in PARAMS[self.kind]}}
 
     @classmethod
     def from_json(cls, data: dict) -> "SystemSpec":
-        return cls(
-            kind=data["kind"],
-            a=data.get("a"),
-            beta1=data.get("beta1"),
-            beta2=data.get("beta2"),
-            beta=data.get("beta"),
-            tau=data.get("tau"),
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
 class DerivedIfs:
-    """Coding systems of a SystemSpec: contracting-coordinate systems (empty
+    """Coding systems of a SystemSpec: the contracting-coordinate system (None
     for the tent map) and the expanding-coordinate inverse-branch system."""
 
-    contracting: tuple[IfsSystem, ...]
+    contracting: IfsSystem | None
     expanding_inverse: IfsSystem
 
 
@@ -163,7 +168,7 @@ def derive_ifs(spec: SystemSpec) -> DerivedIfs:
             (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
             (UNIT,),
         )
-        return DerivedIfs((), expanding)
+        return DerivedIfs(None, expanding)
     if spec.kind == "baker":
         contracting = IfsSystem(
             (
@@ -173,7 +178,7 @@ def derive_ifs(spec: SystemSpec) -> DerivedIfs:
             (UNIT,),
         )
         expanding = _half_fold_ifs()
-        return DerivedIfs((contracting,), expanding)
+        return DerivedIfs(contracting, expanding)
     if spec.kind == "horseshoe":
         contracting = IfsSystem(
             (
@@ -187,7 +192,7 @@ def derive_ifs(spec: SystemSpec) -> DerivedIfs:
             (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
             (UNIT,),
         )
-        return DerivedIfs((contracting,), expanding)
+        return DerivedIfs(contracting, expanding)
     # solenoid: one planar contracting system, same z-fold as the baker
     contracting = IfsSystem(
         (
@@ -196,7 +201,7 @@ def derive_ifs(spec: SystemSpec) -> DerivedIfs:
         ),
         (UNIT, UNIT),
     )
-    return DerivedIfs((contracting,), _half_fold_ifs())
+    return DerivedIfs(contracting, _half_fold_ifs())
 
 
 def _half_fold_ifs() -> IfsSystem:
@@ -253,7 +258,7 @@ def _code_orbit(
     points of k sequences: past digits (k, P), most recent first, and future
     digits (k, F).  The point at time t codes shift(seq, t) as ``code_point``
     does: future digits t+1..t+depth through ``expanding_inverse`` and, if
-    two-sided, the depth most recent past digits through ``contracting[0]``,
+    two-sided, the depth most recent past digits through ``contracting``,
     radii joined by ``math.hypot``.  Callers check that the windows are stored.
     """
     derived = derive_ifs(spec)
@@ -261,8 +266,8 @@ def _code_orbit(
     front = past.shape[1] + np.asarray(times)[:, None]  # column of s_{t+1}
     steps = np.arange(depth)
     windows = [(derived.expanding_inverse, front + steps)]
-    if spec.side == TWO_SIDED:
-        windows.insert(0, (derived.contracting[0], front - 1 - steps))
+    if derived.contracting is not None:
+        windows.insert(0, (derived.contracting, front - 1 - steps))
     centers, radii = [], []
     for ifs, cols in windows:
         digits = line[:, cols].swapaxes(0, 1).reshape(-1, depth)
@@ -318,9 +323,9 @@ def coded_radius(spec: SystemSpec, depth: int) -> float:
     """Worst-case radius of a depth-``depth`` coded point of the system."""
     derived = derive_ifs(spec)
     r_exp = max(derived.expanding_inverse.ratios) ** depth * derived.expanding_inverse.diam / 2
-    if spec.side == ONE_SIDED:
+    con = derived.contracting
+    if con is None:
         return r_exp
-    con = derived.contracting[0]
     r_con = max(con.ratios) ** depth * con.diam / 2
     return math.hypot(r_con, r_exp)
 
@@ -364,8 +369,8 @@ def sample_invariant_set(
     0 and 1 of the seed), matching the product structure of the coding.
     """
     derived = derive_ifs(spec)
-    if spec.side == ONE_SIDED:
+    if derived.contracting is None:
         return sample_attractor(derived.expanding_inverse, count, depth, seed, threads)
-    con = sample_attractor(derived.contracting[0], count, depth, seed, threads, stream=0)
+    con = sample_attractor(derived.contracting, count, depth, seed, threads, stream=0)
     exp = sample_attractor(derived.expanding_inverse, count, depth, seed, threads, stream=1)
     return PointSample(np.hstack([con.centers, exp.centers]))

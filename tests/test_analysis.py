@@ -210,6 +210,15 @@ def test_fit_range_respects_saturation_guards():
         assert 8 <= est.counts[i] <= cap
 
 
+def test_fit_window_is_fixed_from_8_to_count_over_8():
+    # 800 samples: the window is 8 <= N <= 100, each edge with a count on both sides
+    est = BoxCountEstimate(dyadic_ladder(1, 9), (4, 7, 8, 16, 32, 64, 100, 101, 200), 800)
+    assert dimension_fit(est).fit_range == (2, 3, 4, 5, 6)
+    short = BoxCountEstimate(dyadic_ladder(1, 5), (7, 8, 16, 32, 101), 800)
+    with pytest.raises(DegenerateFit, match="only 3 usable ladder points between count 8 and 100"):
+        dimension_fit(short)
+
+
 # --------------------------------------------------------------------------
 # Li-Yorke profiles
 

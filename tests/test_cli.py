@@ -226,6 +226,50 @@ def test_verify_requires_seed(capsys):
     assert "seed" in err
 
 
+HORSESHOE_SEED_5 = ("--system", "horseshoe", "--beta", str(1 / 3), "--tau", "3", "--seed", "5")
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (("--decay", "0.2"), "proximity bound exceeds decay envelope"),
+    (("--floor", "0.5"), "separation bound below floor"),
+])
+def test_verify_decay_and_floor_overrides_fail(capsys, tmp_path, flags, reason):
+    # the same pair passes with the defaults (test_verify_passes_each_system);
+    # blocks 0 and 1 are exempt from the decay envelope, so block 2 fails first
+    out_file = tmp_path / "verdict.json"
+    rc, out, _ = run(capsys, "verify", *HORSESHOE_SEED_5, *flags, "--out", str(out_file))
+    assert rc == 0
+    assert out.startswith(f"FAIL: {reason}")
+    verdict = json.loads(out_file.read_text())["verdict"]
+    assert verdict["passed"] is False
+    assert verdict["witness"]["block"] == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--decay", "1.5"), "proximity_decay must lie in (0,1)"),
+    (("--floor", "0"), "separation_floor must be positive"),
+])
+def test_verify_bad_decay_or_floor_exits_2(capsys, flags, message):
+    rc, out, err = run(capsys, "verify", *HORSESHOE_SEED_5, *flags)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("source", ["flags", "inline", "config"])
+def test_system_rejects_parameters_of_another_kind(capsys, tmp_path, source):
+    argv = {
+        "flags": ["--system", "tent", "--a", "2", "--beta", "0.3"],
+        "inline": ["--system", '{"kind": "tent", "a": 2, "beta": 0.3}'],
+        "config": ["--config", str(tmp_path / "config.json")],
+    }[source]
+    (tmp_path / "config.json").write_text(json.dumps({"system": "tent", "a": 2, "beta": 0.3}))
+    rc, out, err = run(capsys, "dimension", *argv)
+    assert rc == 2
+    assert out == ""
+    assert "tent takes only a, not beta" in err
+
+
 # --------------------------------------------------------------------------
 # boxdim / sample
 
@@ -671,6 +715,7 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--out", "{dir}"],
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "0"],
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "-1"],
+    ["verify", "--system", '{"kind": "tent", "a": 2, "foo": 1}', "--seed", "1"],
 ])
 def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
     (tmp_path / "file.json").write_text(json.dumps({"values": ["x"], "maps": [{"ratio": "x"}]}))
@@ -700,6 +745,13 @@ NON_INTEGER_INPUTS = {
     "flips": ("ifs", {**CANTOR, "maps": [{**m, "orth": [1.5]} for m in CANTOR["maps"]]}),
     "flips-matrix": ("ifs", {**CANTOR, "maps": [{**m, "orth": [[True]]} for m in CANTOR["maps"]]}),
     "w": ("ifs", {**CANTOR, "w": 3}),
+    # the real fields K, t and ratio take neither booleans nor numeric strings
+    "K-bool": ("ifs", {**CANTOR, "K": [[False, True]]}),
+    "t-bool": ("ifs", {**CANTOR, "maps": [{"ratio": 1 / 3, "t": [False]}, CANTOR["maps"][1]]}),
+    "t-string": ("ifs", {**CANTOR, "maps": [CANTOR["maps"][0],
+                                            {"ratio": 1 / 3, "t": ["0.6666666666666666"]}]}),
+    "ratio-string": ("ifs", {**CANTOR, "maps": [{**m, "ratio": "0.3333333333333333"}
+                                                for m in CANTOR["maps"]]}),
 }
 
 
@@ -718,7 +770,7 @@ def test_non_integer_json_field_exits_2(capsys, tmp_path, case):
     path.write_text(json.dumps(data))
     rc, _, err = run(capsys, *non_integer_argv(kind, str(path)))
     assert rc == 2
-    assert "must be integers" in err or "differs" in err
+    assert "must be integers" in err or "must be real numbers" in err or "differs" in err
 
 
 @pytest.mark.parametrize("kind, data", [

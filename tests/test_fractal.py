@@ -224,6 +224,17 @@ def test_code_point_rejects_bad_digits():
         code_point(cantor_ifs(), ())
 
 
+def test_code_point_rejects_non_integer_digits():
+    ifs = cantor_ifs()
+    with pytest.raises(ValidationError, match="must be integers"):
+        code_point(ifs, [1.7, 2.2])
+    with pytest.raises(ValidationError, match="must be integers"):
+        code_point(ifs, [True, 2])
+    want = code_point(ifs, (1, 2)).center
+    for prefix in ([1.0, 2.0], np.array([1, 2], dtype=np.int8), np.array([1, 2])):
+        assert np.array_equal(code_point(ifs, prefix).center, want)
+
+
 def test_cylinder_nesting():
     rng = np.random.default_rng(2)
     ifs = golden_ifs()

@@ -73,7 +73,7 @@ def reference_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: 
     future = code_point(derived.expanding_inverse, shifted.digits[:depth])
     if spec.side != TWO_SIDED:
         return future.center, future.radius
-    past = code_point(derived.contracting[0], shifted.past[:depth])
+    past = code_point(derived.contracting, shifted.past[:depth])
     return np.concatenate([past.center, future.center]), math.hypot(past.radius, future.radius)
 
 
@@ -98,6 +98,27 @@ def test_spec_json_round_trip():
     for spec in ALL_SYSTEMS:
         assert SystemSpec.from_json(spec.to_json()) == spec
     assert SystemSpec.from_json({"kind": "tent", "a": 2.0}) == TENT2
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "tent", "a": 2, "beta": 0.3},
+    {"kind": "baker", "beta1": 0.3, "beta2": 0.3, "tau": 3},
+    {"kind": "horseshoe", "beta": 0.3, "tau": 3, "a": 2},
+    {"kind": "solenoid", "beta1": 0.3, "beta2": 0.3, "beta": 0.3},
+])
+def test_spec_rejects_parameters_of_another_kind(data):
+    with pytest.raises(ParameterOutOfRange, match="takes only"):
+        SystemSpec(**data)
+    with pytest.raises(ParameterOutOfRange, match="takes only"):
+        SystemSpec.from_json(data)
+
+
+def test_spec_parameters_are_real_numbers():
+    with pytest.raises(ValidationError, match="real numbers"):
+        SystemSpec.from_json({"kind": "tent", "a": "3"})
+    with pytest.raises(ValidationError, match="real numbers"):
+        SystemSpec.horseshoe(0.3, True)
+    assert SystemSpec.from_json({"kind": "tent", "a": 2}).to_json() == {"kind": "tent", "a": 2.0}
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +240,7 @@ def test_apply_map_rejects_non_finite(spec, bad):
 
 def test_tent_derived_ifs_and_dimension():
     derived = derive_ifs(TENT2)
-    assert derived.contracting == ()
+    assert derived.contracting is None
     assert derived.expanding_inverse.ratios == (0.25, 0.25)
     assert moran_dimension(derived.expanding_inverse.ratios).dimension == pytest.approx(0.5)
     assert derived.expanding_inverse.gap == pytest.approx(0.5)
@@ -227,7 +248,7 @@ def test_tent_derived_ifs_and_dimension():
 
 def test_baker_derived_ifs():
     derived = derive_ifs(BAKER3)
-    con = derived.contracting[0]
+    con = derived.contracting
     assert con.ratios == (1 / 3, 1 / 3)
     d = moran_dimension(con.ratios).dimension
     assert d == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
@@ -238,7 +259,7 @@ def test_baker_derived_ifs():
 
 def test_horseshoe_product_dimension():
     derived = derive_ifs(HORSE3)
-    dx = moran_dimension(derived.contracting[0].ratios).dimension
+    dx = moran_dimension(derived.contracting.ratios).dimension
     dy = moran_dimension(derived.expanding_inverse.ratios).dimension
     expected = math.log(2) / math.log(3)
     assert dx == pytest.approx(expected, abs=1e-10)
@@ -248,9 +269,9 @@ def test_horseshoe_product_dimension():
 
 def test_solenoid_derived_shapes():
     derived = derive_ifs(SOLENOID3)
-    assert derived.contracting[0].w == 2
+    assert derived.contracting.w == 2
     assert derived.expanding_inverse.w == 1
-    assert derived.contracting[0].gap == pytest.approx(math.sqrt(2) / 3)
+    assert derived.contracting.gap == pytest.approx(math.sqrt(2) / 3)
 
 
 def test_tent_branches_are_right_inverses():
@@ -464,7 +485,7 @@ def test_sample_invariant_set_thread_invariant():
     assert np.array_equal(clouds[0].centers, clouds[1].centers)
     assert np.array_equal(clouds[0].centers, clouds[2].centers)
     derived = derive_ifs(BAKER3)
-    con = sample_attractor(derived.contracting[0], 70000, 30, seed=4, stream=0)
+    con = sample_attractor(derived.contracting, 70000, 30, seed=4, stream=0)
     exp = sample_attractor(derived.expanding_inverse, 70000, 30, seed=4, stream=1)
     assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp.centers]))
 
@@ -481,7 +502,7 @@ def test_horseshoe_product_marginals_match_coordinate_systems():
     n = 200000
     cloud = sample_invariant_set(HORSE3, n, 20, seed=8)
     derived = derive_ifs(HORSE3)
-    x_own = sample_attractor(derived.contracting[0], n, 20, seed=99)
+    x_own = sample_attractor(derived.contracting, n, 20, seed=99)
     for j in (2, 4, 6, 8):
         eps = 3.0**-j
         cells_prod = np.unique(np.floor(cloud.centers[:, 0] / eps).astype(np.int64))
