@@ -314,21 +314,22 @@ def _from_json(build, data, what: str):
 
 
 def _parse_gaps(text: str) -> GapSequence:
-    if text == "zero":
-        return GapSequence.zero()
-    if text == "linear":
-        return GapSequence.linear()
-    if text == "quadratic":
-        return GapSequence.quadratic()
-    if text.startswith("constant:"):
-        try:
-            return GapSequence.constant(int(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ValidationError(f"bad constant gap value in {text!r}") from exc
-    if text.startswith("list:"):
-        data = _read_json(text.split(":", 1)[1], "gap list file")
+    rule, colon, arg = text.partition(":")
+    if colon and rule == "list":
+        data = _read_json(arg, "gap list file")
         build = GapSequence.from_list if isinstance(data, list) else GapSequence.from_json
         return _from_json(build, data, "gap list file")
+    if colon and rule == "constant":
+        try:
+            c = int(arg)
+        except ValueError as exc:
+            raise ValidationError(f"bad constant gap value in {text!r}") from exc
+        return GapSequence.from_json({"rule": "constant", "c": c})
+    if not colon:
+        try:
+            return GapSequence.from_json({"rule": rule})
+        except ValidationError:
+            pass  # an unknown rule, or one that takes parameters
     raise ValidationError(
         f"unknown gap rule {text!r}; use zero|constant:c|linear|quadratic|list:file"
     )

@@ -132,12 +132,19 @@ class IfsSystem:
     ``separation_required`` (the default) the first-level images must be
     pairwise disjoint with strictly positive gap; pass False for systems
     whose pieces legitimately touch (e.g. an interval coded by halves).
+
+    ``coding`` is the coding table that every coder reads, read-only: map
+    d sends axis j to coding[j, d] * x_j + coding[w + j, d], the signed
+    ratio ratio_d * flip_j (exact, as a flip is +/-1) times x_j plus the
+    translation, and scales a coded radius by coding[2w, d] = ratio_d.
+    Column 0 is NaN.
     """
 
     maps: tuple[Similitude, ...]
     box: tuple[tuple[float, float], ...]
     separation_required: bool = True
     gap: float = field(init=False)
+    coding: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
@@ -167,6 +174,15 @@ class IfsSystem:
         if self.separation_required and gap <= 0.0:
             raise OverlapError("first-level images intersect or touch; no positive gap")
         object.__setattr__(self, "gap", gap)
+        # built here, before any sampler thread reads it
+        nan = [math.nan]
+        coding = np.array(
+            [nan + [s.ratio * s.flips[j] for s in maps] for j in range(w)]
+            + [nan + [s.translation[j] for s in maps] for j in range(w)]
+            + [nan + [s.ratio for s in maps]]
+        )
+        coding.flags.writeable = False
+        object.__setattr__(self, "coding", coding)
 
     @property
     def w(self) -> int:
@@ -292,9 +308,9 @@ def _check_prefix(ifs: IfsSystem, prefix: Sequence[int]) -> tuple[int, ...]:
     out = _integers(prefix, "prefix digits")
     if not out:
         raise ValidationError("prefix must contain at least one digit")
-    for d in out:
-        if not 1 <= d <= ifs.m:
-            raise InvalidDigit(f"digit {d} outside 1..{ifs.m}")
+    if min(out) < 1 or max(out) > ifs.m:
+        d = next(d for d in out if not 1 <= d <= ifs.m)
+        raise InvalidDigit(f"digit {d} outside 1..{ifs.m}")
     return out
 
 
@@ -303,16 +319,28 @@ def code_point(ifs: IfsSystem, prefix: Sequence[int]) -> CodedPoint:
 
     The radius c_{a_1}...c_{a_n} * diam(K)/2 bounds the distance from the
     center to the projection of any infinite extension (half-diameter
-    convention: diam means the Euclidean diagonal of K).
+    convention: diam means the Euclidean diagonal of K).  Both run last
+    digit first over ``ifs.coding``, in Python floats.
     """
-    digits = _check_prefix(ifs, prefix)
-    x = ifs.center.copy()
+    digits = _check_prefix(ifs, prefix)[::-1]
+    table, w = ifs.coding.tolist(), ifs.w
+    center = []
+    for a, t, x in zip(table[:w], table[w:-1], ifs.center.tolist()):
+        for d in digits:
+            x = a[d] * x + t[d]
+        center.append(x)
     scale = 1.0
-    for d in reversed(digits):
-        s = ifs.maps[d - 1]
-        x = s.apply(x)
-        scale *= s.ratio
-    return CodedPoint(x, scale * ifs.diam / 2.0)
+    for d in digits:
+        scale *= table[-1][d]
+    return CodedPoint(np.array(center), scale * ifs.diam / 2.0)
+
+
+def _code_radii(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
+    """Radii of ``code_point`` over rows of a (n, depth) digit array."""
+    scale = np.ones(len(digits))
+    for col in digits.T[::-1]:  # last digit first, as code_point
+        scale = scale * ifs.coding[-1][col]
+    return scale * ifs.diam / 2.0
 
 
 def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
@@ -320,14 +348,11 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
 
     The digits are transposed once into contiguous columns, kept in their
     own dtype, and each axis j is coded in place from them: per column k,
-    last first, x *= a[d] and then x += t[d], with a[d] = ratio * flip[j]
-    and t[d] = translation[j] of map d.  The tables are indexed by the
-    digit itself and their row 0 is NaN; ``np.take`` clips, so a digit
-    below 1 codes to a NaN center, which ``box_count`` rejects, and a digit
-    above m raises InvalidDigit before any coding.  Since a flip is +/-1,
-    ratio * flip is exact and fl(a * x) = fl(ratio * fl(flip * x)), so each
-    step rounds as ``Similitude.apply`` does and the centers equal
-    ``code_point``'s bit for bit.
+    last first, x *= coding[j, d] and then x += coding[w + j, d], from the
+    table ``code_point`` reads, so the centers equal its own bit for bit.
+    ``np.take`` clips, so a digit below 1 reads row 0 and codes to a NaN
+    center, which ``box_count`` rejects; a digit above m raises InvalidDigit
+    before any coding.
     """
     n, depth = digits.shape
     cols = np.ascontiguousarray(digits.T)
@@ -336,8 +361,7 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     out = np.empty((n, ifs.w))
     x, buf = np.empty(n), np.empty(n)
     for j in range(ifs.w):
-        a = np.array([np.nan] + [s.ratio * s.flips[j] for s in ifs.maps])
-        t = np.array([np.nan] + [s.translation[j] for s in ifs.maps])
+        a, t = ifs.coding[j], ifs.coding[ifs.w + j]
         x.fill(ifs.center[j])
         for k in range(depth - 1, -1, -1):
             np.take(a, cols[k], out=buf, mode="clip")  # "raise" copies through a buffer

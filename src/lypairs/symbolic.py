@@ -276,7 +276,14 @@ def sequence_dist(s: SymbolSequence, t: SymbolSequence, tail_bound: float) -> Se
 # gap sequences and block schedules
 
 
-_GAP_RULES = ("list", "constant", "linear", "quadratic", "affine")
+# the parameters each gap rule takes; a parameter of another rule is an error
+GAP_PARAMS = {
+    "list": ("values",),
+    "constant": ("c",),
+    "linear": (),
+    "quadratic": (),
+    "affine": ("a", "b"),
+}
 
 
 @dataclass(frozen=True)
@@ -285,26 +292,34 @@ class GapSequence:
 
     Supported rules: explicit finite list, constant c, linear (N_n = n),
     quadratic (N_n = n^2), and the affine-in-n^2 form N_n = a*n^2 + b.
+    Each rule takes exactly its parameters in ``GAP_PARAMS``.
     """
 
     rule: str
-    values: tuple[int, ...] = ()
-    c: int = 0
-    a: int = 0
-    b: int = 0
+    values: tuple[int, ...] | None = None
+    c: int | None = None
+    a: int | None = None
+    b: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rule not in _GAP_RULES:
+        if self.rule not in GAP_PARAMS:
             raise ValidationError(f"unknown gap rule {self.rule!r}")
-        object.__setattr__(self, "values", _integers(self.values, "gap values"))
-        for v in self.values:
-            if v < 0:
-                raise ValidationError("gap values must be non-negative")
-        params = _integers((self.c, self.a, self.b), "gap parameters")
-        for name, v in zip("cab", params):
-            object.__setattr__(self, name, v)
-        if min(params) < 0:
-            raise ValidationError("gap parameters must be non-negative")
+        own = GAP_PARAMS[self.rule]
+        for name in ("values", "c", "a", "b"):
+            v = getattr(self, name)
+            if (v is None) == (name in own):
+                state = "missing" if v is None else "not"
+                raise ValidationError(
+                    f"gap rule {self.rule} takes {', '.join(own) or 'no parameters'}, "
+                    f"{state} {name}"
+                )
+        for name in own:
+            what = "gap values" if name == "values" else "gap parameters"
+            v = getattr(self, name)
+            ints = _integers(v if name == "values" else (v,), what)
+            if min(ints, default=0) < 0:
+                raise ValidationError(f"{what} must be non-negative")
+            object.__setattr__(self, name, ints if name == "values" else ints[0])
 
     @classmethod
     def from_list(cls, values: Iterable[int]) -> "GapSequence":
@@ -349,28 +364,19 @@ class GapSequence:
         return self.a * n * n + self.b
 
     def to_json(self) -> dict:
-        if self.rule == "list":
-            return {"rule": "list", "values": list(self.values)}
-        if self.rule == "constant":
-            return {"rule": "constant", "c": self.c}
-        if self.rule == "affine":
-            return {"rule": "affine", "a": self.a, "b": self.b}
-        return {"rule": self.rule}
+        params = {name: getattr(self, name) for name in GAP_PARAMS[self.rule]}
+        if "values" in params:
+            params["values"] = list(self.values)
+        return {"rule": self.rule, **params}
 
     @classmethod
     def from_json(cls, data: dict) -> "GapSequence":
-        rule = data["rule"]
-        if rule == "zero":
+        """Inverse of ``to_json``; ``{"rule": "zero"}`` reads as constant 0."""
+        if data.get("rule") == "zero":
+            if set(data) != {"rule"}:
+                raise ValidationError("gap rule zero takes no parameters")
             return cls.zero()
-        if rule == "list":
-            return cls.from_list(data["values"])
-        if rule == "constant":
-            return cls.constant(data["c"])
-        if rule == "affine":
-            return cls.affine(data["a"], data["b"])
-        if rule in ("linear", "quadratic"):
-            return cls(rule)
-        raise ValidationError(f"unknown gap rule {rule!r}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -406,10 +412,6 @@ class PairSchedule:
     def span(self) -> int:
         """Largest index covered by the stored blocks."""
         return self.blocks[-1].end
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        return tuple(b.start for b in self.blocks)
 
 
 def _blocks(gaps: GapSequence) -> Iterator[ScheduleBlock]:

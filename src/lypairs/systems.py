@@ -50,6 +50,7 @@ from .fractal import (
     Similitude,
     _chunk_rng,
     _code_batch,
+    _code_radii,
     sample_attractor,
 )
 from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _reals
@@ -163,53 +164,28 @@ class DerivedIfs:
 def derive_ifs(spec: SystemSpec) -> DerivedIfs:
     """Build the coding IFS of each system from its printed branch maps."""
     if spec.kind == "tent":
-        c = 1.0 / (2.0 * spec.a)
-        expanding = IfsSystem(
-            (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
-            (UNIT,),
-        )
-        return DerivedIfs(None, expanding)
-    if spec.kind == "baker":
-        contracting = IfsSystem(
-            (
-                Similitude.of(spec.beta1, [0.0]),
-                Similitude.of(spec.beta2, [1.0 - spec.beta2]),
-            ),
-            (UNIT,),
-        )
-        expanding = _half_fold_ifs()
-        return DerivedIfs(contracting, expanding)
+        return DerivedIfs(None, _fold_ifs(1.0 / (2.0 * spec.a)))
     if spec.kind == "horseshoe":
-        contracting = IfsSystem(
-            (
-                Similitude.of(spec.beta, [0.0]),
-                Similitude.of(spec.beta, [1.0], orth=[-1]),
-            ),
-            (UNIT,),
-        )
-        c = 1.0 / spec.tau
-        expanding = IfsSystem(
-            (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
-            (UNIT,),
-        )
-        return DerivedIfs(contracting, expanding)
-    # solenoid: one planar contracting system, same z-fold as the baker
+        return DerivedIfs(_fold_ifs(spec.beta), _fold_ifs(1.0 / spec.tau))
+    # baker and solenoid: one contracting system on [0, 1]^w, the full fold
+    # 2y / 2 - 2y in the expanding coordinate
+    w = spec.w - 1
     contracting = IfsSystem(
         (
-            Similitude.of(spec.beta1, [0.0, 0.0]),
-            Similitude.of(spec.beta2, [1.0 - spec.beta2, 1.0 - spec.beta2]),
+            Similitude.of(spec.beta1, [0.0] * w),
+            Similitude.of(spec.beta2, [1.0 - spec.beta2] * w),
         ),
-        (UNIT, UNIT),
+        (UNIT,) * w,
     )
-    return DerivedIfs(contracting, _half_fold_ifs())
+    return DerivedIfs(contracting, _fold_ifs(0.5))
 
 
-def _half_fold_ifs() -> IfsSystem:
-    # inverse branches of the full fold 2y / 2 - 2y; the two halves touch at 1/2
+def _fold_ifs(c: float) -> IfsSystem:
+    """{x -> c x, x -> 1 - c x} on [0, 1]; at c = 1/2 the two halves touch."""
     return IfsSystem(
-        (Similitude.of(0.5, [0.0]), Similitude.of(0.5, [1.0], orth=[-1])),
+        (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
         (UNIT,),
-        separation_required=False,
+        separation_required=c < 0.5,
     )
 
 
@@ -251,16 +227,16 @@ def apply_map(spec: SystemSpec, point) -> np.ndarray:
     return np.where(down, np.hstack(low), np.hstack(high)).reshape(p.shape)
 
 
-def _code_orbit(
+def _orbit_windows(
     spec: SystemSpec, past: np.ndarray, future: np.ndarray, times, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (len(times), k, w) and radii (len(times), k) of the orbit
-    points of k sequences: past digits (k, P), most recent first, and future
-    digits (k, F).  The point at time t codes shift(seq, t) as ``code_point``
-    does: future digits t+1..t+depth through ``expanding_inverse`` and, if
-    two-sided, the depth most recent past digits through ``contracting``,
-    radii joined by ``math.hypot``.  Callers check that the windows are stored.
-    """
+) -> list[tuple[IfsSystem, np.ndarray]]:
+    """The digit windows that code the orbit points of k sequences: past
+    digits (k, P), most recent first, and future digits (k, F).  The point
+    at time t codes shift(seq, t) as ``code_point`` does: future digits
+    t+1..t+depth through ``expanding_inverse`` and, if two-sided, the depth
+    most recent past digits through ``contracting``, listed first.  Each
+    window array is (len(times) * k, depth), time-major.  Callers check
+    that the windows are stored."""
     derived = derive_ifs(spec)
     line = np.hstack([past[:, ::-1], future])  # s_-P .. s_-1, s_1 .. s_F
     front = past.shape[1] + np.asarray(times)[:, None]  # column of s_{t+1}
@@ -268,24 +244,23 @@ def _code_orbit(
     windows = [(derived.expanding_inverse, front + steps)]
     if derived.contracting is not None:
         windows.insert(0, (derived.contracting, front - 1 - steps))
-    centers, radii = [], []
-    for ifs, cols in windows:
-        digits = line[:, cols].swapaxes(0, 1).reshape(-1, depth)
-        centers.append(_code_batch(ifs, digits))
-        ratios = np.asarray(ifs.ratios)
-        scale = np.ones(len(digits))
-        for col in digits.T[::-1]:  # code_point's order: last digit first
-            scale = scale * ratios[col - 1]
-        radii.append((scale * ifs.diam / 2.0).tolist())
-    shape = (len(front), len(line))
-    radius = [math.hypot(*r) for r in zip(*radii)] if len(radii) == 2 else radii[0]
-    return np.hstack(centers).reshape(*shape, -1), np.reshape(radius, shape)
+    return [(ifs, line[:, cols].swapaxes(0, 1).reshape(-1, depth)) for ifs, cols in windows]
+
+
+def _code_orbit(
+    spec: SystemSpec, past: np.ndarray, future: np.ndarray, times, depth: int
+) -> np.ndarray:
+    """Centers (len(times), k, w) of the orbit points of ``_orbit_windows``."""
+    windows = _orbit_windows(spec, past, future, times, depth)
+    centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
+    return centers.reshape(len(times), len(past), -1)
 
 
 def _sequence_orbit(
     spec: SystemSpec, seq: SymbolSequence, times, depth: int
 ) -> tuple[np.ndarray, list[float]]:
-    """Centers (len(times), w) and radii of ``code_orbit_point`` at each time."""
+    """Centers (len(times), w) and radii of ``code_orbit_point`` at each time;
+    a two-sided point joins its two radii by ``math.hypot``."""
     if seq.m != 2:
         raise ValidationError("the example systems are coded over two symbols")
     if seq.side != spec.side:
@@ -301,10 +276,12 @@ def _sequence_orbit(
             raise InsufficientPrefix(
                 f"orbit point at time {n} needs {depth} past digits after shifting"
             )
-    centers, radii = _code_orbit(
+    windows = _orbit_windows(
         spec, np.array([seq.past], np.int8), np.array([seq.digits], np.int8), times, depth
     )
-    return centers[:, 0], radii[:, 0].tolist()
+    centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
+    radii = zip(*(_code_radii(ifs, digits).tolist() for ifs, digits in windows))
+    return centers, [math.hypot(*r) for r in radii]
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -354,7 +331,7 @@ def conjugacy_defect(
     for chunk_index, first in enumerate(range(0, trials, _TRIAL_CHUNK)):
         n = min(_TRIAL_CHUNK, trials - first)
         rows = _chunk_rng(seed, chunk_index).integers(1, 3, (n, past_len + prefix_len))
-        centers, _ = _code_orbit(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
+        centers = _code_orbit(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
         defects = _row_norms(apply_map(spec, centers[0]) - centers[1])
         worst = max(worst, float(defects.max()))
     return worst

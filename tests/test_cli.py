@@ -701,6 +701,17 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     assert "malformed JSON" in err
 
 
+# a gap rule file carrying a key of another rule, or an unknown key
+FOREIGN_GAP_KEYS = {
+    "list": {"rule": "list", "values": [1] * 10, "c": 3},
+    "constant": {"rule": "constant", "c": 1, "a": 2},
+    "zero": {"rule": "zero", "c": 0},
+    "linear": {"rule": "linear", "typo": 1},
+    "quadratic": {"rule": "quadratic", "c": 9, "typo": 1},
+    "affine": {"rule": "affine", "a": 1, "b": 0, "values": [1]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "1"],
     ["verify", "--system", '{"a": 2}', "--seed", "1"],
@@ -716,12 +727,17 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "0"],
     ["sample", "--ifs", "{cantor}", "--seed", "1", "--count", "10", "--threads", "-1"],
     ["verify", "--system", '{"kind": "tent", "a": 2, "foo": 1}', "--seed", "1"],
+    *(["construct", "--length", "30", "--seed", "1", "--gaps", f"list:{{gaps-{rule}}}"]
+      for rule in FOREIGN_GAP_KEYS),
 ])
 def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
     (tmp_path / "file.json").write_text(json.dumps({"values": ["x"], "maps": [{"ratio": "x"}]}))
     (tmp_path / "short.json").write_text(json.dumps({"m": 2, "digits": [1, 2]}))
     paths = {"{file}": tmp_path / "file.json", "{short}": tmp_path / "short.json",
              "{cantor}": cantor_json, "{dir}": tmp_path}
+    for rule, data in FOREIGN_GAP_KEYS.items():
+        paths[f"{{gaps-{rule}}}"] = tmp_path / f"gaps-{rule}.json"
+        paths[f"{{gaps-{rule}}}"].write_text(json.dumps(data))
     for name, path in paths.items():
         argv = [a.replace(name, str(path)) for a in argv]
     rc, _, err = run(capsys, *argv)

@@ -499,6 +499,45 @@ def test_batch_coding_matches_code_point(m_range, data):
         assert np.all(centers[i] == code_point(ifs, digits[i]).center)
 
 
+def composed_reference(ifs, digits):
+    """Center and radius of a prefix through ``Similitude.apply`` and the
+    product of the maps' ratios, both last digit first."""
+    x, scale = ifs.center.copy(), 1.0
+    for d in reversed(digits):
+        s = ifs.maps[d - 1]
+        x = s.apply(x)
+        scale *= s.ratio
+    return x, scale * ifs.diam / 2.0
+
+
+@pytest.mark.parametrize("m_range", [(1, 5), (128, 130)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_code_point_matches_composed_similitudes(m_range, data):
+    ifs = data.draw(random_ifs(m_range))
+    depth = data.draw(st.integers(1, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for digits in rng.integers(1, ifs.m + 1, size=(3, depth)).tolist():
+        center, radius = composed_reference(ifs, digits)
+        cp = code_point(ifs, digits)
+        assert np.all(cp.center == center)
+        assert np.array_equal(np.signbit(cp.center), np.signbit(center))
+        assert cp.radius == radius
+
+
+# SHA-256 of the (center, radius) bytes of ``code_point`` over the 500
+# depth-40 middle-thirds prefixes that the benchmark's certificate audit codes.
+CODE_POINT_AUDIT_SHA256 = "5102fb381d501a82eed57fd66c5aa653b9fcd76e90183b7eb79d80f233fbd7cb"
+
+
+def test_code_point_audit_golden_digest():
+    ifs = cantor_ifs()
+    prefixes = np.random.default_rng(20180712).integers(1, 3, (500, 40)).tolist()
+    coded = [code_point(ifs, tuple(p)) for p in prefixes]
+    data = np.array([[c.center[0], c.radius] for c in coded])
+    assert hashlib.sha256(data.tobytes()).hexdigest() == CODE_POINT_AUDIT_SHA256
+
+
 # SHA-256 of the ``_code_batch`` centers' bytes over a fixed 70,000 x 40
 # attractor draw: the coding kernel's rounding, pinned bit for bit.
 CODE_BATCH_SHA256 = {

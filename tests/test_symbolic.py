@@ -170,7 +170,7 @@ def test_dist_triangle_inequality_on_exact_values():
 
 def test_block_schedule_quadratic_starts():
     sched = block_schedule(GapSequence.quadratic(), 3)
-    assert sched.starts == (1, 4, 11)
+    assert [b.start for b in sched.blocks] == [1, 4, 11]
     b0 = sched.blocks[0]
     assert list(b0.match_positions) == [1]
     assert b0.mismatch_pos == 2
@@ -179,7 +179,7 @@ def test_block_schedule_quadratic_starts():
 
 def test_block_schedule_zero_gaps_starts():
     sched = block_schedule(GapSequence.zero(), 3)
-    assert sched.starts == (1, 3, 6)
+    assert [b.start for b in sched.blocks] == [1, 3, 6]
 
 
 def test_block_schedule_single_block():
@@ -277,6 +277,27 @@ def test_gap_json_round_trip():
     ):
         assert GapSequence.from_json(gaps.to_json()) == gaps
     assert GapSequence.from_json({"rule": "zero"}) == GapSequence.constant(0)
+
+
+def test_gap_json_fields_per_rule():
+    assert GapSequence.quadratic().to_json() == {"rule": "quadratic"}
+    assert GapSequence.linear().to_json() == {"rule": "linear"}
+    assert GapSequence.zero().to_json() == {"rule": "constant", "c": 0}
+    assert GapSequence.from_list([0, 2]).to_json() == {"rule": "list", "values": [0, 2]}
+    assert GapSequence.affine(2, 1).to_json() == {"rule": "affine", "a": 2, "b": 1}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rule": "quadratic", "c": 5},
+    {"rule": "linear", "values": ()},
+    {"rule": "constant"},
+    {"rule": "constant", "c": 1, "b": 0},
+    {"rule": "affine", "a": 1},
+    {"rule": "list", "values": (1,), "a": 0},
+])
+def test_gap_rule_takes_exactly_its_parameters(kwargs):
+    with pytest.raises(ValidationError, match="^gap rule"):
+        GapSequence(**kwargs)
 
 
 # --------------------------------------------------------------------------
