@@ -10,11 +10,11 @@ The namespace holds the names README.md documents and the error classes.
 """
 
 from .analysis import (
+    GridLadder,
     box_count,
     build_verification_pair,
     dimension_fit,
     liyorke_profile,
-    ternary_ladder,
     verify_liyorke,
 )
 from .errors import (

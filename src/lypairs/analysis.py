@@ -1,11 +1,13 @@
 """Box-counting dimension estimation and Li-Yorke pair verification.
 
-Box counts use the grid variant of the covering number: a point cloud
-occupies the cell (floor(x_1/eps), ..., floor(x_k/eps)), and N_eps is
-the number of distinct occupied cells.  Grid counts are dimension-
-equivalent to minimal ball covers and computable in one pass.  The
-fitted slope of log N_eps against -log eps over a saturation-guarded
-window estimates the box (Minkowski) dimension.
+Box counts use the grid variant of the covering number over a ladder of
+grids of side b^-k: a point cloud occupies the cell
+(floor(x_1 * b^k), ..., floor(x_w * b^k)), the products taken exactly,
+and N_k is the number of distinct occupied cells.  Grid counts are
+dimension-equivalent to minimal ball covers.  The grids nest, so one
+sort at the finest level counts every level.  The fitted slope of
+log N_k against k log b over a saturation-guarded window estimates the
+box (Minkowski) dimension.
 
 Li-Yorke verification works on certified geometric bounds: orbits are
 evaluated through the symbolic coding (never by floating-point
@@ -75,61 +77,129 @@ class BoxCountEstimate:
         return [(-math.log(e), math.log(n)) for e, n in zip(self.epsilons, self.counts)]
 
 
-def dyadic_ladder(min_exp: int = 4, max_exp: int = 14) -> tuple[float, ...]:
-    return tuple(2.0**-j for j in range(min_exp, max_exp + 1))
+@dataclass(frozen=True)
+class GridLadder:
+    """Nested grids of cell side base^-k, for the levels k = lo..hi.
 
-
-def ternary_ladder(min_exp: int, max_exp: int) -> tuple[float, ...]:
-    return tuple(3.0**-j for j in range(min_exp, max_exp + 1))
-
-
-_MAX_LADDER_LEVELS = 4096
-
-
-def geometric_ladder(eps_max: float, eps_min: float, ratio: float = 2.0) -> tuple[float, ...]:
-    if not (0 < eps_min <= eps_max < math.inf) or not ratio > 1.0:
-        raise ValidationError("ladder needs 0 < eps_min <= eps_max < inf and ratio > 1")
-    levels = math.floor((math.log(eps_max) - math.log(eps_min)) / math.log(ratio)) + 1
-    if levels > _MAX_LADDER_LEVELS:
-        raise ValidationError(
-            f"ladder of about {levels} levels exceeds {_MAX_LADDER_LEVELS}; "
-            "raise the ratio or narrow the range"
-        )
-    out = []
-    e = eps_max
-    # the level bound also ends the loop where a subnormal e / ratio rounds back to e
-    while e >= eps_min * (1 - 1e-12) and len(out) <= levels:
-        out.append(e)
-        e /= ratio
-    return tuple(out)
-
-
-def _distinct_cells(points: np.ndarray, eps: float) -> int:
-    """Occupied cells of a w > 1 cloud: one sort of a packed cell key.
-
-    Cell indices are shifted to start at 0 per column and packed as mixed-
-    radix digits into one int64 key; when the product of the column spans
-    does not fit, the rows are sorted lexicographically instead.
+    Level k puts x in the cell floor(x * base^k), with the product taken
+    exactly.  base^hi must be an exact double (3^k is up to k = 33), so
+    every level's scale is one; a cell of level k is then the cell of
+    level k + 1 floor-divided by the base.
     """
-    cells = np.floor(points / eps).astype(np.int64)
-    lo = cells.min(axis=0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, cells.max(axis=0))]
+
+    base: int
+    lo: int
+    hi: int
+
+    def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.base, self.lo, self.hi)):
+            raise ValidationError("a grid ladder is three integers: base, lo, hi")
+        if self.base < 2 or not 0 <= self.lo <= self.hi:
+            raise ValidationError(
+                f"a grid ladder needs base >= 2 and 0 <= lo <= hi, got {self}"
+            )
+        top = max(self.hi, 1)
+        # the first test bounds base^top from below, before it is computed
+        if (self.base.bit_length() - 1) * top > 1023 or not _exact_double(self.base**top):
+            raise ValidationError(f"{self.base}^{top} is not an exact double")
+
+    @property
+    def epsilons(self) -> tuple[float, ...]:
+        return tuple(float(self.base) ** -k for k in range(self.lo, self.hi + 1))
+
+
+def _exact_double(n: int) -> bool:
+    """Whether the positive integer n converts to a double exactly."""
+    odd = n >> ((n & -n).bit_length() - 1)
+    return n.bit_length() <= 1024 and odd.bit_length() <= 53
+
+
+_SPLITTER = 2.0**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(x: np.ndarray, scale: float, p: np.ndarray) -> np.ndarray:
+    """x * scale - p exactly, for p = fl(x * scale): Dekker's two_prod.
+
+    The scale is split through its mantissa, since _SPLITTER * scale
+    overflows above 2^996."""
+    m, e = math.frexp(scale)
+    s_hi, s_lo = (math.ldexp(v, e) for v in _split(m))
+    x_hi, x_lo = _split(x)
+    return ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+
+
+def _exact_cells(x: np.ndarray, scale: float) -> np.ndarray:
+    """floor(x * scale) as int64, the product taken exactly.
+
+    floor(fl(x * scale)) can be wrong only where p = fl(x * scale) is an
+    integer.  There the exact product is p + e, with e from Dekker's
+    two_prod, and the cell is p + floor(e).  Below 2^53 such rows are
+    rare (a product within an ulp of a grid line) and floor(e) is 0 or -1.
+    The scale is at least 1, so a nonzero x never rounds to p = 0.
+    """
+    p = x * scale
+    cells = np.floor(p)
+    on_line = np.flatnonzero(cells == p)
+    p = p[on_line]
+    cells = cells.astype(np.int64)
+    if on_line.size:
+        cells[on_line] += np.floor(_product_error(x[on_line], scale, p)).astype(np.int64)
+    return cells
+
+
+def _pack(columns, lo, spans) -> np.ndarray:
+    """One int64 mixed-radix key per cell: digit j is column j minus lo[j],
+    of radix spans[j], column 0 the most significant.  The columns (an
+    iterable read once) are shifted in place, so that the key and one
+    column are the only full-length arrays held."""
+    key = None
+    for col, low, span in zip(columns, lo, spans):
+        col -= low
+        if key is None:
+            key = col
+        else:
+            key *= span
+            key += col
+    return key
+
+
+def _distinct_cells(columns, lo, hi) -> np.ndarray:
+    """The distinct cells, as a (w, n) array of columns, of int64 cell
+    columns whose column j lies within lo[j]..hi[j]: one sort of their
+    packed keys, unpacked at the distinct values, or a lexicographic sort
+    where a key would pass int64."""
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) >= 2**63:
-        rows = cells[np.lexsort(cells.T)]
-        return int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1))) + 1
-    key = cells[:, 0] - lo[0]
-    for j in range(1, cells.shape[1]):
-        key *= spans[j]
-        key += cells[:, j] - lo[j]
+        cells = np.stack(list(columns))
+        cells = cells[:, np.lexsort(cells)]
+        return cells[:, np.r_[True, (cells[:, 1:] != cells[:, :-1]).any(axis=0)]]
+    key = _pack(columns, lo, spans)
     key.sort()
-    return int(np.count_nonzero(np.diff(key))) + 1
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    cells = np.empty((len(spans), len(key)), dtype=np.int64)
+    for j in range(len(spans) - 1, -1, -1):
+        np.divmod(key, spans[j], out=(key, cells[j]))
+        cells[j] += lo[j]
+    return cells
 
 
-def box_count(points, epsilons) -> BoxCountEstimate:
-    """Occupied-grid-cell counts of a point cloud over a decreasing ladder.
+def box_count(points, ladder: GridLadder) -> BoxCountEstimate:
+    """Occupied-grid-cell counts of a point cloud over a grid ladder.
 
-    1-D clouds are sorted once: floor(x / eps) is monotone in x, so each
-    level counts the changes of the floored sorted values.
+    Only the finest level reads the points.  Its exact cells are packed
+    column by column into one int64 key per point (no (n, w) cell array),
+    sorted once, and reduced to the distinct cells.  A coarser level's
+    cells are the distinct cells of the level below floor-divided by the
+    base, so its count comes from arrays no longer than the finer level's
+    count.  A level whose key would pass int64 sorts its cells
+    lexicographically instead.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -138,19 +208,21 @@ def box_count(points, epsilons) -> BoxCountEstimate:
         raise EmptyInput("box_count needs at least one point")
     if not np.isfinite(pts).all():
         raise ValidationError("box_count points must be finite")
-    eps = tuple(float(e) for e in epsilons)
-    if not eps or any(e <= 0 for e in eps):
-        raise ValidationError("epsilon ladder must be positive")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValidationError("epsilon ladder must be strictly decreasing")
-    if not float(np.abs(pts).max()) / eps[-1] < 2.0**63:
+    scale = float(ladder.base**ladder.hi)
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    if not float(max(-low.min(), high.max())) * scale < 2.0**63:
         raise ValidationError("grid cell indices of the finest level exceed int64")
-    if pts.shape[1] == 1:
-        xs = np.sort(pts[:, 0])
-        counts = tuple(int(np.count_nonzero(np.diff(np.floor(xs / e)))) + 1 for e in eps)
-    else:
-        counts = tuple(_distinct_cells(pts, e) for e in eps)
-    return BoxCountEstimate(eps, counts, sample_count=pts.shape[0])
+    # floor division by the base is monotone, so each level's column
+    # bounds are the finer level's bounds divided
+    lo, hi = _exact_cells(low, scale), _exact_cells(high, scale)
+    cells = _distinct_cells((_exact_cells(col, scale) for col in pts.T), lo, hi)
+    counts = [cells.shape[1]]
+    for _ in range(ladder.hi - ladder.lo):
+        lo, hi = lo // ladder.base, hi // ladder.base
+        cells //= ladder.base
+        cells = _distinct_cells(cells, lo, hi)
+        counts.append(cells.shape[1])
+    return BoxCountEstimate(ladder.epsilons, tuple(counts[::-1]), sample_count=pts.shape[0])
 
 
 def dimension_fit(estimate: BoxCountEstimate) -> BoxCountEstimate:

@@ -32,11 +32,11 @@ import sys
 import numpy as np
 
 from .analysis import (
+    GridLadder,
     box_count,
     break_pair_after_block,
     build_verification_pair,
     dimension_fit,
-    geometric_ladder,
     liyorke_profile,
     shadow_filler,
     verify_liyorke,
@@ -353,8 +353,20 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _ladder(args) -> tuple[float, ...]:
-    return geometric_ladder(args.eps_max, args.eps_min, args.eps_ratio)
+def _ladder(args) -> GridLadder:
+    """The ladder of the flags: --eps-ratio an integer b >= 2, and both
+    ends b^-k for integers k, each to a relative 1e-12."""
+    ratio = args.eps_ratio
+    if not (2 <= ratio < math.inf and ratio == int(ratio)):
+        raise ValidationError(f"--eps-ratio must be an integer >= 2, got {ratio!r}")
+    base = int(ratio)
+    exponents = []
+    for flag, eps in (("--eps-max", args.eps_max), ("--eps-min", args.eps_min)):
+        k = round(-math.log(eps) / math.log(base)) if 0 < eps < math.inf else -1
+        if k < 0 or not math.isclose(eps, float(base) ** -k, rel_tol=1e-12):
+            raise ValidationError(f"{flag} {eps!r} is not {base}^-k for an integer k >= 0")
+        exponents.append(k)
+    return GridLadder(base, *exponents)
 
 
 def _load_sequence_file(path: str) -> SymbolSequence:
@@ -398,10 +410,10 @@ def cmd_dimension(args) -> int:
         print(f"D[total] = {total:.10g}")
 
     if args.check_box:
-        seed = _resolve_seed(args)
+        seed, ladder = _resolve_seed(args), _ladder(args)
         name, ifs = directions[0]
         sample = sample_attractor(ifs, args.count, args.depth, seed, args.threads)
-        est = dimension_fit(box_count(sample.centers, _ladder(args)))
+        est = dimension_fit(box_count(sample.centers, ladder))
         d0 = report["directions"][0]["dimension"]
         print(
             f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
@@ -568,8 +580,8 @@ def _boxdim_points(args) -> np.ndarray:
 
 
 def cmd_boxdim(args) -> int:
-    points = _boxdim_points(args)
-    est = dimension_fit(box_count(points, _ladder(args)))
+    ladder = _ladder(args)
+    est = dimension_fit(box_count(_boxdim_points(args), ladder))
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -608,7 +620,8 @@ def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-max", type=float, default=2.0**-4,
                    help="largest grid size (default %(default)s)")
     p.add_argument("--eps-ratio", type=float, default=2.0,
-                   help="ladder step ratio, 2 = dyadic, 3 = ternary (default %(default)s)")
+                   help="ladder base b, an integer >= 2; both ends are b^-k "
+                   "(default %(default)s)")
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser, count: int) -> None:

@@ -137,7 +137,8 @@ class IfsSystem:
     d sends axis j to coding[j, d] * x_j + coding[w + j, d], the signed
     ratio ratio_d * flip_j (exact, as a flip is +/-1) times x_j plus the
     translation, and scales a coded radius by coding[2w, d] = ratio_d.
-    Column 0 is NaN.
+    Column 0 is NaN.  ``axis_ratios[j]`` is the signed ratio that every map
+    shares on axis j, or None where the maps differ there.
     """
 
     maps: tuple[Similitude, ...]
@@ -145,6 +146,7 @@ class IfsSystem:
     separation_required: bool = True
     gap: float = field(init=False)
     coding: np.ndarray = field(init=False, repr=False)
+    axis_ratios: tuple[float | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
@@ -183,6 +185,10 @@ class IfsSystem:
         )
         coding.flags.writeable = False
         object.__setattr__(self, "coding", coding)
+        shared = [set(row[1:].tolist()) for row in coding[:w]]
+        object.__setattr__(
+            self, "axis_ratios", tuple(s.pop() if len(s) == 1 else None for s in shared)
+        )
 
     @property
     def w(self) -> int:
@@ -350,9 +356,11 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     own dtype, and each axis j is coded in place from them: per column k,
     last first, x *= coding[j, d] and then x += coding[w + j, d], from the
     table ``code_point`` reads, so the centers equal its own bit for bit.
-    ``np.take`` clips, so a digit below 1 reads row 0 and codes to a NaN
-    center, which ``box_count`` rejects; a digit above m raises InvalidDigit
-    before any coding.
+    On an axis where every map has the same signed ratio, x *= that scalar
+    replaces the ratio gather.  ``np.take`` clips, so a digit below 1 reads
+    column 0 of the translations and codes to a NaN center, which
+    ``box_count`` rejects; a digit above m raises InvalidDigit before any
+    coding.
     """
     n, depth = digits.shape
     cols = np.ascontiguousarray(digits.T)
@@ -361,11 +369,14 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     out = np.empty((n, ifs.w))
     x, buf = np.empty(n), np.empty(n)
     for j in range(ifs.w):
-        a, t = ifs.coding[j], ifs.coding[ifs.w + j]
+        a, t, ratio = ifs.coding[j], ifs.coding[ifs.w + j], ifs.axis_ratios[j]
         x.fill(ifs.center[j])
         for k in range(depth - 1, -1, -1):
-            np.take(a, cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
-            x *= buf
+            if ratio is None:
+                np.take(a, cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
+                x *= buf
+            else:
+                x *= ratio
             np.take(t, cols[k], out=buf, mode="clip")
             x += buf
         out[:, j] = x

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from lypairs.analysis import (
+    GridLadder,
     box_count,
     dimension_fit,
-    ternary_ladder,
 )
 from lypairs.cli import main
 from lypairs.fractal import (
@@ -126,11 +126,11 @@ def test_criterion_4_restricted_set_dimension():
     gaps = GapSequence.quadratic()
     count, depth = 1_000_000, 40
     plain = sample_attractor(ifs, count, depth, seed=400)
-    est_plain = dimension_fit(box_count(plain.centers, ternary_ladder(3, 16)))
+    est_plain = dimension_fit(box_count(plain.centers, GridLadder(3, 3, 16)))
     base = random_sequence(2, depth + 8, np.random.default_rng(401))
     restricted = sample_restricted(ifs, base, gaps, count, depth, seed=402)
     # the window 3^-15 .. 3^-23 spans one full free-digit block of the schedule
-    est_res = dimension_fit(box_count(restricted.centers, ternary_ladder(15, 23)))
+    est_res = dimension_fit(box_count(restricted.centers, GridLadder(3, 15, 23)))
     assert abs(est_res.slope - CANTOR_D) <= 0.05, est_res.slope
     combined = 2 * (est_plain.stderr + est_res.stderr) + 0.05
     assert abs(est_res.slope - est_plain.slope) <= combined
@@ -141,7 +141,7 @@ def test_criterion_5_pair_set_dimension():
     started = time.perf_counter()
     ifs = cantor_ifs()
     pairs = sample_pair_set(ifs, GapSequence.quadratic(), 1_000_000, 40, seed=500)
-    est = dimension_fit(box_count(pairs.centers, ternary_ladder(6, 10)))
+    est = dimension_fit(box_count(pairs.centers, GridLadder(3, 6, 10)))
     assert abs(est.slope - 2 * CANTOR_D) <= 0.1, est.slope
     _report(5, "pair set doubles the dimension", started, 120.0)
 

@@ -3,20 +3,23 @@
 import json
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lypairs.analysis import (
     BoxCountEstimate,
+    GridLadder,
+    _exact_cells,
     box_count,
     break_pair_after_block,
     build_verification_pair,
     dimension_fit,
-    dyadic_ladder,
-    geometric_ladder,
     liyorke_profile,
     required_future_length,
-    ternary_ladder,
     verify_liyorke,
 )
 from lypairs.cli import _json_text
@@ -28,7 +31,14 @@ from lypairs.errors import (
     TooFewCheckpoints,
     ValidationError,
 )
-from lypairs.fractal import IfsSystem, Similitude, moran_dimension, sample_attractor, sample_restricted
+from lypairs.fractal import (
+    IfsSystem,
+    Similitude,
+    _code_batch,
+    moran_dimension,
+    sample_attractor,
+    sample_restricted,
+)
 from lypairs.symbolic import TWO_SIDED, GapSequence, SymbolSequence, block_schedule, random_sequence
 from lypairs.systems import SystemSpec, code_orbit_point
 
@@ -53,20 +63,20 @@ def cantor_ifs() -> IfsSystem:
 
 def test_box_count_single_repeated_point():
     pts = np.zeros((50, 2)) + 0.3
-    est = box_count(pts, dyadic_ladder(2, 8))
+    est = box_count(pts, GridLadder(2, 2, 8))
     assert all(n == 1 for n in est.counts)
 
 
 def test_box_count_uniform_interval():
     rng = np.random.default_rng(1)
     pts = rng.random(1_000_000)
-    est = box_count(pts, (2.0**-10,))
+    est = box_count(pts, GridLadder(2, 10, 10))
     assert est.counts[0] == 1024
 
 
 def test_box_count_cantor_ternary_counts():
     sample = sample_attractor(cantor_ifs(), 1_000_000, 30, seed=5)
-    est = box_count(sample.centers, ternary_ladder(1, 12))
+    est = box_count(sample.centers, GridLadder(3, 1, 12))
     for j, n in zip(range(1, 13), est.counts):
         assert n == 2**j
 
@@ -74,43 +84,57 @@ def test_box_count_cantor_ternary_counts():
 def test_box_count_monotone_on_nested_ladder():
     rng = np.random.default_rng(3)
     pts = rng.random((5000, 2))
-    est = box_count(pts, dyadic_ladder(1, 10))
+    est = box_count(pts, GridLadder(2, 1, 10))
     assert all(a <= b for a, b in zip(est.counts, est.counts[1:]))
 
 
 def test_box_count_scale_covariance():
     rng = np.random.default_rng(9)
     pts = rng.random((20000, 2))
-    lam = 4.0  # power of two keeps the grid arithmetic exact
-    base = box_count(pts, dyadic_ladder(2, 9))
-    scaled = box_count(pts * lam, tuple(e * lam for e in dyadic_ladder(2, 9)))
+    # scaling by 4 = 2^2 moves every cell index down two levels, exactly
+    base = box_count(pts, GridLadder(2, 2, 9))
+    scaled = box_count(pts * 4.0, GridLadder(2, 0, 7))
     assert base.counts == scaled.counts
 
 
-def unique_cell_counts(pts, epsilons) -> tuple[int, ...]:
-    """Reference box counts: one np.unique over the int64 cell rows per level."""
+def exact_cells(pts, base, k) -> np.ndarray:
+    """Reference cells floor(x * base^k).  fl(y) lies within |y| 2^-53 of
+    the product y, so floor(fl(y)) is exact wherever fl(y) is farther than
+    that from an integer; the other entries come from x's integer ratio."""
+    scale = base**k
+    y = pts * float(scale)
+    cells = np.floor(y).astype(np.int64)
+    for i in zip(*np.nonzero(np.abs(y - np.round(y)) <= np.abs(y) * 2.0**-50)):
+        num, den = float(pts[i]).as_integer_ratio()
+        cells[i] = (num * scale) // den
+    return cells
+
+
+def unique_cell_counts(pts, ladder) -> tuple[int, ...]:
+    """Reference box counts: one np.unique over the exact cell rows per level."""
     pts = np.asarray(pts, dtype=float).reshape(len(pts), -1)
     return tuple(
-        np.unique(np.floor(pts / e).astype(np.int64), axis=0).shape[0] for e in epsilons
+        np.unique(exact_cells(pts, ladder.base, k), axis=0).shape[0]
+        for k in range(ladder.lo, ladder.hi + 1)
     )
 
 
 def test_box_count_2d_matches_unique_reference():
     rng = np.random.default_rng(13)
     pts = rng.random((400000, 2))
-    est = box_count(pts, dyadic_ladder(2, 8))
-    assert est.counts == unique_cell_counts(pts, dyadic_ladder(2, 8))
+    est = box_count(pts, GridLadder(2, 2, 8))
+    assert est.counts == unique_cell_counts(pts, GridLadder(2, 2, 8))
 
 
 @pytest.mark.parametrize(
     "shape, scale, shift, epsilons",
     [
-        ((20000,), 1.0, 0.0, dyadic_ladder(1, 20)),
-        ((20000, 1), 3.0, -1.5, ternary_ladder(1, 14)),
-        ((20000, 2), 1.0, 0.0, dyadic_ladder(1, 16)),
-        ((20000, 2), 2.0, -1.0, (1e-3, 1e-6, 1e-9)),   # key spans up to 4e18
-        ((20000, 3), 1.0, -0.5, dyadic_ladder(1, 12)),
-        ((20000, 3), 1.0, 0.0, (1e-2, 1e-7)),           # spans 1e21: lexsort path
+        ((20000,), 1.0, 0.0, GridLadder(2, 1, 20)),
+        ((20000, 1), 3.0, -1.5, GridLadder(3, 1, 14)),
+        ((20000, 2), 1.0, 0.0, GridLadder(2, 1, 16)),
+        ((20000, 2), 2.0, -1.0, GridLadder(1000, 1, 3)),   # key spans up to 4e18
+        ((20000, 3), 1.0, -0.5, GridLadder(2, 1, 12)),
+        ((20000, 3), 1.0, 0.0, GridLadder(10, 2, 7)),      # spans 1e21: lexsort path
     ],
 )
 def test_box_count_matches_unique_reference(shape, scale, shift, epsilons):
@@ -127,53 +151,109 @@ def test_box_count_spans_beyond_int64_not_packed():
     # spans 5 * (2^62 + 1): a packed key would wrap, and cell (4, 0) would
     # share the key 4 with cell (0, 4)
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [0.0, 2.0**62]])
-    assert box_count(pts, (1.0,)).counts == unique_cell_counts(pts, (1.0,)) == (4,)
+    ladder = GridLadder(2, 0, 0)
+    assert box_count(pts, ladder).counts == unique_cell_counts(pts, ladder) == (4,)
 
 
 def test_box_count_validation():
     with pytest.raises(EmptyInput):
-        box_count(np.zeros((0, 2)), dyadic_ladder())
-    with pytest.raises(ValidationError):
-        box_count(np.zeros((5, 1)), (0.1, 0.2))
-    with pytest.raises(ValidationError):
-        box_count(np.zeros((5, 1)), (0.1, -0.5))
+        box_count(np.zeros((0, 2)), GridLadder(2, 4, 14))
     for bad in (np.nan, np.inf, -np.inf):
         pts = np.zeros((5, 2))
         pts[3, 1] = bad
         with pytest.raises(ValidationError, match="finite"):
-            box_count(pts, dyadic_ladder())
+            box_count(pts, GridLadder(2, 4, 14))
     with pytest.raises(ValidationError, match="int64"):
-        box_count(np.array([0.5, 1e300]), (1e-10,))
+        box_count(np.array([0.5, 1e300]), GridLadder(10, 10, 10))
+    with pytest.raises(ValidationError, match="int64"):
+        box_count(np.array([-1.0, 0.5]), GridLadder(2, 0, 63))
 
 
-def test_geometric_ladder_matches_dyadic():
-    assert geometric_ladder(2.0**-4, 2.0**-14, 2.0) == dyadic_ladder(4, 14)
-    with pytest.raises(ValidationError):
-        geometric_ladder(0.1, 0.2, 2.0)
-    with pytest.raises(ValidationError):
-        geometric_ladder(math.inf, 0.2, 2.0)
+def test_grid_ladder_sizes_and_validation():
+    assert GridLadder(2, 4, 14).epsilons == tuple(2.0**-j for j in range(4, 15))
+    assert GridLadder(3, 15, 23).epsilons == tuple(3.0**-j for j in range(15, 24))
+    assert GridLadder(7, 0, 0).epsilons == (1.0,)
+    assert GridLadder(3, 33, 33).epsilons == (3.0**-33,)
+    assert GridLadder(2, 1023, 1023).epsilons == (2.0**-1023,)
+    for args in ((3, 5, 4), (1, 0, 3), (2, -1, 3), (2.0, 1, 3), (2, 1, 3.0), (True, 1, 3)):
+        with pytest.raises(ValidationError, match="grid ladder"):
+            GridLadder(*args)
+    for args in ((3, 0, 34), (2, 0, 1024), (10, 1, 23), (3**34, 0, 0), (2, 0, 10**12)):
+        with pytest.raises(ValidationError, match="not an exact double"):
+            GridLadder(*args)
 
 
-def _unbounded_ladder(eps_max, eps_min, ratio):
-    """Reference: the ladder loop with no level bound."""
-    out = []
-    e = eps_max
-    while e >= eps_min * (1 - 1e-12):
-        out.append(e)
-        e /= ratio
-    return tuple(out)
+def test_seed_602_center_cell():
+    # the seed-602 pair-set center: dividing by the double 3^-6 rounds it
+    # onto the line 237, but the exact product is below it, so x shares
+    # cell 236 with 236.5 / 729
+    x = 0.3251028806584362
+    assert x / 3.0**-6 == 237.0 and math.floor(Fraction(x) * 729) == 236
+    assert box_count(np.array([x, 236.5 / 729]), GridLadder(3, 6, 6)).counts == (1,)
 
 
-def test_geometric_ladder_is_bounded():
-    for ratio in (1.0000001, 1 + 1e-15, math.nan):
-        with pytest.raises(ValidationError):
-            geometric_ladder(2.0**-4, 2.0**-14, ratio)
-    # the level bound leaves ordinary ladders as they were, exact powers included
-    for args in ((2.0**-4, 2.0**-14, 2.0), (3.0**-15, 3.0**-23, 3.0), (0.3, 1e-300, 1.2),
-                 (1e300, 1e-300, 1.5), (0.1, 0.1, 2.0), (1.0, 2.0**-1000, 2.0)):
-        assert geometric_ladder(*args) == _unbounded_ladder(*args)
-    # below the normal range e / ratio can round back to e; the bound ends the loop
-    assert len(geometric_ladder(0.0625, 5e-324, 1.5)) == 1831
+def test_cell_below_a_line_the_product_rounds_onto():
+    x = 0.04526748971193415
+    assert x * 729 == 33.0 and Fraction(x) * 729 < 33
+    assert box_count(np.array([x, 32.5 / 729]), GridLadder(3, 5, 6)).counts == (1, 1)
+
+
+_BASES = {2: 60, 3: 33, 5: 22, 10: 18}   # largest level tried: b^k exact, x * b^k < 2^63
+
+
+def _grid_points(base, k):
+    """Lists of doubles at and next to the lines j / base^k, random ones,
+    negatives among both."""
+    scale = base**k
+    near = st.tuples(st.integers(-4 * scale, 4 * scale), st.sampled_from((-math.inf, 0, math.inf)))
+    near = near.map(lambda t: math.nextafter(t[0] / scale, t[1]) if t[1] else t[0] / scale)
+    return st.lists(st.one_of(near, st.floats(-4, 4)), min_size=1, max_size=40)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_exact_cells_match_fraction(data):
+    base = data.draw(st.sampled_from(sorted(_BASES)))
+    k = data.draw(st.integers(0, _BASES[base]))
+    xs = data.draw(_grid_points(base, k))
+    want = [math.floor(Fraction(x) * base**k) for x in xs]
+    assert _exact_cells(np.array(xs), float(base**k)).tolist() == want
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(data=None)
+def test_roll_up_counts_match_unique_reference(data):
+    if data is None:   # w = 4 at 10^-6: spans near 1e24 take the lexsort path
+        w, ladder = 4, GridLadder(10, 1, 6)
+        pts = np.random.default_rng(1).uniform(-1, 1, (300, 4))
+    else:
+        w = data.draw(st.integers(1, 4))
+        base = data.draw(st.sampled_from([2, 3, 10]))
+        hi = data.draw(st.integers(0, 12))
+        ladder = GridLadder(base, data.draw(st.integers(0, hi)), hi)
+        cols = [data.draw(_grid_points(base, hi)) for _ in range(w)]
+        n = min(map(len, cols))
+        pts = np.array([c[:n] for c in cols]).T
+        pts[n // 2 :] = pts[: n - n // 2]   # repeated points
+    assert box_count(pts, ladder).counts == unique_cell_counts(pts, ladder)
+
+
+def test_middle_thirds_cells_match_digit_cells():
+    # the coded center of digits a_1..a_40 lies in the level-k cell
+    # sum_{i <= k} 2 (a_i - 1) 3^(k - i), unless rounding moved it across a
+    # line; rows within 1e-15 of a line are left out
+    digits = np.random.default_rng(7).integers(1, 3, (20000, 40), dtype=np.int8)
+    x = _code_batch(cantor_ifs(), digits)[:, 0]
+    cell = np.zeros(len(x), dtype=np.int64)
+    checked = 0
+    for k in range(1, 31):
+        cell = 3 * cell + 2 * (digits[:, k - 1] - 1)
+        y = x * float(3**k)
+        clear = np.abs(y - np.round(y)) >= 1e-15 * 3**k
+        checked += int(clear.sum())
+        assert np.array_equal(_exact_cells(x, float(3**k))[clear], cell[clear])
+    assert checked > 0.95 * 30 * len(x)
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +263,13 @@ def test_geometric_ladder_is_bounded():
 def test_fit_unit_interval_slope_one():
     rng = np.random.default_rng(2)
     pts = rng.random(1_000_000)
-    est = dimension_fit(box_count(pts, dyadic_ladder(4, 14)))
+    est = dimension_fit(box_count(pts, GridLadder(2, 4, 14)))
     assert est.slope == pytest.approx(1.0, abs=0.02)
     assert est.stderr < 0.01
 
 
 def test_fit_single_point_degenerate():
-    est = box_count(np.zeros((100, 1)), dyadic_ladder(4, 14))
+    est = box_count(np.zeros((100, 1)), GridLadder(2, 4, 14))
     with pytest.raises(DegenerateFit):
         dimension_fit(est)
 
@@ -197,14 +277,14 @@ def test_fit_single_point_degenerate():
 def test_fit_cantor_cloud_matches_moran_oracle():
     oracle = moran_dimension([1 / 3, 1 / 3]).dimension
     sample = sample_attractor(cantor_ifs(), 1_000_000, 30, seed=7)
-    est = dimension_fit(box_count(sample.centers, dyadic_ladder(4, 14)))
+    est = dimension_fit(box_count(sample.centers, GridLadder(2, 4, 14)))
     assert est.slope == pytest.approx(oracle, abs=0.02)
 
 
 def test_fit_range_respects_saturation_guards():
     rng = np.random.default_rng(4)
     pts = rng.random(3000)
-    est = dimension_fit(box_count(pts, dyadic_ladder(1, 12)))
+    est = dimension_fit(box_count(pts, GridLadder(2, 1, 12)))
     cap = est.sample_count / 8
     for i in est.fit_range:
         assert 8 <= est.counts[i] <= cap
@@ -212,9 +292,9 @@ def test_fit_range_respects_saturation_guards():
 
 def test_fit_window_is_fixed_from_8_to_count_over_8():
     # 800 samples: the window is 8 <= N <= 100, each edge with a count on both sides
-    est = BoxCountEstimate(dyadic_ladder(1, 9), (4, 7, 8, 16, 32, 64, 100, 101, 200), 800)
+    est = BoxCountEstimate(GridLadder(2, 1, 9).epsilons, (4, 7, 8, 16, 32, 64, 100, 101, 200), 800)
     assert dimension_fit(est).fit_range == (2, 3, 4, 5, 6)
-    short = BoxCountEstimate(dyadic_ladder(1, 5), (7, 8, 16, 32, 101), 800)
+    short = BoxCountEstimate(GridLadder(2, 1, 5).epsilons, (7, 8, 16, 32, 101), 800)
     with pytest.raises(DegenerateFit, match="only 3 usable ladder points between count 8 and 100"):
         dimension_fit(short)
 
@@ -372,7 +452,7 @@ def test_restricted_set_keeps_dimension_with_quadratic_gaps():
     rng = np.random.default_rng(20)
     base = random_sequence(2, 60, rng)
     sample = sample_restricted(ifs, base, GapSequence.quadratic(), 300_000, 40, seed=21)
-    est = dimension_fit(box_count(sample.centers, ternary_ladder(15, 23)))
+    est = dimension_fit(box_count(sample.centers, GridLadder(3, 15, 23)))
     assert est.slope == pytest.approx(CANTOR_D, abs=0.05)
 
 
@@ -381,7 +461,7 @@ def test_restricted_set_loses_dimension_with_constant_gaps():
     rng = np.random.default_rng(22)
     base = random_sequence(2, 60, rng)
     sample = sample_restricted(ifs, base, GapSequence.constant(5), 300_000, 40, seed=23)
-    est = dimension_fit(box_count(sample.centers, ternary_ladder(15, 23)))
+    est = dimension_fit(box_count(sample.centers, GridLadder(3, 15, 23)))
     assert est.slope < CANTOR_D - 0.05
 
 

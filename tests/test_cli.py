@@ -472,7 +472,7 @@ OUTPUT_SHA256 = {
     "construct": "6686624b6bd96b499579c1bb99654418ab405ee7ddf468aa1e59be79268e5525",
     "dimension-ifs": "aee2367351e365eace2a5b179e784a56b9b64ff77a09e8102e8a57c114585284",
     "dimension-baker": "98d4719931bfb706bcc737d1b80526cf48d92a0aa7891c5fb10f7992e2b616de",
-    "boxdim-json": "5a171f448b753de20c7221aa3c4adc133b9fc031765bcc557bb2b8078ea669ef",
+    "boxdim-json": "9231f7dbc933a142612ce0d3cb88e15eeb79b522f89aba95898984a4dbb42f51",
     "boxdim-csv": "d9c4e24c8fc995b49aaf93f3740662a80baa756b01e9b7c126c595b839d6bcbe",
     "sample-json": "dca26ebd421fa7346a940dd14f469aebcf6aee1ddb01b3fcb7c23b063730ef43",
 }
@@ -888,7 +888,48 @@ def test_unbounded_ladder_exits_2(capsys, cantor_json):
             "--seed", "2", "--eps-ratio", ratio,
         )
         assert rc == 2
-        assert "levels" in err
+        assert "--eps-ratio must be an integer" in err
+
+
+@pytest.mark.parametrize("ladder, message", [
+    # a ratio that is not an integer
+    (["--eps-ratio", "2.5"], "--eps-ratio must be an integer >= 2, got 2.5"),
+    # an end that is not b^-k, for ratio 2 and for ratio 3
+    (["--eps-max", "0.1"], "--eps-max 0.1 is not 2^-k"),
+    (["--eps-ratio", "3", "--eps-max", repr(3.0**-2), "--eps-min", "1e-4"],
+     "--eps-min 0.0001 is not 3^-k"),
+    # 3^34 is no exact double
+    (["--eps-ratio", "3", "--eps-max", repr(3.0**-30), "--eps-min", repr(3.0**-34)],
+     "3^34 is not an exact double"),
+    # the finest cells of middle-thirds points near 1 pass 2^63
+    (["--eps-max", repr(2.0**-60), "--eps-min", repr(2.0**-64)],
+     "grid cell indices of the finest level exceed int64"),
+])
+def test_ladder_flags_exit_2(capsys, cantor_json, ladder, message):
+    rc, _, err = run(
+        capsys,
+        "boxdim", "--ifs", cantor_json, "--count", "1000", "--depth", "20",
+        "--seed", "2", *ladder,
+    )
+    assert rc == 2
+    assert message in err
+
+
+def test_ladder_flags_take_ends_to_a_relative_1e_12(capsys, cantor_json, tmp_path):
+    # ends rounded to 15 digits name the same ladder as the exact doubles,
+    # and the reported sizes are 3.0**-k
+    outs = []
+    for ends in ((repr(3.0**-3), repr(3.0**-8)), ("0.037037037037037", "0.000152415790276")):
+        outs.append(tmp_path / f"est{len(outs)}.json")
+        rc, _, _ = run(
+            capsys,
+            "boxdim", "--ifs", cantor_json, "--count", "20000", "--depth", "20",
+            "--seed", "2", "--eps-max", ends[0], "--eps-min", ends[1], "--eps-ratio", "3",
+            "--out", str(outs[-1]),
+        )
+        assert rc == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    assert json.loads(outs[0].read_text())["epsilons"] == [3.0**-k for k in range(3, 9)]
 
 
 # --------------------------------------------------------------------------
@@ -898,7 +939,7 @@ def test_unbounded_ladder_exits_2(capsys, cantor_json):
 # 60 and --blocks at 30.  Huge counts are out of scope: they only test how
 # much memory the machine has.  --count is always given, because its
 # 200,000-point default is too slow for many examples.  --eps-ratio is not
-# capped: a ratio close to 1 must be refused, not looped over.
+# capped: a ratio that is not an integer >= 2 must be refused.
 
 _BAD_TEXT = st.sampled_from(["", "x", "1.5", "-", "-inf"])
 _BAD_FLOAT = st.one_of(

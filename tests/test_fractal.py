@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lypairs import fractal
-from lypairs.analysis import box_count
+from lypairs.analysis import GridLadder, box_count
 from lypairs.errors import (
     InsufficientPrefix,
     InvalidDigit,
@@ -556,13 +556,25 @@ def test_batch_coding_golden_digest(name):
 
 
 def test_batch_coding_digit_below_one_codes_to_nan():
-    ifs = planar_ifs()
     digits = np.array([[1, 2, 1], [2, 0, 1], [-1, 1, 1], [1, 1, -2]], dtype=np.int8)
-    centers = _code_batch(ifs, digits)
-    assert np.array_equal(centers[0], code_point(ifs, (1, 2, 1)).center)
-    assert np.isnan(centers[1:]).all()
-    with pytest.raises(ValidationError):
-        box_count(centers, [0.1, 0.01])
+    # planar gathers its unequal ratios; middle-thirds multiplies by 1/3
+    for ifs in (planar_ifs(), cantor_ifs()):
+        centers = _code_batch(ifs, digits)
+        assert np.array_equal(centers[0], code_point(ifs, (1, 2, 1)).center)
+        assert np.isnan(centers[1:]).all()
+        with pytest.raises(ValidationError):
+            box_count(centers, GridLadder(10, 1, 2))
+
+
+def test_axis_ratios_mark_equal_signed_ratios():
+    assert cantor_ifs().axis_ratios == (1 / 3,)
+    assert planar_ifs().axis_ratios == (None, None)
+    assert tent_repeller_ifs().axis_ratios == (None,)   # 1/4 and -1/4
+    same = IfsSystem(
+        (Similitude.of(0.25, [0.0, 0.0]), Similitude.of(0.25, [1.0, 0.75], orth=[-1, 1])),
+        ((0.0, 1.0), (0.0, 1.0)),
+    )
+    assert same.axis_ratios == (None, 0.25)
 
 
 def test_batch_coding_rejects_digit_above_m():
