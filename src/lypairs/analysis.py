@@ -39,9 +39,10 @@ from .errors import (
     TooFewCheckpoints,
     ValidationError,
 )
+from .fractal import _split, _two_prod_error
 from .symbolic import (
+    FLIP,
     FREE,
-    ONE_SIDED,
     TWO_SIDED,
     GapSequence,
     ScheduleBlock,
@@ -50,7 +51,6 @@ from .symbolic import (
     construct_partner,
     extract_filler,
     random_sequence,
-    schedule_covering,
     schedule_roles,
 )
 from .systems import SystemSpec, _row_norms, _sequence_orbit, derive_ifs
@@ -114,27 +114,6 @@ def _exact_double(n: int) -> bool:
     return n.bit_length() <= 1024 and odd.bit_length() <= 53
 
 
-_SPLITTER = 2.0**27 + 1
-
-
-def _split(a):
-    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _product_error(x: np.ndarray, scale: float, p: np.ndarray) -> np.ndarray:
-    """x * scale - p exactly, for p = fl(x * scale): Dekker's two_prod.
-
-    The scale is split through its mantissa, since _SPLITTER * scale
-    overflows above 2^996."""
-    m, e = math.frexp(scale)
-    s_hi, s_lo = (math.ldexp(v, e) for v in _split(m))
-    x_hi, x_lo = _split(x)
-    return ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
-
-
 def _exact_cells(x: np.ndarray, scale: float) -> np.ndarray:
     """floor(x * scale) as int64, the product taken exactly.
 
@@ -150,7 +129,10 @@ def _exact_cells(x: np.ndarray, scale: float) -> np.ndarray:
     p = p[on_line]
     cells = cells.astype(np.int64)
     if on_line.size:
-        cells[on_line] += np.floor(_product_error(x[on_line], scale, p)).astype(np.int64)
+        m, e = math.frexp(scale)  # _split(scale) overflows above 2^996
+        s_hi, s_lo = (math.ldexp(v, e) for v in _split(m))
+        error = _two_prod_error(*_split(x[on_line]), s_hi, s_lo, p)
+        cells[on_line] += np.floor(error).astype(np.int64)
     return cells
 
 
@@ -390,9 +372,9 @@ def shadow_filler(base: SymbolSequence, gaps: GapSequence, length: int) -> Symbo
     """Filler that copies the base digits at the free positions, so the
     partner differs from the base only at the flipped positions.  Only
     stored base digits are copied, so a short base gives a short filler."""
-    digits = np.asarray(base.digits[:length], dtype=np.int64)
+    digits = base.digits[:length]
     free = schedule_roles(gaps, length)[: digits.size] == FREE
-    return SymbolSequence(base.m, tuple(digits[free].tolist()))
+    return SymbolSequence(base.m, digits[free])
 
 
 def build_verification_pair(
@@ -418,18 +400,13 @@ def build_verification_pair(
     base = random_sequence(
         2, length, rng, side=spec.side, past_length=depth if spec.side == TWO_SIDED else 0
     )
+    base_future = SymbolSequence(2, base.digits)
     if filler_mode == "base":
-        base_future = SymbolSequence(2, base.digits)
         filler = shadow_filler(base_future, gaps, length)
     else:
         filler = random_sequence(2, length, rng)
-    partner_future = construct_partner(
-        SymbolSequence(2, base.digits), gaps, filler, length
-    )
-    if spec.side == ONE_SIDED:
-        return base, partner_future
-    partner = SymbolSequence.two_sided(2, base.past, partner_future.digits)
-    return base, partner
+    partner_future = construct_partner(base_future, gaps, filler, length)
+    return base, SymbolSequence(2, partner_future.digits, spec.side, base.past)
 
 
 def break_pair_after_block(
@@ -440,10 +417,8 @@ def break_pair_after_block(
 ) -> SymbolSequence:
     """Negative control: revert the flipped digits after ``last_kept_block``,
     so the pair becomes eventually equal and separation must fail."""
-    digits = list(partner.digits)
-    for blk in schedule_covering(gaps, len(digits)).blocks[last_kept_block + 1 :]:
-        if blk.mismatch_pos <= len(digits):
-            digits[blk.mismatch_pos - 1] = base.digits[blk.mismatch_pos - 1]
-    if partner.side == ONE_SIDED:
-        return SymbolSequence(partner.m, tuple(digits))
-    return SymbolSequence.two_sided(partner.m, partner.past, tuple(digits))
+    digits = partner.digits.copy()
+    # the k-th FLIP is block k's flipped digit
+    flips = np.flatnonzero(schedule_roles(gaps, len(digits)) == FLIP)[last_kept_block + 1 :]
+    digits[flips] = base.digits[flips]
+    return SymbolSequence(partner.m, digits, partner.side, partner.past)

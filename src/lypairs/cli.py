@@ -50,6 +50,8 @@ from .errors import (
 )
 from .fractal import (
     IfsSystem,
+    _split,
+    _two_prod_error,
     moran_dimension,
     sample_attractor,
     sample_pair_set,
@@ -131,15 +133,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 _CSV_BLOCK = 1 << 14  # rows formatted per write
 _CSV_ROW = 40  # bytes per value: "-0.000" + D0 "." D1 "." ... "." D16 + separator
-_SPLIT = float(2**27 + 1)  # Veltkamp's splitting constant for doubles
 _E16, _E17 = 10**16, 10**17
-
-
-def _split(a):
-    """(hi, lo) with hi + lo == a exactly and 26-bit halves (Veltkamp)."""
-    t = a * _SPLIT
-    hi = t - (t - a)
-    return hi, a - hi
 
 
 @functools.cache
@@ -192,8 +186,7 @@ def _significand(a, x, scale_table):
     """round(a * 10^(16 - x)) half to even, exactly, as int64."""
     scale, scale_hi, scale_lo = scale_table.take(x + 4, axis=1)
     hi = a * scale
-    a_hi, a_lo = _split(a)
-    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    lo = _two_prod_error(*_split(a), scale_hi, scale_lo, hi)
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
@@ -439,7 +432,7 @@ def cmd_construct(args) -> int:
     if args.base == "random":
         base = random_sequence(args.m, args.length + 8, rng)
     elif args.base == "ones":
-        base = SymbolSequence(args.m, (1,) * (args.length + 8))
+        base = SymbolSequence(args.m, np.ones(args.length + 8, dtype=int))
     else:
         base = _load_sequence_file(args.base)
     if args.filler == "random":
@@ -459,9 +452,9 @@ def cmd_construct(args) -> int:
     }
     if args.extract:
         recovered = extract_filler(partner, base, gaps)
-        out["filler_recovered"] = list(recovered.digits)
-        print(f"recovered filler digits: {list(recovered.digits)}")
-    print(f"partner digits: {list(partner.digits)}")
+        out["filler_recovered"] = recovered.digits.tolist()
+        print(f"recovered filler digits: {out['filler_recovered']}")
+    print(f"partner digits: {partner.digits.tolist()}")
     _write_text(_json_text(out), args.out)
     return EXIT_OK
 

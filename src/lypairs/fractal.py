@@ -48,6 +48,7 @@ from .symbolic import (
     _reals,
     apply_pattern,
     covered_base,
+    digit_dtype,
     schedule_roles,
 )
 
@@ -298,6 +299,25 @@ def bernoulli_weights(ratios: Sequence[float]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# exact products
+
+_SPLITTER = 2.0**27 + 1  # Veltkamp's splitting constant for doubles
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod_error(a_hi, a_lo, b_hi, b_lo, p):
+    """a * b - p exactly, for p = fl(a * b) and the ``_split`` halves of a
+    and b: Dekker's two_prod."""
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# --------------------------------------------------------------------------
 # coded points
 
 
@@ -403,10 +423,6 @@ def _chunk_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _digit_dtype(m: int):
-    return np.int8 if m < 128 else np.int16
-
-
 def _draw_digits(rng: np.random.Generator, cum: np.ndarray, shape) -> np.ndarray:
     """Digit 1 + #{c in cum : c <= u} for each uniform u.
 
@@ -415,7 +431,7 @@ def _draw_digits(rng: np.random.Generator, cum: np.ndarray, shape) -> np.ndarray
     "right") + 1``.
     """
     u = rng.random(shape)
-    digits = np.ones(shape, dtype=_digit_dtype(cum.size))
+    digits = np.ones(shape, dtype=digit_dtype(cum.size))
     for c in cum:
         digits += u >= c
     return digits
@@ -477,7 +493,7 @@ def _restricted_template(
         raise ValidationError("base alphabet must match the number of IFS maps")
     roles = schedule_roles(gaps, depth)
     template = apply_pattern(roles, covered_base(roles, base), ifs.m)
-    return template.astype(_digit_dtype(ifs.m)), roles == FREE
+    return template, roles == FREE
 
 
 def sample_restricted(

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -83,73 +83,90 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
 
 
-def _check_digits(digits: Iterable[int], m: int, what: str) -> tuple[int, ...]:
-    out = _integers(digits, f"{what} digits")
-    for d in out:
-        if not 1 <= d <= m:
-            raise InvalidDigit(f"{what} digit {d} outside alphabet 1..{m}")
-    return out
+def digit_dtype(m: int) -> type:
+    """The integer dtype that stores the digits 1..m."""
+    return np.int8 if m < 2**7 else np.int16 if m < 2**15 else np.int64
 
 
-@dataclass(frozen=True)
+def _digit_array(digits, m: int, what: str) -> np.ndarray:
+    """``digits`` as a read-only 1-D ``digit_dtype(m)`` array of digits in 1..m.
+
+    An integer array is checked by its min and max, and copied only when it
+    is writable or of another dtype.  Anything else goes through
+    ``_integers`` first, so 1.7, "1" and true stay errors.
+    """
+    if not (isinstance(digits, np.ndarray) and digits.dtype.kind in "iu"):
+        digits = np.asarray(_integers(digits, f"{what} digits"))
+    if digits.ndim != 1:
+        raise ValidationError(f"{what} digits must be one-dimensional")
+    if digits.size and (digits.min() < 1 or digits.max() > m):
+        bad = digits[(digits < 1) | (digits > m)][0]
+        raise InvalidDigit(f"{what} digit {bad} outside alphabet 1..{m}")
+    if digits.dtype != digit_dtype(m) or digits.flags.writeable:
+        digits = digits.astype(digit_dtype(m))
+        digits.flags.writeable = False
+    return digits
+
+
+_NO_DIGITS = np.zeros(0, digit_dtype(2))
+_NO_DIGITS.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """Finite prefix of an infinite symbol string over {1, ..., m}.
 
     One-sided sequences store ``digits`` = (s_1, ..., s_K).  Two-sided
     sequences additionally store ``past`` = (s_-1, s_-2, ...), most
-    recent digit first.
+    recent digit first.  Both are read-only ``digit_dtype(m)`` arrays;
+    ``.tolist()`` gives Python ints.
     """
 
     m: int
-    digits: tuple[int, ...]
+    digits: np.ndarray
     side: str = ONE_SIDED
-    past: tuple[int, ...] = ()
+    past: np.ndarray = field(default_factory=lambda: _NO_DIGITS)
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 2:
             raise ValidationError(f"alphabet size must be an integer >= 2, got {self.m}")
         if self.side not in (ONE_SIDED, TWO_SIDED):
             raise ValidationError(f"side must be '{ONE_SIDED}' or '{TWO_SIDED}'")
-        object.__setattr__(self, "digits", _check_digits(self.digits, self.m, "future"))
-        object.__setattr__(self, "past", _check_digits(self.past, self.m, "past"))
-        if self.side == ONE_SIDED and self.past:
+        object.__setattr__(self, "digits", _digit_array(self.digits, self.m, "future"))
+        object.__setattr__(self, "past", _digit_array(self.past, self.m, "past"))
+        if self.side == ONE_SIDED and self.past.size:
             raise ValidationError("one-sided sequences cannot carry past digits")
 
-    @classmethod
-    def _trusted(
-        cls, m: int, digits: tuple[int, ...], side: str, past: tuple[int, ...]
-    ) -> "SymbolSequence":
-        # internal fast path for slices of already-validated sequences: shift
-        # and truncated skip re-checking every digit.  Acceptance criterion 2
-        # (proximity/separation bounds) makes 60,000 shifts and as many
-        # truncations, and takes 2.4 s with it, 7.0 s without, against its
-        # 10 s limit (2-core Xeon, Python 3.11.7)
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "m", m)
-        object.__setattr__(seq, "digits", digits)
-        object.__setattr__(seq, "side", side)
-        object.__setattr__(seq, "past", past)
-        return seq
+    def _key(self) -> tuple:
+        return self.m, self.side, self.digits.tobytes(), self.past.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymbolSequence):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def two_sided(cls, m: int, past: Iterable[int], future: Iterable[int]) -> "SymbolSequence":
-        return cls(m, tuple(future), TWO_SIDED, tuple(past))
+        return cls(m, future, TWO_SIDED, past)
 
     def __len__(self) -> int:
         return len(self.digits)
 
     def truncated(self, future_len: int) -> "SymbolSequence":
         """Keep only the first ``future_len`` future digits, and the whole past."""
-        return SymbolSequence._trusted(self.m, self.digits[:future_len], self.side, self.past)
+        return SymbolSequence(self.m, self.digits[:future_len], self.side, self.past)
 
     def to_json(self) -> dict:
         if self.side == ONE_SIDED:
-            return {"m": self.m, "side": ONE_SIDED, "digits": list(self.digits)}
+            return {"m": self.m, "side": ONE_SIDED, "digits": self.digits.tolist()}
         return {
             "m": self.m,
             "side": TWO_SIDED,
-            "past": list(self.past),
-            "future": list(self.digits),
+            "past": self.past.tolist(),
+            "future": self.digits.tolist(),
         }
 
     @classmethod
@@ -157,8 +174,8 @@ class SymbolSequence:
         side = data.get("side", ONE_SIDED)
         (m,) = _integers((data["m"],), "alphabet size")
         if side == ONE_SIDED:
-            return cls(m, tuple(data["digits"]))
-        return cls.two_sided(m, tuple(data["past"]), tuple(data["future"]))
+            return cls(m, data["digits"])
+        return cls.two_sided(m, data["past"], data["future"])
 
 
 def random_sequence(
@@ -174,10 +191,10 @@ def random_sequence(
             f"random sequences need m >= 2 and lengths >= 0, got m={m}, "
             f"length={length}, past_length={past_length}"
         )
-    future = tuple(int(d) for d in rng.integers(1, m + 1, size=length))
+    future = rng.integers(1, m + 1, size=length)
     if side == ONE_SIDED:
         return SymbolSequence(m, future)
-    past = tuple(int(d) for d in rng.integers(1, m + 1, size=past_length))
+    past = rng.integers(1, m + 1, size=past_length)
     return SymbolSequence.two_sided(m, past, future)
 
 
@@ -192,10 +209,10 @@ def shift(seq: SymbolSequence, n: int) -> SymbolSequence:
         raise InsufficientPrefix(
             f"shift by {n} needs {n} future digits, only {len(seq.digits)} stored"
         )
-    if seq.side == ONE_SIDED:
-        return SymbolSequence._trusted(seq.m, seq.digits[n:], ONE_SIDED, ())
-    moved = tuple(reversed(seq.digits[:n]))
-    return SymbolSequence._trusted(seq.m, seq.digits[n:], TWO_SIDED, moved + seq.past)
+    past = seq.past
+    if seq.side == TWO_SIDED:
+        past = np.concatenate([seq.digits[n - 1 :: -1], seq.past])
+    return SymbolSequence(seq.m, seq.digits[n:], seq.side, past)
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +248,12 @@ def _float_above(x: Fraction) -> float:
     return f
 
 
-def _horner_sum(a: Sequence[int], b: Sequence[int], m: int) -> tuple[int, int]:
+def _horner_sum(a: np.ndarray, b: np.ndarray, m: int) -> tuple[int, int]:
     """Exact integer numerator of sum_{k=1}^{K} m^{-k}|a_k - b_k| over m^K."""
     k = min(len(a), len(b))
     num = 0
-    for i in range(k):
-        num = num * m + abs(a[i] - b[i])
+    for d in np.abs(a[:k] - b[:k]).tolist():
+        num = num * m + d
     return num, k
 
 
@@ -472,7 +489,7 @@ def covered_base(roles: np.ndarray, base: SymbolSequence) -> np.ndarray:
         raise InsufficientPrefix(
             f"base prefix of length {len(base.digits)} does not cover position {needed}"
         )
-    out = np.zeros(roles.size, dtype=np.int64)
+    out = np.zeros(roles.size, dtype=digit_dtype(base.m))
     stored = base.digits[: roles.size]
     out[: len(stored)] = stored
     return out
@@ -517,7 +534,7 @@ def construct_partner(
             f"filler prefix of length {len(filler.digits)} shorter than {n_free} free positions"
         )
     out[free] = filler.digits[:n_free]
-    return SymbolSequence(base.m, tuple(out.tolist()))
+    return SymbolSequence(base.m, out)
 
 
 def extract_filler(
@@ -535,17 +552,17 @@ def extract_filler(
         raise ValidationError("filler extraction operates on one-sided sequences")
     if partner.m != base.m:
         raise ValidationError("partner and base must share the alphabet size")
-    if not partner.digits:
+    if not partner.digits.size:
         raise ValidationError("partner prefix is empty")
     roles = schedule_roles(gaps, len(partner.digits))
     want = apply_pattern(roles, covered_base(roles, base), base.m)
-    got = np.asarray(partner.digits)
+    got = partner.digits
     bad = np.flatnonzero((roles != FREE) & (got != want))
     if bad.size:
         i = int(bad[0])
         kind = "matched" if roles[i] == MATCH else "flipped"
         raise NotInSubset(f"position {i + 1}: expected {kind} digit {want[i]}, got {got[i]}")
-    return SymbolSequence(base.m, tuple(got[roles == FREE].tolist()))
+    return SymbolSequence(base.m, got[roles == FREE])
 
 
 # --------------------------------------------------------------------------

@@ -276,9 +276,7 @@ def _sequence_orbit(
             raise InsufficientPrefix(
                 f"orbit point at time {n} needs {depth} past digits after shifting"
             )
-    windows = _orbit_windows(
-        spec, np.array([seq.past], np.int8), np.array([seq.digits], np.int8), times, depth
-    )
+    windows = _orbit_windows(spec, seq.past[None], seq.digits[None], times, depth)
     centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
     radii = zip(*(_code_radii(ifs, digits).tolist() for ifs, digits in windows))
     return centers, [math.hypot(*r) for r in radii]

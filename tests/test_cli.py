@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lypairs import cli
+from lypairs import cli, symbolic
 from lypairs.cli import main
 
 
@@ -218,6 +218,27 @@ def test_verify_unsafe_iterate_demo(capsys):
     )
     assert rc == 0
     assert "unsafe-iterate demo" in out
+
+
+def test_verify_validates_no_digit_in_python(capsys, monkeypatch):
+    # at 120 blocks the pair spans 576,240 future digits; integer arrays are
+    # checked by their min and max, so only parameters reach _integers
+    sent = []
+    integers = symbolic._integers
+
+    def counting(values, what):
+        out = integers(values, what)
+        sent.append(len(out))
+        return out
+
+    monkeypatch.setattr(symbolic, "_integers", counting)
+    rc, out, _ = run(
+        capsys,
+        "verify", "--system", "horseshoe", "--beta", str(1 / 3), "--tau", "3",
+        "--blocks", "120", "--depth", "40", "--seed", "5",
+    )
+    assert rc == 0 and out.startswith("PASS")
+    assert sum(sent) < 1000
 
 
 def test_verify_requires_seed(capsys):

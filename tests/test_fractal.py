@@ -33,7 +33,6 @@ from lypairs.fractal import (
     _CHUNK,
     _chunk_rng,
     _code_batch,
-    _digit_dtype,
     _draw_digits,
     _restricted_template,
 )
@@ -42,6 +41,7 @@ from lypairs.symbolic import (
     GapSequence,
     SymbolSequence,
     apply_pattern,
+    digit_dtype,
     extract_filler,
     random_sequence,
     schedule_roles,
@@ -280,7 +280,7 @@ def test_draw_digits_matches_searchsorted(m, shape):
     for k, cum in enumerate(cums):
         got = _draw_digits(np.random.default_rng(k), cum, shape)
         u = np.random.default_rng(k).random(shape)
-        want = (np.searchsorted(cum, u, side="right") + 1).astype(_digit_dtype(m))
+        want = (np.searchsorted(cum, u, side="right") + 1).astype(digit_dtype(m))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -492,7 +492,7 @@ def test_batch_coding_matches_code_point(m_range, data):
     depth = data.draw(st.integers(1, 60))
     n = data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    digits = rng.integers(1, ifs.m + 1, size=(n, depth)).astype(_digit_dtype(ifs.m))
+    digits = rng.integers(1, ifs.m + 1, size=(n, depth)).astype(digit_dtype(ifs.m))
     centers = _code_batch(ifs, digits)
     assert centers.shape == (n, ifs.w)
     for i in range(n):

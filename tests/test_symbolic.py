@@ -33,9 +33,9 @@ def brute_force_dist(s: SymbolSequence, t: SymbolSequence) -> Fraction:
     """Independent oracle: term-by-term rational sum of the metric over stored indices."""
     m = s.m
     total = Fraction(0)
-    for k, (a, b) in enumerate(zip(s.digits, t.digits), start=1):
+    for k, (a, b) in enumerate(zip(s.digits.tolist(), t.digits.tolist()), start=1):
         total += Fraction(abs(a - b), m**k)
-    for k, (a, b) in enumerate(zip(s.past, t.past), start=1):
+    for k, (a, b) in enumerate(zip(s.past.tolist(), t.past.tolist()), start=1):
         total += Fraction(abs(a - b), m**k)
     return total
 
@@ -51,21 +51,21 @@ def test_shift_zero_is_identity():
 
 def test_shift_drops_leading_digits():
     s = SymbolSequence(2, (1, 2, 2, 1))
-    assert shift(s, 2).digits == (2, 1)
+    assert shift(s, 2).digits.tolist() == [2, 1]
 
 
 def test_shift_two_sided_moves_future_to_past():
     s = SymbolSequence.two_sided(2, (), (1, 2, 2))
     out = shift(s, 1)
-    assert out.past == (1,)
-    assert out.digits == (2, 2)
+    assert out.past.tolist() == [1]
+    assert out.digits.tolist() == [2, 2]
 
 
 def test_shift_two_sided_past_most_recent_first():
     s = SymbolSequence.two_sided(3, (3,), (1, 2, 2))
     out = shift(s, 2)
-    assert out.past == (2, 1, 3)
-    assert out.digits == (2,)
+    assert out.past.tolist() == [2, 1, 3]
+    assert out.digits.tolist() == [2]
 
 
 def test_shift_insufficient_prefix():
@@ -78,6 +78,62 @@ def test_digit_validation():
         SymbolSequence(2, (1, 3))
     with pytest.raises(ValidationError):
         SymbolSequence(1, (1,))
+
+
+@pytest.mark.parametrize("digits, message", [
+    ([1, True], "must be integers, got True"),
+    ([1.7], "must be integers, got 1.7"),
+    (["1"], "must be integers, got '1'"),
+    (np.ones((2, 2), dtype=np.int64), "must be one-dimensional"),
+])
+def test_construction_rejects_non_integer_digits(digits, message):
+    with pytest.raises(ValidationError, match=message):
+        SymbolSequence(2, digits)
+    with pytest.raises(ValidationError, match=message):
+        SymbolSequence.two_sided(2, digits, (1,))
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_construction_rejects_array_digits_outside_alphabet(bad):
+    digits = np.array([1, bad, 2], dtype=np.int8)
+    with pytest.raises(InvalidDigit, match=f"^future digit {bad} outside alphabet 1..2$"):
+        SymbolSequence(2, digits)
+    with pytest.raises(InvalidDigit, match=f"^past digit {bad} outside alphabet 1..2$"):
+        SymbolSequence.two_sided(2, digits, (1,))
+
+
+@pytest.mark.parametrize("m, dtype", [
+    (2, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16), (2**15, np.int64),
+])
+def test_digit_dtype_by_alphabet_size(m, dtype):
+    s = SymbolSequence.two_sided(m, np.array([m]), (1, m))
+    assert s.digits.dtype == dtype and s.past.dtype == dtype
+    assert s.digits.tolist() == [1, m] and s.past.tolist() == [m]
+    assert SymbolSequence(m, (m,)).past.dtype == dtype
+
+
+def test_digits_are_read_only_and_owned():
+    caller = np.array([1, 2, 2, 1], dtype=np.int8)
+    s = SymbolSequence.two_sided(2, caller[::-1], caller)
+    caller[:] = 2
+    assert s.digits.tolist() == [1, 2, 2, 1] and s.past.tolist() == [1, 2, 2, 1]
+    for seq in (s, shift(s, 1), s.truncated(2), SymbolSequence(2, (1, 2))):
+        for arr in (seq.digits, seq.past):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 1
+    # a read-only slice in the digit dtype is kept, not copied
+    assert np.shares_memory(shift(s, 2).digits, s.digits)
+    assert np.shares_memory(s.truncated(2).digits, s.digits)
+
+
+def test_equality_and_hash_follow_digit_values():
+    a = SymbolSequence(3, (1, 2, 3))
+    b = SymbolSequence(3, np.array([1, 2, 3]))
+    assert a == b and hash(a) == hash(b)
+    assert a != SymbolSequence(3, (1, 2, 2))
+    assert a != SymbolSequence(4, (1, 2, 3))
+    assert a != (1, 2, 3)
+    assert SymbolSequence.two_sided(3, (1,), (2,)) != SymbolSequence.two_sided(3, (), (1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +193,8 @@ def test_dist_requires_same_alphabet_and_side():
 
 
 @given(
-    st.integers(min_value=2, max_value=5),
+    # 127, 128 and 300 sit at the int8 and int16 digit-dtype boundaries
+    st.one_of(st.integers(min_value=2, max_value=5), st.sampled_from([127, 128, 300])),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
@@ -254,7 +311,7 @@ def test_apply_pattern_rows_match_single_prefix():
 def test_covered_base_needs_every_fixed_position():
     roles = schedule_roles(GapSequence.quadratic(), 12)  # last fixed position: 12
     base = SymbolSequence(2, (2, 1) * 6)
-    assert covered_base(roles, base).tolist() == list(base.digits)
+    assert covered_base(roles, base).tolist() == base.digits.tolist()
     with pytest.raises(InsufficientPrefix, match="does not cover position 12"):
         covered_base(roles, base.truncated(11))
     roles = schedule_roles(GapSequence.quadratic(), 10)  # positions 7..10 are free
@@ -308,14 +365,14 @@ def test_construct_partner_all_ones_zero_gaps():
     base = SymbolSequence(2, (1,) * 8)
     filler = SymbolSequence(2, ())
     t = construct_partner(base, GapSequence.zero(), filler, 6)
-    assert t.digits == (1, 2, 1, 1, 2, 1)
+    assert t.digits.tolist() == [1, 2, 1, 1, 2, 1]
 
 
 def test_construct_partner_m3_with_free_digit():
     base = SymbolSequence(3, (2,) * 6)
     filler = SymbolSequence(3, (1,) * 4)
     t = construct_partner(base, GapSequence.from_list([1, 1, 1]), filler, 4)
-    assert t.digits == (2, 3, 1, 2)
+    assert t.digits.tolist() == [2, 3, 1, 2]
 
 
 def test_flip_wraps_to_one():
@@ -349,9 +406,10 @@ def test_partner_pattern_holds_blockwise():
         for blk in sched.blocks:
             if blk.mismatch_pos > 150:
                 break
+            t_digits, s_digits = t.digits.tolist(), base.digits.tolist()
             for p in blk.match_positions:
-                assert t.digits[p - 1] == base.digits[p - 1]
-            assert t.digits[blk.mismatch_pos - 1] != base.digits[blk.mismatch_pos - 1]
+                assert t_digits[p - 1] == s_digits[p - 1]
+            assert t_digits[blk.mismatch_pos - 1] != s_digits[blk.mismatch_pos - 1]
 
 
 def test_extract_filler_round_trip_seeded():
@@ -363,10 +421,10 @@ def test_extract_filler_round_trip_seeded():
             t = construct_partner(base, gaps, filler, 100)
             got = extract_filler(t, base, gaps)
             n_free = int(np.count_nonzero(schedule_roles(gaps, 100) == FREE))
-            assert got.digits == filler.digits[:n_free]
+            assert got.digits.tolist() == filler.digits[:n_free].tolist()
             # and the other direction
             rebuilt = construct_partner(base, gaps, got, 100)
-            assert rebuilt.digits == t.digits
+            assert rebuilt.digits.tolist() == t.digits.tolist()
 
 
 @given(st.integers(2, 4), st.data())
@@ -378,7 +436,7 @@ def test_partner_bijection_round_trip(m, data):
     gaps = GapSequence.from_list(data.draw(st.lists(st.integers(0, 4), min_size=12, max_size=12)))
     t = construct_partner(base, gaps, SymbolSequence(m, tuple(filler_digits)), length)
     got = extract_filler(t, base, gaps)
-    assert construct_partner(base, gaps, got, length).digits == t.digits
+    assert construct_partner(base, gaps, got, length).digits.tolist() == t.digits.tolist()
 
 
 def test_distinct_fillers_give_distinct_partners():
@@ -388,14 +446,14 @@ def test_distinct_fillers_give_distinct_partners():
     f2 = SymbolSequence(2, (2,) + (1,) * 29)
     t1 = construct_partner(base, gaps, f1, 30)
     t2 = construct_partner(base, gaps, f2, 30)
-    assert t1.digits != t2.digits
+    assert t1.digits.tolist() != t2.digits.tolist()
 
 
 def test_extract_filler_zero_gaps_has_no_free_digits():
     base = SymbolSequence(2, (1,) * 10)
     partner = SymbolSequence(2, (1, 2, 1, 1, 2))
     got = extract_filler(partner, base, GapSequence.zero())
-    assert got.digits == ()
+    assert got.digits.tolist() == []
 
 
 def test_extract_filler_rejects_missing_mismatch():
@@ -508,6 +566,7 @@ def test_gap_condition_requires_ten_points():
 def test_sequence_json_round_trip():
     one = SymbolSequence(2, (1, 2, 1))
     two = SymbolSequence.two_sided(3, (3, 1), (2, 2))
-    assert SymbolSequence.from_json(one.to_json()) == one
-    assert SymbolSequence.from_json(two.to_json()) == two
+    wide = SymbolSequence.two_sided(300, (300, 1), (128, 299))
+    for seq in (one, two, wide):
+        assert SymbolSequence.from_json(seq.to_json()) == seq
     assert one.to_json() == {"m": 2, "side": "one", "digits": [1, 2, 1]}
