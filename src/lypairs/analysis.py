@@ -310,11 +310,10 @@ def liyorke_profile(
     scale, gap, max_ratio = _profile_parameters(spec)
     # per block: the proximity time, then the separation time
     times = [t for b in sched.blocks for t in _checkpoint_times(b, spec.side)]
-    centers_b, radii_b = _sequence_orbit(spec, base, times, depth)
-    centers_p, radii_p = _sequence_orbit(spec, partner, times, depth)
-    dists = _row_norms(centers_b - centers_p).tolist()
+    centers, radii = _sequence_orbit(spec, (base, partner), times, depth)
+    dists = _row_norms(centers[:, 0] - centers[:, 1]).tolist()
     checkpoints = ([], [])  # proximity, separation
-    for k, (t, dist, r_b, r_p) in enumerate(zip(times, dists, radii_b, radii_p)):
+    for k, (t, dist, (r_b, r_p)) in enumerate(zip(times, dists, radii)):
         slack = r_b + r_p
         bound = max(0.0, dist - slack) if k % 2 else dist + slack
         checkpoints[k % 2].append(Checkpoint(sched.blocks[k // 2].index, t, bound, slack))

@@ -66,7 +66,8 @@ from .symbolic import (
     random_sequence,
     schedule_covering,
 )
-from .systems import SystemSpec, apply_map, code_orbit_point, derive_ifs, sample_invariant_set
+from .systems import SystemSpec, _sequence_orbit, apply_map, derive_ifs, sample_invariant_set
+from .systems import code_orbit_point  # noqa: F401  (bench/spans.py wraps this name)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -111,8 +112,13 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if dataclasses.is_dataclass(obj):
-        return _json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
+        return _json_text({name: getattr(obj, name) for name in _field_names(type(obj))}, indent)
     return json.dumps(obj)
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @contextlib.contextmanager
@@ -462,17 +468,12 @@ def cmd_construct(args) -> int:
 def _unsafe_iteration_report(spec, base, partner, depth, steps) -> dict:
     """Demonstrate naive floating-point orbit iteration drifting off the
     conjugacy-evaluated orbit (demo only; never used for verdicts)."""
-    x = code_orbit_point(spec, base, 0, depth).center.copy()
-    y = code_orbit_point(spec, partner, 0, depth).center.copy()
+    centers, _ = _sequence_orbit(spec, (base, partner), range(steps), depth)
+    x, y = centers[0, 0].copy(), centers[0, 1].copy()
     rows = []
     stopped = None
     for n in range(steps):
-        coded = float(
-            np.linalg.norm(
-                code_orbit_point(spec, base, n, depth).center
-                - code_orbit_point(spec, partner, n, depth).center
-            )
-        )
+        coded = float(np.linalg.norm(centers[n, 0] - centers[n, 1]))
         naive = float(np.linalg.norm(x - y))
         rows.append({"time": n, "naive": naive, "coded": coded, "drift": abs(naive - coded)})
         try:
@@ -728,12 +729,21 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads argv with, built on first use (not at
+    import) and never modified afterwards."""
+    return build_parser()
+
+
+def _with_config(args, argv) -> argparse.Namespace:
     """argv parsed again, with the --config file's keys as the subcommand's
-    defaults, so that explicit flags still override them."""
+    defaults, so that explicit flags still override them.  The defaults go
+    into a parser of its own, so no later call sees them."""
     data = _read_json(args.config, "config file")
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
+    parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = sub.choices[args.command]
     actions = {a.dest: a for a in command._actions
@@ -749,14 +759,13 @@ def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namesp
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         if args.config:
-            args = _with_config(parser, args, argv)
+            args = _with_config(args, argv)
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
         return args.func(args)

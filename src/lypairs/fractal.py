@@ -363,9 +363,10 @@ def code_point(ifs: IfsSystem, prefix: Sequence[int]) -> CodedPoint:
 
 def _code_radii(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     """Radii of ``code_point`` over rows of a (n, depth) digit array."""
+    ratio = ifs.coding[-1]
     scale = np.ones(len(digits))
     for col in digits.T[::-1]:  # last digit first, as code_point
-        scale = scale * ifs.coding[-1][col]
+        scale *= ratio.take(col)
     return scale * ifs.diam / 2.0
 
 
@@ -377,7 +378,7 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     last first, x *= coding[j, d] and then x += coding[w + j, d], from the
     table ``code_point`` reads, so the centers equal its own bit for bit.
     On an axis where every map has the same signed ratio, x *= that scalar
-    replaces the ratio gather.  ``np.take`` clips, so a digit below 1 reads
+    replaces the ratio gather.  ``take`` clips, so a digit below 1 reads
     column 0 of the translations and codes to a NaN center, which
     ``box_count`` rejects; a digit above m raises InvalidDigit before any
     coding.
@@ -393,11 +394,11 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
         x.fill(ifs.center[j])
         for k in range(depth - 1, -1, -1):
             if ratio is None:
-                np.take(a, cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
+                a.take(cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
                 x *= buf
             else:
                 x *= ratio
-            np.take(t, cols[k], out=buf, mode="clip")
+            t.take(cols[k], out=buf, mode="clip")
             x += buf
         out[:, j] = x
     return out

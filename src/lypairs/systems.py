@@ -257,29 +257,43 @@ def _code_orbit(
 
 
 def _sequence_orbit(
-    spec: SystemSpec, seq: SymbolSequence, times, depth: int
-) -> tuple[np.ndarray, list[float]]:
-    """Centers (len(times), w) and radii of ``code_orbit_point`` at each time;
-    a two-sided point joins its two radii by ``math.hypot``."""
-    if seq.m != 2:
-        raise ValidationError("the example systems are coded over two symbols")
-    if seq.side != spec.side:
-        raise ValidationError(f"{spec.kind} coding needs a {spec.side}-sided sequence")
+    spec: SystemSpec, seqs: tuple[SymbolSequence, ...], times, depth: int
+) -> tuple[np.ndarray, list[list[float]]]:
+    """Centers (len(times), k, w) and radii [time][sequence] of
+    ``code_orbit_point`` for each of k sequences at each time, coded in one
+    batch; a two-sided point joins its two radii by ``math.hypot``.  Each
+    sequence is cut to the digits its windows read."""
+    for seq in seqs:
+        if seq.m != 2:
+            raise ValidationError("the example systems are coded over two symbols")
+        if seq.side != spec.side:
+            raise ValidationError(f"{spec.kind} coding needs a {spec.side}-sided sequence")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     for n in times:
         if n < 0:
             raise ValidationError("shift amount must be non-negative")
-        if len(seq.digits) < n + depth:
-            raise InsufficientPrefix(f"orbit point at time {n} needs {n + depth} future digits")
-        if spec.side == TWO_SIDED and n + len(seq.past) < depth:
-            raise InsufficientPrefix(
-                f"orbit point at time {n} needs {depth} past digits after shifting"
-            )
-    windows = _orbit_windows(spec, seq.past[None], seq.digits[None], times, depth)
+        for seq in seqs:
+            if len(seq.digits) < n + depth:
+                raise InsufficientPrefix(
+                    f"orbit point at time {n} needs {n + depth} future digits"
+                )
+            if spec.side == TWO_SIDED and n + len(seq.past) < depth:
+                raise InsufficientPrefix(
+                    f"orbit point at time {n} needs {depth} past digits after shifting"
+                )
+    future, past = max(times) + depth, max(0, depth - min(times))
+    windows = _orbit_windows(
+        spec,
+        np.stack([seq.past[:past] for seq in seqs]),
+        np.stack([seq.digits[:future] for seq in seqs]),
+        times,
+        depth,
+    )
     centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
-    radii = zip(*(_code_radii(ifs, digits).tolist() for ifs, digits in windows))
-    return centers, [math.hypot(*r) for r in radii]
+    radii = [math.hypot(*r) for r in zip(*(_code_radii(ifs, d).tolist() for ifs, d in windows))]
+    k = len(seqs)
+    return centers.reshape(len(times), k, -1), [radii[i : i + k] for i in range(0, len(radii), k)]
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -290,8 +304,8 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 def code_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int) -> CodedPoint:
     """Coded point of shift(seq, n): the n-th orbit point evaluated through
     the coding rather than by floating-point iteration of the map."""
-    centers, radii = _sequence_orbit(spec, seq, (n,), depth)
-    return CodedPoint(centers[0], radii[0])
+    centers, radii = _sequence_orbit(spec, (seq,), (n,), depth)
+    return CodedPoint(centers[0, 0], radii[0][0])
 
 
 def coded_radius(spec: SystemSpec, depth: int) -> float:

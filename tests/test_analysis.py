@@ -35,6 +35,7 @@ from lypairs.fractal import (
     IfsSystem,
     Similitude,
     _code_batch,
+    code_point,
     moran_dimension,
     sample_attractor,
     sample_restricted,
@@ -190,6 +191,29 @@ def test_seed_602_center_cell():
     x = 0.3251028806584362
     assert x / 3.0**-6 == 237.0 and math.floor(Fraction(x) * 729) == 236
     assert box_count(np.array([x, 236.5 / 729]), GridLadder(3, 6, 6)).counts == (1,)
+
+
+def test_seed_1802_center_cell_is_the_float_maps_cell():
+    # the seed-1802 attractor point (levels 8-16): the float-valued maps,
+    # ratio fl(1/3) and translation fl(2/3), put it below the line 2000 / 3^8
+    # although the true point (exact 1/3 and 2/3) lies above it, so the
+    # computed cell is right for the maps as stored and no more precise
+    # center arithmetic moves it
+    digits = [int(c) for c in "1221211211111111111111111111111111111221"]
+    center = code_point(cantor_ifs(), digits).center
+
+    def image(ratio, translation):
+        x = Fraction(1, 2)
+        for d in reversed(digits):
+            x = ratio * x + (translation if d == 2 else 0)
+        return x
+
+    float_maps = image(Fraction(1 / 3), Fraction(2 / 3))
+    exact = image(Fraction(1, 3), Fraction(2, 3))
+    for k in range(8, 17):
+        cell = _exact_cells(center, 3.0**k)[0]
+        assert cell == math.floor(float_maps * 3**k) == math.floor(Fraction(center[0]) * 3**k)
+        assert cell == math.floor(exact * 3**k) - 1 == 2000 * 3 ** (k - 8) - 1
 
 
 def test_cell_below_a_line_the_product_rounds_onto():

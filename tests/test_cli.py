@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lypairs import cli, symbolic
-from lypairs.cli import main
+from lypairs.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -631,6 +631,38 @@ def test_config_file_supplies_options(capsys, tmp_path):
     assert rc == 0
     assert out.startswith("PASS")
     assert "10 blocks" in out
+
+
+def test_config_does_not_reach_later_calls(capsys, tmp_path):
+    # main parses with one parser per process; a config file's keys must
+    # not stay behind in it as defaults
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({"blocks": 13, "depth": 22}))
+    argv = ["verify", "--system", "tent", "--a", "2", "--seed", "5"]
+    outputs = []
+    for extra in ((), ("--config", str(cfg)), ()):
+        out_file = tmp_path / f"verdict-{len(outputs)}.json"
+        rc, out, _ = run(capsys, *argv, *extra, "--out", str(out_file))
+        assert rc == 0
+        outputs.append((out, out_file.read_text()))
+    assert "12 blocks, depth 18" in outputs[0][0]
+    assert "13 blocks, depth 22" in outputs[1][0]
+    assert outputs[2] == outputs[0]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # an earlier test may have built the shared parser already
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for seed in ("1", "2", "3"):
+        rc, out, _ = run(capsys, "verify", "--system", "tent", "--a", "2", "--seed", seed)
+        assert rc == 0 and out.startswith("PASS")
+    assert len(built) <= 1
 
 
 def test_flags_override_config(capsys, tmp_path):

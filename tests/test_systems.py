@@ -25,6 +25,7 @@ from lypairs.systems import (
     SystemSpec,
     _code_orbit,
     _row_norms,
+    _sequence_orbit,
     apply_map,
     code_orbit_point,
     coded_radius,
@@ -384,6 +385,48 @@ def test_code_orbit_point_window_checks(spec):
             InsufficientPrefix, match="^orbit point at time 3 needs 10 past digits after shifting$"
         ):
             code_orbit_point(spec, seq, 3, 10)
+
+
+def batch_sequences(spec: SystemSpec, rng: np.random.Generator) -> list[SymbolSequence]:
+    """Three sequences with 95, 200 and 130 future digits and, if
+    two-sided, 10, 55 and 40 past digits."""
+    seqs = []
+    for future, past in ((95, 10), (200, 55), (130, 40)):
+        past = past if spec.side == TWO_SIDED else 0
+        seqs.append(SymbolSequence(
+            2, rng.integers(1, 3, future), spec.side, rng.integers(1, 3, past)
+        ))
+    return seqs
+
+
+@pytest.mark.parametrize("spec", CODED_SYSTEMS, ids=spec_id)
+def test_sequence_orbit_batch_matches_single_sequences(spec):
+    # times unsorted; 30 is the first time the 10-digit past supports
+    depth, times = 40, (41, 30, 55, 39, 40, 31)
+    seqs = batch_sequences(spec, np.random.default_rng(23))
+    centers, radii = _sequence_orbit(spec, tuple(seqs), times, depth)
+    assert centers.shape == (len(times), len(seqs), spec.w)
+    for j, seq in enumerate(seqs):
+        one_centers, one_radii = _sequence_orbit(spec, (seq,), times, depth)
+        assert np.array_equal(centers[:, j], one_centers[:, 0])
+        assert [r[j] for r in radii] == [r[0] for r in one_radii]
+        for i, n in enumerate(times):
+            center, radius = reference_orbit_point(spec, seq, n, depth)
+            assert np.array_equal(centers[i, j], center)
+            assert radii[i][j] == radius
+
+
+@pytest.mark.parametrize("spec", (TENT2, HORSE3), ids=spec_id)
+def test_sequence_orbit_batch_checks_every_sequence(spec):
+    # 95 future and 10 past digits against 200 and 55
+    short, long, _ = batch_sequences(spec, np.random.default_rng(29))
+    _sequence_orbit(spec, (long,), (0, 60), 40)
+    for pair in ((long, short), (short, long)):
+        with pytest.raises(InsufficientPrefix, match="needs 100 future digits"):
+            _sequence_orbit(spec, pair, (30, 60), 40)
+        if spec.side == TWO_SIDED:
+            with pytest.raises(InsufficientPrefix, match="past digits after shifting"):
+                _sequence_orbit(spec, pair, (0, 5), 40)
 
 
 # --------------------------------------------------------------------------
