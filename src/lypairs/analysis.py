@@ -72,10 +72,6 @@ class BoxCountEstimate:
     stderr: float | None = None
     fit_range: tuple[int, ...] | None = None
 
-    def csv_rows(self) -> list[tuple[float, float]]:
-        """(-log eps, log N) pairs ready for external plotting."""
-        return [(-math.log(e), math.log(n)) for e, n in zip(self.epsilons, self.counts)]
-
 
 @dataclass(frozen=True)
 class GridLadder:
@@ -298,10 +294,10 @@ def liyorke_profile(
     """
     if block_count < 1:
         raise ValidationError("block_count must be >= 1")
-    sched = block_schedule(gaps, block_count)
+    blocks = block_schedule(gaps, block_count)
     if strict:
         # membership constrains the futures only; pasts are free
-        span = min(len(base.digits), len(partner.digits), sched.span)
+        span = min(len(base.digits), len(partner.digits), blocks[-1].end)
         extract_filler(
             SymbolSequence(partner.m, partner.digits[:span]),
             SymbolSequence(base.m, base.digits[:span]),
@@ -309,14 +305,14 @@ def liyorke_profile(
         )
     scale, gap, max_ratio = _profile_parameters(spec)
     # per block: the proximity time, then the separation time
-    times = [t for b in sched.blocks for t in _checkpoint_times(b, spec.side)]
+    times = [t for b in blocks for t in _checkpoint_times(b, spec.side)]
     centers, radii = _sequence_orbit(spec, (base, partner), times, depth)
     dists = _row_norms(centers[:, 0] - centers[:, 1]).tolist()
     checkpoints = ([], [])  # proximity, separation
     for k, (t, dist, (r_b, r_p)) in enumerate(zip(times, dists, radii)):
         slack = r_b + r_p
         bound = max(0.0, dist - slack) if k % 2 else dist + slack
-        checkpoints[k % 2].append(Checkpoint(sched.blocks[k // 2].index, t, bound, slack))
+        checkpoints[k % 2].append(Checkpoint(blocks[k // 2].index, t, bound, slack))
     return LiYorkeProfile(
         *map(tuple, checkpoints), scale, gap, max_ratio, spec.side, depth
     )
@@ -363,7 +359,7 @@ def verify_liyorke(
 
 def required_future_length(gaps: GapSequence, block_count: int, depth: int, side: str) -> int:
     """Future digits read by a profile: the last separation time plus depth."""
-    last = block_schedule(gaps, block_count).blocks[-1]
+    last = block_schedule(gaps, block_count)[-1]
     return _checkpoint_times(last, side)[1] + depth
 
 

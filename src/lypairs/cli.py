@@ -50,6 +50,7 @@ from .errors import (
 )
 from .fractal import (
     IfsSystem,
+    _chunk_rng,
     _split,
     _two_prod_error,
     moran_dimension,
@@ -253,8 +254,9 @@ def _csv_text(block: np.ndarray, seps: np.ndarray) -> bytes:
     return np.compress(keep_bytes.ravel(), text_bytes.ravel()).tobytes()
 
 
-def _write_points_csv(points: np.ndarray, out: str | None) -> None:
-    """Header x1..xw, then one row per point, each value as ``"%.17g" % v``.
+def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
+    """The line ``header``, then one line per row of the 2-D array ``rows``,
+    each value as ``"%.17g" % v``.
 
     The text is built in numpy, a block of rows at a time, and is the same
     byte for byte as Python's.  For each value ``a = |v|`` with decimal
@@ -278,19 +280,11 @@ def _write_points_csv(points: np.ndarray, out: str | None) -> None:
     ``|v| < 1e-4`` and ``|v| >= 1e17`` -- are formatted one at a time with
     ``"%.17g"`` and written into their rows before the join.
     """
-    w = points.shape[1]
-    seps = np.frombuffer(b"," * (w - 1) + b"\n", dtype=np.uint8)
+    seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
     with _open_output(out) as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(w)) + "\n")
-        for start in range(0, points.shape[0], _CSV_BLOCK):
-            fh.write(_csv_text(points[start : start + _CSV_BLOCK], seps).decode("ascii"))
-
-
-def _estimate_csv(est) -> str:
-    lines = ["neg_log_eps,log_count"]
-    for x, y in est.csv_rows():
-        lines.append(f"{x:.17g},{y:.17g}")
-    return "\n".join(lines) + "\n"
+        fh.write(header + "\n")
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            fh.write(_csv_text(rows[start : start + _CSV_BLOCK], seps).decode("ascii"))
 
 
 # --------------------------------------------------------------------------
@@ -449,11 +443,11 @@ def cmd_construct(args) -> int:
         filler = _load_sequence_file(args.filler)
 
     partner = construct_partner(base, gaps, filler, args.length)
-    sched = schedule_covering(gaps, args.length)
+    blocks = schedule_covering(gaps, args.length)
     out = {
         "base": base.to_json(),
         "partner": partner.to_json(),
-        "schedule": {"blocks": sched.blocks, "span": sched.span},
+        "schedule": {"blocks": blocks, "span": blocks[-1].end},
         "gap_condition": report_gap,
     }
     if args.extract:
@@ -561,8 +555,7 @@ def _boxdim_points(args) -> np.ndarray:
     gaps = _parse_gaps(args.gaps)
     if args.target == "restricted":
         if args.base == "random":
-            base_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
-            base = random_sequence(ifs.m, args.depth, base_rng)
+            base = random_sequence(ifs.m, args.depth, _chunk_rng(seed, 9))
         else:
             base = _load_sequence_file(args.base)
         return sample_restricted(
@@ -580,16 +573,18 @@ def cmd_boxdim(args) -> int:
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
     )
-    payload = {**dataclasses.asdict(est), "target": args.target}
-    text = _estimate_csv(est) if args.format == "csv" else _json_text(payload)
-    _write_text(text, args.out)
+    if args.format == "csv":
+        rows = [(-math.log(e), math.log(n)) for e, n in zip(est.epsilons, est.counts)]
+        _write_csv("neg_log_eps,log_count", np.array(rows), args.out)
+    else:
+        _write_text(_json_text({**dataclasses.asdict(est), "target": args.target}), args.out)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     points = _boxdim_points(args)
     if args.format == "csv":
-        _write_points_csv(points, args.out)
+        _write_csv(",".join(f"x{i + 1}" for i in range(points.shape[1])), points, args.out)
     else:
         _write_text(_json_text({"points": [list(row) for row in points]}), args.out)
     return EXIT_OK

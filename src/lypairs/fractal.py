@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .symbolic import (
     FREE,
+    ONE_SIDED,
     GapSequence,
     SymbolSequence,
     _integers,
@@ -237,13 +237,10 @@ class IfsSystem:
         return cls(maps, box)
 
 
-def load_ifs(path_or_data) -> IfsSystem:
-    if isinstance(path_or_data, (str, os.PathLike)):
-        with open(path_or_data) as fh:
-            data = json.load(fh)
-    else:
-        data = path_or_data
-    return IfsSystem.from_json(data)
+def load_ifs(path) -> IfsSystem:
+    """The IFS of a JSON file; a decoded dict goes to ``IfsSystem.from_json``."""
+    with open(path) as fh:
+        return IfsSystem.from_json(json.load(fh))
 
 
 # --------------------------------------------------------------------------
@@ -485,18 +482,6 @@ def sample_attractor(
     return _sample(count, ifs.w, rows, seed, stream, threads)
 
 
-def _restricted_template(
-    ifs: IfsSystem, base: SymbolSequence, gaps: GapSequence, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if base.side != "one":
-        raise ValidationError("restricted sampling takes a one-sided base")
-    if base.m != ifs.m:
-        raise ValidationError("base alphabet must match the number of IFS maps")
-    roles = schedule_roles(gaps, depth)
-    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
-    return template, roles == FREE
-
-
 def sample_restricted(
     ifs: IfsSystem,
     base: SymbolSequence,
@@ -514,7 +499,13 @@ def sample_restricted(
     natural measure onto the restricted set.
     """
     _validate_sampling(count, depth, seed)
-    template, free = _restricted_template(ifs, base, gaps, depth)
+    if base.side != ONE_SIDED:
+        raise ValidationError("restricted sampling takes a one-sided base")
+    if base.m != ifs.m:
+        raise ValidationError("base alphabet must match the number of IFS maps")
+    roles = schedule_roles(gaps, depth)
+    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
+    free = roles == FREE
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
 

@@ -419,18 +419,6 @@ class ScheduleBlock:
         return self.mismatch_pos + self.free_count
 
 
-@dataclass(frozen=True)
-class PairSchedule:
-    """Consecutive blocks tiling the index line with no gaps or overlaps."""
-
-    blocks: tuple[ScheduleBlock, ...]
-
-    @property
-    def span(self) -> int:
-        """Largest index covered by the stored blocks."""
-        return self.blocks[-1].end
-
-
 def _blocks(gaps: GapSequence) -> Iterator[ScheduleBlock]:
     """Blocks 0, 1, 2, ... under u_0 = 1, u_{i+1} = u_i + (i+1) + 1 + N_{i+1}."""
     u = 1
@@ -442,22 +430,22 @@ def _blocks(gaps: GapSequence) -> Iterator[ScheduleBlock]:
         u += i + 2 + free
 
 
-def block_schedule(gaps: GapSequence, block_count: int) -> PairSchedule:
-    """Blocks 0..block_count-1."""
+def block_schedule(gaps: GapSequence, block_count: int) -> tuple[ScheduleBlock, ...]:
+    """Blocks 0..block_count-1, which tile positions 1..blocks[-1].end."""
     if block_count < 1:
         raise ValidationError("block_count must be >= 1")
-    return PairSchedule(tuple(itertools.islice(_blocks(gaps), block_count)))
+    return tuple(itertools.islice(_blocks(gaps), block_count))
 
 
-def schedule_covering(gaps: GapSequence, length: int) -> PairSchedule:
-    """Smallest schedule whose blocks cover positions 1..length."""
+def schedule_covering(gaps: GapSequence, length: int) -> tuple[ScheduleBlock, ...]:
+    """Fewest blocks from block 0 on that cover positions 1..length."""
     if length < 1:
         raise ValidationError("length must be >= 1")
     blocks = []
     for blk in _blocks(gaps):
         blocks.append(blk)
         if blk.end >= length:
-            return PairSchedule(tuple(blocks))
+            return tuple(blocks)
 
 
 # position roles: a matched copy of the base digit, the flipped base digit,
@@ -472,7 +460,7 @@ def schedule_roles(gaps: GapSequence, length: int) -> np.ndarray:
     The covering blocks tile the index line from position 1, each one a run
     of match_len MATCH, one FLIP and free_count FREE positions.
     """
-    blocks = schedule_covering(gaps, length).blocks
+    blocks = schedule_covering(gaps, length)
     runs = [(blk.match_len, 1, blk.free_count) for blk in blocks]
     return np.repeat(np.tile(_BLOCK_ROLES, len(blocks)), np.ravel(runs))[:length]
 

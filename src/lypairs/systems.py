@@ -247,15 +247,6 @@ def _orbit_windows(
     return [(ifs, line[:, cols].swapaxes(0, 1).reshape(-1, depth)) for ifs, cols in windows]
 
 
-def _code_orbit(
-    spec: SystemSpec, past: np.ndarray, future: np.ndarray, times, depth: int
-) -> np.ndarray:
-    """Centers (len(times), k, w) of the orbit points of ``_orbit_windows``."""
-    windows = _orbit_windows(spec, past, future, times, depth)
-    centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
-    return centers.reshape(len(times), len(past), -1)
-
-
 def _sequence_orbit(
     spec: SystemSpec, seqs: tuple[SymbolSequence, ...], times, depth: int
 ) -> tuple[np.ndarray, list[list[float]]]:
@@ -343,8 +334,10 @@ def conjugacy_defect(
     for chunk_index, first in enumerate(range(0, trials, _TRIAL_CHUNK)):
         n = min(_TRIAL_CHUNK, trials - first)
         rows = _chunk_rng(seed, chunk_index).integers(1, 3, (n, past_len + prefix_len))
-        centers = _code_orbit(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
-        defects = _row_norms(apply_map(spec, centers[0]) - centers[1])
+        windows = _orbit_windows(spec, rows[:, :past_len], rows[:, past_len:], (0, 1), depth)
+        centers = np.hstack([_code_batch(ifs, digits) for ifs, digits in windows])
+        # time-major rows: the n points at time 0, then the n at time 1
+        defects = _row_norms(apply_map(spec, centers[:n]) - centers[n:])
         worst = max(worst, float(defects.max()))
     return worst
 

@@ -77,7 +77,7 @@ def test_criterion_2_symbolic_proximity_separation_bounds():
     blocks = 15
     sched = block_schedule(gaps, blocks)
     window = 48
-    need = sched.blocks[-1].start + blocks + window + 2
+    need = sched[-1].start + blocks + window + 2
     trials_per_m = 500  # 1000 trials total across m in {2, 3}
     for m in (2, 3):
         rng = np.random.default_rng(200 + m)
@@ -85,7 +85,7 @@ def test_criterion_2_symbolic_proximity_separation_bounds():
             base = random_sequence(m, need, rng)
             filler = random_sequence(m, need, rng)
             partner = construct_partner(base, gaps, filler, need)
-            for blk in sched.blocks:
+            for blk in sched:
                 i = blk.index
                 tail = 2.0 / m ** (window - 1)
                 prox = sequence_dist(

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -508,9 +509,13 @@ def test_output_golden_digest(capsys, cantor_json, tmp_path, case):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUTPUT_SHA256[case]
 
 
+def points_header(points) -> str:
+    return ",".join(f"x{i + 1}" for i in range(points.shape[1]))
+
+
 def reference_csv(points) -> str:
     """Reference CSV text: every value through format(v, ".17g")."""
-    header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
+    header = points_header(points)
     rows = [",".join(format(v, ".17g") for v in row) for row in points.tolist()]
     return "\n".join([header, *rows]) + "\n"
 
@@ -529,20 +534,19 @@ def csv_clouds():
 def test_points_csv_matches_format_reference(capsys, tmp_path, points):
     want = reference_csv(points)
     out_file = tmp_path / "points.csv"
-    cli._write_points_csv(points, str(out_file))
+    cli._write_csv(points_header(points), points, str(out_file))
     # lines first: on a mismatch pytest then names the first differing row
     # instead of diffing two multi-megabyte strings
     assert out_file.read_text().splitlines() == want.splitlines()
     assert out_file.read_text() == want
     for out in (None, "-"):
-        cli._write_points_csv(points, out)
+        cli._write_csv(points_header(points), points, out)
         assert capsys.readouterr().out == want
 
 
 def percent_csv(points) -> str:
     """Reference CSV text: every value through "%.17g" % v."""
-    header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
-    return header + "\n" + "".join(
+    return points_header(points) + "\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in points.tolist()
     )
 
@@ -550,7 +554,7 @@ def percent_csv(points) -> str:
 def written_csv(points) -> str:
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        cli._write_points_csv(points, None)
+        cli._write_csv(points_header(points), points, None)
     return text.getvalue()
 
 
@@ -612,16 +616,32 @@ def test_points_csv_edge_values(w):
     assert got == want
 
 
+CSV_CASES = {
+    # case: (argv, summary printed beside --out as a regex, lines in the file)
+    "sample-pairs": (["sample", "--target", "pairs", "--count", "5000", "--depth", "20",
+                      "--seed", "3"], "", 5001),
+    # the ladder starts at level 0, whose row is -log 1, log 1 = -0, 0
+    "boxdim-level-0": (["boxdim", "--count", "5000", "--depth", "20", "--seed", "3",
+                        "--eps-ratio", "3", "--eps-max", "1", "--eps-min", repr(3.0**-8)],
+                       r"box dimension\[attractor\]: slope = \S+ \+/- \S+ "
+                       r"over \d+ ladder points\n", 10),
+}
+
+
 def test_sample_csv_stdout_matches_file(capsys, cantor_json, tmp_path):
-    argv = ["sample", "--ifs", cantor_json, "--target", "pairs", "--count", "5000",
-            "--depth", "20", "--seed", "3", "--format", "csv"]
-    rc, out, _ = run(capsys, *argv)
-    assert rc == 0
-    out_file = tmp_path / "pairs.csv"
-    rc, _, _ = run(capsys, *argv, "--out", str(out_file))
-    assert rc == 0
-    assert out_file.read_text() == out
-    assert out.count("\n") == 5001
+    for case, (args, summary_re, lines) in CSV_CASES.items():
+        argv = [*args, "--ifs", cantor_json, "--format", "csv"]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0, case
+        out_file = tmp_path / f"{case}.csv"
+        rc, summary, _ = run(capsys, *argv, "--out", str(out_file))
+        assert rc == 0, case
+        assert re.fullmatch(summary_re, summary), (case, summary)
+        # stdout without --out is that summary, then exactly the file
+        assert out == summary + out_file.read_text(), case
+        assert out.count("\n") == lines + summary.count("\n"), case
+    head = (tmp_path / "boxdim-level-0.csv").read_text().splitlines()[:2]
+    assert head == ["neg_log_eps,log_count", "-0,0"]
 
 
 def test_config_file_supplies_options(capsys, tmp_path):

@@ -34,13 +34,13 @@ from lypairs.fractal import (
     _chunk_rng,
     _code_batch,
     _draw_digits,
-    _restricted_template,
 )
 from lypairs.symbolic import (
     FREE,
     GapSequence,
     SymbolSequence,
     apply_pattern,
+    covered_base,
     digit_dtype,
     extract_filler,
     random_sequence,
@@ -302,7 +302,9 @@ def attractor_digits(ifs, count, depth, seed, stream=0):
 def restricted_digits(ifs, base, gaps, count, depth, seed):
     """Digits behind a one-chunk ``sample_restricted`` call."""
     assert count <= _CHUNK
-    template, free = _restricted_template(ifs, base, gaps, depth)
+    roles = schedule_roles(gaps, depth)
+    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
+    free = roles == FREE
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     d = np.tile(template, (count, 1))
     d[:, free] = _draw_digits(_chunk_rng(seed, 0, 0), cum, (count, int(free.sum())))

@@ -226,45 +226,44 @@ def test_dist_triangle_inequality_on_exact_values():
 
 
 def test_block_schedule_quadratic_starts():
-    sched = block_schedule(GapSequence.quadratic(), 3)
-    assert [b.start for b in sched.blocks] == [1, 4, 11]
-    b0 = sched.blocks[0]
+    blocks = block_schedule(GapSequence.quadratic(), 3)
+    assert [b.start for b in blocks] == [1, 4, 11]
+    b0 = blocks[0]
     assert list(b0.match_positions) == [1]
     assert b0.mismatch_pos == 2
     assert list(b0.free_positions) == [3]
 
 
 def test_block_schedule_zero_gaps_starts():
-    sched = block_schedule(GapSequence.zero(), 3)
-    assert [b.start for b in sched.blocks] == [1, 3, 6]
+    blocks = block_schedule(GapSequence.zero(), 3)
+    assert [b.start for b in blocks] == [1, 3, 6]
 
 
 def test_block_schedule_single_block():
-    sched = block_schedule(GapSequence.quadratic(), 1)
-    blk = sched.blocks[0]
+    (blk,) = block_schedule(GapSequence.quadratic(), 1)
     assert blk.start == 1 and blk.match_len == 1 and blk.mismatch_pos == 2
 
 
 def test_blocks_tile_without_gaps_or_overlaps():
     for gaps in (GapSequence.quadratic(), GapSequence.constant(5), GapSequence.linear()):
-        sched = block_schedule(gaps, 12)
-        for prev, nxt in zip(sched.blocks, sched.blocks[1:]):
+        blocks = block_schedule(gaps, 12)
+        for prev, nxt in zip(blocks, blocks[1:]):
             assert nxt.start == prev.mismatch_pos + prev.free_count + 1
         covered = []
-        for blk in sched.blocks:
+        for blk in blocks:
             covered.extend(blk.match_positions)
             covered.append(blk.mismatch_pos)
             covered.extend(blk.free_positions)
-        assert covered == list(range(1, sched.span + 1))
+        assert covered == list(range(1, blocks[-1].end + 1))
 
 
 def _roles_from_blocks(gaps, length):
     """Reference: the role of each position read off block_schedule's layout."""
     count = 1
-    while block_schedule(gaps, count).span < length:
+    while block_schedule(gaps, count)[-1].end < length:
         count += 1
     roles = {}
-    for blk in block_schedule(gaps, count).blocks:
+    for blk in block_schedule(gaps, count):
         roles.update((p, MATCH) for p in blk.match_positions)
         roles[blk.mismatch_pos] = FLIP
         roles.update((p, FREE) for p in blk.free_positions)
@@ -402,8 +401,7 @@ def test_partner_pattern_holds_blockwise():
         filler = random_sequence(m, 200, rng)
         gaps = GapSequence.quadratic()
         t = construct_partner(base, gaps, filler, 150)
-        sched = block_schedule(gaps, 8)
-        for blk in sched.blocks:
+        for blk in block_schedule(gaps, 8):
             if blk.mismatch_pos > 150:
                 break
             t_digits, s_digits = t.digits.tolist(), base.digits.tolist()
@@ -495,13 +493,13 @@ def test_proximity_and_separation_bounds_small():
     blocks = 10
     sched = block_schedule(gaps, blocks)
     window = 48
-    need = sched.span + sched.blocks[-1].match_len + window + 2
+    need = sched[-1].end + sched[-1].match_len + window + 2
     for m in (2, 3, 5):
         for _ in range(25):
             base = random_sequence(m, need, rng)
             filler = random_sequence(m, need, rng)
             t = construct_partner(base, gaps, filler, need)
-            for blk in sched.blocks:
+            for blk in sched:
                 i = blk.index
                 prox = _window_dist(shift(base, blk.start - 1), shift(t, blk.start - 1), window, m)
                 assert prox.hi <= m ** (-i), (m, i, prox.hi)

@@ -23,7 +23,6 @@ from lypairs.fractal import (
 from lypairs.symbolic import TWO_SIDED, SymbolSequence, shift
 from lypairs.systems import (
     SystemSpec,
-    _code_orbit,
     _row_norms,
     _sequence_orbit,
     apply_map,
@@ -343,18 +342,13 @@ def test_orbit_coder_matches_shift_and_code_point(spec):
     rows[5:] = np.where(rng.random((5, past_len + 95)) < 0.9, 2, 1)  # mostly digit 2
     seqs = [SymbolSequence(2, r[past_len:], spec.side, r[:past_len]) for r in rows.tolist()]
     times = (0, 1, 2, 39, 40, 41, 55)
-    centers = _code_orbit(
-        spec,
-        np.array([s.past for s in seqs], np.int8),
-        np.array([s.digits for s in seqs], np.int8),
-        times,
-        depth,
-    )
+    centers, radii = _sequence_orbit(spec, tuple(seqs), times, depth)
     assert centers.shape == (len(times), len(seqs), spec.w)
     for i, n in enumerate(times):
         for j, seq in enumerate(seqs):
             center, radius = reference_orbit_point(spec, seq, n, depth)
             assert np.array_equal(centers[i, j], center)
+            assert radii[i][j] == radius
             point = code_orbit_point(spec, seq, n, depth)
             assert np.array_equal(point.center, center)
             assert point.radius == radius
