@@ -211,11 +211,7 @@ def dimension_fit(estimate: BoxCountEstimate) -> BoxCountEstimate:
     survivors raise ``DegenerateFit``.
     """
     cap = estimate.sample_count / 8
-    keep = tuple(
-        i
-        for i, n in enumerate(estimate.counts)
-        if 8 <= n <= cap and 1 < n < estimate.sample_count
-    )
+    keep = tuple(i for i, n in enumerate(estimate.counts) if 8 <= n <= cap)
     if len(keep) < 4:
         raise DegenerateFit(f"only {len(keep)} usable ladder points between count 8 and {cap:.0f}")
     x = np.array([-math.log(estimate.epsilons[i]) for i in keep])
@@ -292,8 +288,6 @@ def liyorke_profile(
     pattern of the base (NotInSubset otherwise); negative controls pass
     strict=False to profile deliberately broken pairs.
     """
-    if block_count < 1:
-        raise ValidationError("block_count must be >= 1")
     blocks = block_schedule(gaps, block_count)
     if strict:
         # membership constrains the futures only; pasts are free

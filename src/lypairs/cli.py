@@ -67,7 +67,14 @@ from .symbolic import (
     random_sequence,
     schedule_covering,
 )
-from .systems import SystemSpec, _sequence_orbit, apply_map, derive_ifs, sample_invariant_set
+from .systems import (
+    SystemSpec,
+    _row_norms,
+    _sequence_orbit,
+    apply_map,
+    derive_ifs,
+    sample_invariant_set,
+)
 from .systems import code_orbit_point  # noqa: F401  (bench/spans.py wraps this name)
 
 EXIT_OK = 0
@@ -310,14 +317,15 @@ def _parse_gaps(text: str) -> GapSequence:
     rule, colon, arg = text.partition(":")
     if colon and rule == "list":
         data = _read_json(arg, "gap list file")
-        build = GapSequence.from_list if isinstance(data, list) else GapSequence.from_json
-        return _from_json(build, data, "gap list file")
+        if isinstance(data, list):
+            data = {"rule": "list", "values": data}
+        return _from_json(GapSequence.from_json, data, "gap list file")
     if colon and rule == "constant":
         try:
             c = int(arg)
         except ValueError as exc:
             raise ValidationError(f"bad constant gap value in {text!r}") from exc
-        return GapSequence.from_json({"rule": "constant", "c": c})
+        return GapSequence("constant", c=c)
     if not colon:
         try:
             return GapSequence.from_json({"rule": rule})
@@ -466,8 +474,7 @@ def _unsafe_iteration_report(spec, base, partner, depth, steps) -> dict:
     x, y = centers[0, 0].copy(), centers[0, 1].copy()
     rows = []
     stopped = None
-    for n in range(steps):
-        coded = float(np.linalg.norm(centers[n, 0] - centers[n, 1]))
+    for n, coded in enumerate(_row_norms(centers[:, 0] - centers[:, 1]).tolist()):
         naive = float(np.linalg.norm(x - y))
         rows.append({"time": n, "naive": naive, "coded": coded, "drift": abs(naive - coded)})
         try:
@@ -561,9 +568,7 @@ def _boxdim_points(args) -> np.ndarray:
         return sample_restricted(
             ifs, base, gaps, args.count, args.depth, seed, args.threads
         ).centers
-    if args.target == "pairs":
-        return sample_pair_set(ifs, gaps, args.count, args.depth, seed, args.threads).centers
-    raise ValidationError(f"unknown target {args.target!r}")
+    return sample_pair_set(ifs, gaps, args.count, args.depth, seed, args.threads).centers
 
 
 def cmd_boxdim(args) -> int:

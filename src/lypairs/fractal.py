@@ -100,22 +100,12 @@ class Similitude:
     def w(self) -> int:
         return len(self.translation)
 
-    @cached_property
-    def _flips_arr(self) -> np.ndarray:
-        return np.asarray(self.flips, dtype=float)
-
-    @cached_property
-    def _t_arr(self) -> np.ndarray:
-        return np.asarray(self.translation, dtype=float)
-
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.ratio * (self._flips_arr * x) + self._t_arr
+        return self.ratio * (np.asarray(x, dtype=float) * self.flips) + self.translation
 
     def image_box(self, box: np.ndarray) -> np.ndarray:
         """Exact image of an axis-aligned box, as a (w, 2) array."""
-        a = self.ratio * self._flips_arr * box[:, 0] + self._t_arr
-        b = self.ratio * self._flips_arr * box[:, 1] + self._t_arr
+        a, b = self.apply(box[:, 0]), self.apply(box[:, 1])
         return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
 

@@ -148,10 +148,6 @@ class SymbolSequence:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @classmethod
-    def two_sided(cls, m: int, past: Iterable[int], future: Iterable[int]) -> "SymbolSequence":
-        return cls(m, future, TWO_SIDED, past)
-
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -175,7 +171,8 @@ class SymbolSequence:
         (m,) = _integers((data["m"],), "alphabet size")
         if side == ONE_SIDED:
             return cls(m, data["digits"])
-        return cls.two_sided(m, data["past"], data["future"])
+        past = data["past"]  # read first, so a file missing both keys names "past"
+        return cls(m, data["future"], side=TWO_SIDED, past=past)
 
 
 def random_sequence(
@@ -195,7 +192,7 @@ def random_sequence(
     if side == ONE_SIDED:
         return SymbolSequence(m, future)
     past = rng.integers(1, m + 1, size=past_length)
-    return SymbolSequence.two_sided(m, past, future)
+    return SymbolSequence(m, future, side=TWO_SIDED, past=past)
 
 
 def shift(seq: SymbolSequence, n: int) -> SymbolSequence:
@@ -338,30 +335,6 @@ class GapSequence:
                 raise ValidationError(f"{what} must be non-negative")
             object.__setattr__(self, name, ints if name == "values" else ints[0])
 
-    @classmethod
-    def from_list(cls, values: Iterable[int]) -> "GapSequence":
-        return cls("list", values=tuple(values))
-
-    @classmethod
-    def constant(cls, c: int) -> "GapSequence":
-        return cls("constant", c=c)
-
-    @classmethod
-    def zero(cls) -> "GapSequence":
-        return cls("constant", c=0)
-
-    @classmethod
-    def linear(cls) -> "GapSequence":
-        return cls("linear")
-
-    @classmethod
-    def quadratic(cls) -> "GapSequence":
-        return cls("quadratic")
-
-    @classmethod
-    def affine(cls, a: int, b: int) -> "GapSequence":
-        return cls("affine", a=a, b=b)
-
     def value(self, n: int) -> int:
         """N_n for n >= 1."""
         if n < 1:
@@ -392,7 +365,7 @@ class GapSequence:
         if data.get("rule") == "zero":
             if set(data) != {"rule"}:
                 raise ValidationError("gap rule zero takes no parameters")
-            return cls.zero()
+            return cls("constant", c=0)
         return cls(**data)
 
 

@@ -106,22 +106,6 @@ class SystemSpec:
             if self.tau is None or not self.tau > 2:
                 raise ParameterOutOfRange("horseshoe needs tau > 2")
 
-    @classmethod
-    def tent(cls, a: float) -> "SystemSpec":
-        return cls("tent", a=a)
-
-    @classmethod
-    def baker(cls, beta1: float, beta2: float) -> "SystemSpec":
-        return cls("baker", beta1=beta1, beta2=beta2)
-
-    @classmethod
-    def horseshoe(cls, beta: float, tau: float) -> "SystemSpec":
-        return cls("horseshoe", beta=beta, tau=tau)
-
-    @classmethod
-    def solenoid(cls, beta1: float, beta2: float) -> "SystemSpec":
-        return cls("solenoid", beta1=beta1, beta2=beta2)
-
     @property
     def side(self) -> str:
         return ONE_SIDED if self.kind == "tent" else TWO_SIDED

@@ -73,7 +73,7 @@ def test_criterion_1_moran_oracle():
 
 def test_criterion_2_symbolic_proximity_separation_bounds():
     started = time.perf_counter()
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     blocks = 15
     sched = block_schedule(gaps, blocks)
     window = 48
@@ -106,10 +106,10 @@ def test_criterion_2_symbolic_proximity_separation_bounds():
 def test_criterion_3_conjugacy_defects():
     started = time.perf_counter()
     systems = (
-        (SystemSpec.tent(2.0), 40),
-        (SystemSpec.baker(1 / 3, 1 / 3), 30),
-        (SystemSpec.horseshoe(1 / 3, 3.0), 30),
-        (SystemSpec.solenoid(1 / 3, 1 / 3), 30),
+        (SystemSpec("tent", a=2.0), 40),
+        (SystemSpec("baker", beta1=1 / 3, beta2=1 / 3), 30),
+        (SystemSpec("horseshoe", beta=1 / 3, tau=3.0), 30),
+        (SystemSpec("solenoid", beta1=1 / 3, beta2=1 / 3), 30),
     )
     for spec, depth in systems:
         defect = conjugacy_defect(
@@ -123,7 +123,7 @@ def test_criterion_3_conjugacy_defects():
 def test_criterion_4_restricted_set_dimension():
     started = time.perf_counter()
     ifs = cantor_ifs()
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     count, depth = 1_000_000, 40
     plain = sample_attractor(ifs, count, depth, seed=400)
     est_plain = dimension_fit(box_count(plain.centers, GridLadder(3, 3, 16)))
@@ -140,7 +140,7 @@ def test_criterion_4_restricted_set_dimension():
 def test_criterion_5_pair_set_dimension():
     started = time.perf_counter()
     ifs = cantor_ifs()
-    pairs = sample_pair_set(ifs, GapSequence.quadratic(), 1_000_000, 40, seed=500)
+    pairs = sample_pair_set(ifs, GapSequence("quadratic"), 1_000_000, 40, seed=500)
     est = dimension_fit(box_count(pairs.centers, GridLadder(3, 6, 10)))
     assert abs(est.slope - 2 * CANTOR_D) <= 0.1, est.slope
     _report(5, "pair set doubles the dimension", started, 120.0)
@@ -171,16 +171,16 @@ def test_criterion_6_cli_verdicts(capsys, tmp_path):
 
 def test_criterion_7_gap_condition_checker():
     started = time.perf_counter()
-    quad = check_gap_condition(GapSequence.quadratic(), 100)
+    quad = check_gap_condition(GapSequence("quadratic"), 100)
     assert quad.verdict == "pass"
     assert quad.ratios[99] == pytest.approx(100**2 * 6 / (100 * 101 * 201), rel=1e-12)
-    lin = check_gap_condition(GapSequence.linear(), 100)
+    lin = check_gap_condition(GapSequence("linear"), 100)
     assert lin.verdict == "fail"
     assert lin.ratios[99] == pytest.approx(2 * 100 / 101, rel=1e-12)
-    const = check_gap_condition(GapSequence.constant(5), 100)
+    const = check_gap_condition(GapSequence("constant", c=5), 100)
     assert const.verdict == "fail"
     assert const.ratios[99] == pytest.approx(20.0, rel=1e-12)
-    zero = check_gap_condition(GapSequence.zero(), 100)
+    zero = check_gap_condition(GapSequence("constant", c=0), 100)
     assert zero.verdict == "fail"
     assert all(math.isinf(r) for r in zero.ratios)
     _report(7, "gap-condition verdicts match closed forms", started, 1.0)

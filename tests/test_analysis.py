@@ -43,10 +43,10 @@ from lypairs.fractal import (
 from lypairs.symbolic import TWO_SIDED, GapSequence, SymbolSequence, block_schedule, random_sequence
 from lypairs.systems import SystemSpec, code_orbit_point
 
-TENT2 = SystemSpec.tent(2.0)
-BAKER3 = SystemSpec.baker(1 / 3, 1 / 3)
-HORSE3 = SystemSpec.horseshoe(1 / 3, 3.0)
-SOLENOID3 = SystemSpec.solenoid(1 / 3, 1 / 3)
+TENT2 = SystemSpec("tent", a=2.0)
+BAKER3 = SystemSpec("baker", beta1=1 / 3, beta2=1 / 3)
+HORSE3 = SystemSpec("horseshoe", beta=1 / 3, tau=3.0)
+SOLENOID3 = SystemSpec("solenoid", beta1=1 / 3, beta2=1 / 3)
 
 CANTOR_D = math.log(2) / math.log(3)
 
@@ -328,7 +328,7 @@ def test_fit_window_is_fixed_from_8_to_count_over_8():
 
 
 def test_tent_profile_envelope_and_monotone_proximity():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 10, 20, seed=6, filler_mode="random")
     prof = liyorke_profile(TENT2, base, gaps, partner, 10, 20)
     bounds = [cp.bound for cp in prof.proximity]
@@ -345,7 +345,7 @@ def test_tent_profile_envelope_and_monotone_proximity():
 @pytest.mark.parametrize("spec", (TENT2, BAKER3, HORSE3, SOLENOID3), ids=lambda s: s.kind)
 @pytest.mark.parametrize("mode", ("base", "random"))
 def test_profile_matches_pointwise_orbit_coding(spec, mode):
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(spec, gaps, 8, 20, seed=2, filler_mode=mode)
     prof = liyorke_profile(spec, base, gaps, partner, 8, 20, strict=False)
     sep_offset = 1 if spec.side == TWO_SIDED else 0
@@ -362,17 +362,17 @@ def test_profile_matches_pointwise_orbit_coding(spec, mode):
 
 
 def test_profile_rejects_short_windows():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(BAKER3, gaps, 6, 12, seed=8)
     with pytest.raises(InsufficientPrefix, match="future digits"):
         liyorke_profile(BAKER3, base.truncated(30), gaps, partner.truncated(30), 6, 12, strict=False)
-    short_past = SymbolSequence.two_sided(2, base.past[:5], base.digits)
+    short_past = SymbolSequence(2, base.digits, side=TWO_SIDED, past=base.past[:5])
     with pytest.raises(InsufficientPrefix, match="at time 0 needs 12 past digits"):
         liyorke_profile(BAKER3, short_past, gaps, partner, 6, 12, strict=False)
 
 
 def test_profile_rejects_non_partner_when_strict():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 6, 12, seed=8)
     with pytest.raises(NotInSubset):
         liyorke_profile(TENT2, base, gaps, base, 6, 12)
@@ -381,7 +381,7 @@ def test_profile_rejects_non_partner_when_strict():
 
 
 def test_verify_passes_all_four_systems():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     for spec in (TENT2, BAKER3, HORSE3, SOLENOID3):
         base, partner = build_verification_pair(spec, gaps, 12, 18, seed=10)
         prof = liyorke_profile(spec, base, gaps, partner, 12, 18)
@@ -390,15 +390,15 @@ def test_verify_passes_all_four_systems():
 
 
 def test_verify_tent_with_random_filler():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 12, 18, seed=11, filler_mode="random")
     verdict = verify_liyorke(liyorke_profile(TENT2, base, gaps, partner, 12, 18))
     assert verdict.passed
 
 
 def test_verify_unequal_baker_contractions():
-    gaps = GapSequence.quadratic()
-    spec = SystemSpec.baker(0.2, 0.4)
+    gaps = GapSequence("quadratic")
+    spec = SystemSpec("baker", beta1=0.2, beta2=0.4)
     base, partner = build_verification_pair(spec, gaps, 12, 18, seed=19)
     prof = liyorke_profile(spec, base, gaps, partner, 12, 18)
     assert prof.sep_gap == pytest.approx(0.4)
@@ -406,7 +406,7 @@ def test_verify_unequal_baker_contractions():
 
 
 def test_verify_fails_identical_pair():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, _ = build_verification_pair(TENT2, gaps, 8, 15, seed=12)
     prof = liyorke_profile(TENT2, base, gaps, base, 8, 15, strict=False)
     assert all(cp.bound == 0.0 for cp in prof.separation)
@@ -417,7 +417,7 @@ def test_verify_fails_identical_pair():
 
 
 def test_verify_fails_eventually_equal_pair():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     for spec in (TENT2, BAKER3):
         base, partner = build_verification_pair(spec, gaps, 10, 15, seed=14)
         broken = break_pair_after_block(base, partner, gaps, last_kept_block=2)
@@ -430,7 +430,7 @@ def test_verify_fails_eventually_equal_pair():
 
 
 def test_verify_too_few_checkpoints():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 4, 12, seed=15)
     prof = liyorke_profile(TENT2, base, gaps, partner, 2, 12)
     with pytest.raises(TooFewCheckpoints):
@@ -438,7 +438,7 @@ def test_verify_too_few_checkpoints():
 
 
 def test_verify_parameter_validation():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 6, 12, seed=16)
     prof = liyorke_profile(TENT2, base, gaps, partner, 6, 12)
     with pytest.raises(ValidationError):
@@ -448,7 +448,7 @@ def test_verify_parameter_validation():
 
 
 def test_shadow_filler_partner_differs_only_at_flips():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base, partner = build_verification_pair(TENT2, gaps, 8, 12, seed=17)
     diffs = [i for i, (a, b) in enumerate(zip(base.digits, partner.digits)) if a != b]
     from lypairs.symbolic import schedule_covering
@@ -459,7 +459,7 @@ def test_shadow_filler_partner_differs_only_at_flips():
 
 
 def test_required_future_length_covers_profile():
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     n = required_future_length(gaps, 12, 18, "two")
     base, partner = build_verification_pair(BAKER3, gaps, 12, 18, seed=18)
     assert len(base.digits) == n
@@ -475,7 +475,7 @@ def test_restricted_set_keeps_dimension_with_quadratic_gaps():
     ifs = cantor_ifs()
     rng = np.random.default_rng(20)
     base = random_sequence(2, 60, rng)
-    sample = sample_restricted(ifs, base, GapSequence.quadratic(), 300_000, 40, seed=21)
+    sample = sample_restricted(ifs, base, GapSequence("quadratic"), 300_000, 40, seed=21)
     est = dimension_fit(box_count(sample.centers, GridLadder(3, 15, 23)))
     assert est.slope == pytest.approx(CANTOR_D, abs=0.05)
 
@@ -484,7 +484,7 @@ def test_restricted_set_loses_dimension_with_constant_gaps():
     ifs = cantor_ifs()
     rng = np.random.default_rng(22)
     base = random_sequence(2, 60, rng)
-    sample = sample_restricted(ifs, base, GapSequence.constant(5), 300_000, 40, seed=23)
+    sample = sample_restricted(ifs, base, GapSequence("constant", c=5), 300_000, 40, seed=23)
     est = dimension_fit(box_count(sample.centers, GridLadder(3, 15, 23)))
     assert est.slope < CANTOR_D - 0.05
 

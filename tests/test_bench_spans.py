@@ -43,9 +43,9 @@ SAMPLERS = {
     "restricted": (
         1,
         fractal.sample_restricted,
-        (CANTOR, SymbolSequence(2, (1, 2) * 10), GapSequence.quadratic(), 300, 12),
+        (CANTOR, SymbolSequence(2, (1, 2) * 10), GapSequence("quadratic"), 300, 12),
     ),
-    "pairs": (2, fractal.sample_pair_set, (CANTOR, GapSequence.quadratic(), 300, 12)),
+    "pairs": (2, fractal.sample_pair_set, (CANTOR, GapSequence("quadratic"), 300, 12)),
 }
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -166,6 +167,38 @@ def test_construct_bad_gap_rule(capsys):
     rc, _, err = run(capsys, "construct", "--m", "2", "--length", "5",
                      "--gaps", "cubic", "--seed", "1")
     assert rc == 2
+
+
+def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
+    filler = tmp_path / "filler.json"
+    filler.write_text(json.dumps({"m": 2, "digits": [2, 1, 2, 2, 1, 2]}))
+    out_file = tmp_path / "partner.json"
+    rc, out, _ = run(capsys, "construct", "--m", "2", "--length", "10", "--gaps", "constant:3",
+                     "--base", "ones", "--filler", str(filler), "--seed", "1", "--extract",
+                     "--out", str(out_file))
+    assert rc == 0
+    assert "gap condition: fail (ratio M/3 diverges)" in out
+    data = json.loads(out_file.read_text())
+    assert [b["free_count"] for b in data["schedule"]["blocks"]] == [3, 3]
+    # positions 3-5 and 9-10 are free; 2 and 8 are flipped
+    assert data["partner"]["digits"] == [1, 2, 2, 1, 2, 1, 1, 2, 2, 1]
+    assert data["filler_recovered"] == [2, 1, 2, 2, 1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--length", "5", "--gaps", "constant:x", "--seed", "1"],
+     "bad constant gap value in 'constant:x'"),
+    (["construct", "--length", "0", "--seed", "1"], "--length must be >= 1"),
+    (["verify", "--system", "tent", "--a", "2", "--blocks", "0", "--seed", "1"],
+     "block_count must be >= 1"),
+    (["verify", "--config", "{list}"], "config file must hold a JSON object"),
+], ids=["constant-gap-value", "length-0", "blocks-0", "config-list"])
+def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(["--system", "tent"]))
+    rc, _, err = run(capsys, *(a.replace("{list}", str(config)) for a in argv))
+    assert rc == 2
+    assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------------------
@@ -489,6 +522,9 @@ OUTPUT_CASES = {
                    "--seed", "2", "--format", "csv"],
     "sample-json": ["sample", "--ifs", "{cantor}", "--target", "restricted", "--count", "2000",
                     "--depth", "25", "--seed", "7", "--format", "json"],
+    "sample-json-baker": ["sample", "--system", "baker", "--beta1", THIRD, "--beta2", THIRD,
+                          "--target", "system", "--count", "2000", "--depth", "25", "--seed", "7",
+                          "--format", "json"],
 }
 OUTPUT_SHA256 = {
     "construct": "6686624b6bd96b499579c1bb99654418ab405ee7ddf468aa1e59be79268e5525",
@@ -497,6 +533,7 @@ OUTPUT_SHA256 = {
     "boxdim-json": "9231f7dbc933a142612ce0d3cb88e15eeb79b522f89aba95898984a4dbb42f51",
     "boxdim-csv": "d9c4e24c8fc995b49aaf93f3740662a80baa756b01e9b7c126c595b839d6bcbe",
     "sample-json": "dca26ebd421fa7346a940dd14f469aebcf6aee1ddb01b3fcb7c23b063730ef43",
+    "sample-json-baker": "25f5bfbc8d1c0ccecfa96e7534882dd5cffb26567d2abc22e0cb8e1e07d1039b",
 }
 
 
@@ -507,6 +544,21 @@ def test_output_golden_digest(capsys, cantor_json, tmp_path, case):
     rc, _, _ = run(capsys, *argv, "--out", str(out_file))
     assert rc == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUTPUT_SHA256[case]
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, '"nan"'),
+    (math.inf, '"inf"'),
+    (-math.inf, '"-inf"'),
+    (-0.0, "-0"),
+    (1e-05, "1.0000000000000001e-05"),
+    (1e17, "1e+17"),
+    (np.int64(-3), "-3"),
+    ({}, "{}"),
+    ([], "[]"),
+])
+def test_json_text_of_edge_values(value, text):
+    assert cli._json_text(value) == text
 
 
 def points_header(points) -> str:

@@ -367,7 +367,7 @@ def test_sampler_starts_at_most_one_worker_per_chunk(monkeypatch):
 def test_sampler_thread_invariant(target):
     # 70,000 rows: two full chunks and a partial third
     ifs = cantor_ifs()
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     base = random_sequence(2, 48, np.random.default_rng(8))
     samples = []
     for threads in (1, 2, 4):
@@ -417,7 +417,7 @@ def test_restricted_prefixes_satisfy_pattern():
     ifs = cantor_ifs()
     rng = np.random.default_rng(31)
     base = random_sequence(2, 60, rng)
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     sample = sample_restricted(ifs, base, gaps, 200, 40, seed=5)
     digits = restricted_digits(ifs, base, gaps, 200, 40, seed=5)
     assert np.array_equal(_code_batch(ifs, digits), sample.centers)
@@ -429,8 +429,8 @@ def test_restricted_prefixes_satisfy_pattern():
 def test_restricted_zero_gaps_is_deterministic():
     ifs = cantor_ifs()
     base = SymbolSequence(2, (1, 2) * 30)
-    sample = sample_restricted(ifs, base, GapSequence.zero(), 500, 30, seed=3)
-    digits = restricted_digits(ifs, base, GapSequence.zero(), 500, 30, seed=3)
+    sample = sample_restricted(ifs, base, GapSequence("constant", c=0), 500, 30, seed=3)
+    digits = restricted_digits(ifs, base, GapSequence("constant", c=0), 500, 30, seed=3)
     assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     assert np.all(digits == digits[0])
     assert np.ptp(sample.centers) == 0.0
@@ -440,12 +440,12 @@ def test_restricted_needs_base_coverage():
     ifs = cantor_ifs()
     base = SymbolSequence(2, (1, 2))
     with pytest.raises(InsufficientPrefix):
-        sample_restricted(ifs, base, GapSequence.quadratic(), 10, 30, seed=1)
+        sample_restricted(ifs, base, GapSequence("quadratic"), 10, 30, seed=1)
 
 
 def test_pair_sample_components():
     ifs = cantor_ifs()
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     pairs = sample_pair_set(ifs, gaps, 300, 25, seed=13)
     assert pairs.centers.shape == (300, 2)
     s, t = pair_digits(ifs, gaps, 300, 25, seed=13)

@@ -13,6 +13,7 @@ from lypairs.symbolic import (
     FLIP,
     FREE,
     MATCH,
+    TWO_SIDED,
     GapSequence,
     SymbolSequence,
     apply_pattern,
@@ -55,17 +56,21 @@ def test_shift_drops_leading_digits():
 
 
 def test_shift_two_sided_moves_future_to_past():
-    s = SymbolSequence.two_sided(2, (), (1, 2, 2))
+    s = SymbolSequence(2, (1, 2, 2), side=TWO_SIDED, past=())
     out = shift(s, 1)
     assert out.past.tolist() == [1]
     assert out.digits.tolist() == [2, 2]
 
 
 def test_shift_two_sided_past_most_recent_first():
-    s = SymbolSequence.two_sided(3, (3,), (1, 2, 2))
+    s = SymbolSequence(3, (1, 2, 2), side=TWO_SIDED, past=(3,))
     out = shift(s, 2)
     assert out.past.tolist() == [2, 1, 3]
     assert out.digits.tolist() == [2]
+
+
+def test_len_counts_future_digits_only():
+    assert len(SymbolSequence(3, (1, 2, 2), side=TWO_SIDED, past=(3,))) == 3
 
 
 def test_shift_insufficient_prefix():
@@ -90,7 +95,7 @@ def test_construction_rejects_non_integer_digits(digits, message):
     with pytest.raises(ValidationError, match=message):
         SymbolSequence(2, digits)
     with pytest.raises(ValidationError, match=message):
-        SymbolSequence.two_sided(2, digits, (1,))
+        SymbolSequence(2, (1,), side=TWO_SIDED, past=digits)
 
 
 @pytest.mark.parametrize("bad", [0, 3])
@@ -99,14 +104,14 @@ def test_construction_rejects_array_digits_outside_alphabet(bad):
     with pytest.raises(InvalidDigit, match=f"^future digit {bad} outside alphabet 1..2$"):
         SymbolSequence(2, digits)
     with pytest.raises(InvalidDigit, match=f"^past digit {bad} outside alphabet 1..2$"):
-        SymbolSequence.two_sided(2, digits, (1,))
+        SymbolSequence(2, (1,), side=TWO_SIDED, past=digits)
 
 
 @pytest.mark.parametrize("m, dtype", [
     (2, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16), (2**15, np.int64),
 ])
 def test_digit_dtype_by_alphabet_size(m, dtype):
-    s = SymbolSequence.two_sided(m, np.array([m]), (1, m))
+    s = SymbolSequence(m, (1, m), side=TWO_SIDED, past=np.array([m]))
     assert s.digits.dtype == dtype and s.past.dtype == dtype
     assert s.digits.tolist() == [1, m] and s.past.tolist() == [m]
     assert SymbolSequence(m, (m,)).past.dtype == dtype
@@ -114,7 +119,7 @@ def test_digit_dtype_by_alphabet_size(m, dtype):
 
 def test_digits_are_read_only_and_owned():
     caller = np.array([1, 2, 2, 1], dtype=np.int8)
-    s = SymbolSequence.two_sided(2, caller[::-1], caller)
+    s = SymbolSequence(2, caller, side=TWO_SIDED, past=caller[::-1])
     caller[:] = 2
     assert s.digits.tolist() == [1, 2, 2, 1] and s.past.tolist() == [1, 2, 2, 1]
     for seq in (s, shift(s, 1), s.truncated(2), SymbolSequence(2, (1, 2))):
@@ -133,7 +138,9 @@ def test_equality_and_hash_follow_digit_values():
     assert a != SymbolSequence(3, (1, 2, 2))
     assert a != SymbolSequence(4, (1, 2, 3))
     assert a != (1, 2, 3)
-    assert SymbolSequence.two_sided(3, (1,), (2,)) != SymbolSequence.two_sided(3, (), (1, 2))
+    assert SymbolSequence(3, (2,), side=TWO_SIDED, past=(1,)) != SymbolSequence(
+        3, (1, 2), side=TWO_SIDED, past=()
+    )
 
 
 # --------------------------------------------------------------------------
@@ -168,8 +175,8 @@ def test_dist_all_differ_geometric_series():
 
 
 def test_dist_two_sided_includes_past():
-    s = SymbolSequence.two_sided(2, (1,) * 20, (1,) * 20)
-    t = SymbolSequence.two_sided(2, (2,) + (1,) * 19, (1,) * 20)
+    s = SymbolSequence(2, (1,) * 20, side=TWO_SIDED, past=(1,) * 20)
+    t = SymbolSequence(2, (1,) * 20, side=TWO_SIDED, past=(2,) + (1,) * 19)
     d = sequence_dist(s, t, tail_bound=1e-4)
     assert d.lo_exact == Fraction(1, 2)
     assert d.lo_exact == brute_force_dist(s, t)
@@ -187,7 +194,7 @@ def test_dist_requires_same_alphabet_and_side():
     with pytest.raises(ValidationError):
         sequence_dist(
             SymbolSequence(2, (1,) * 30),
-            SymbolSequence.two_sided(2, (1,) * 30, (1,) * 30),
+            SymbolSequence(2, (1,) * 30, side=TWO_SIDED, past=(1,) * 30),
             1e-3,
         )
 
@@ -226,7 +233,7 @@ def test_dist_triangle_inequality_on_exact_values():
 
 
 def test_block_schedule_quadratic_starts():
-    blocks = block_schedule(GapSequence.quadratic(), 3)
+    blocks = block_schedule(GapSequence("quadratic"), 3)
     assert [b.start for b in blocks] == [1, 4, 11]
     b0 = blocks[0]
     assert list(b0.match_positions) == [1]
@@ -235,17 +242,17 @@ def test_block_schedule_quadratic_starts():
 
 
 def test_block_schedule_zero_gaps_starts():
-    blocks = block_schedule(GapSequence.zero(), 3)
+    blocks = block_schedule(GapSequence("constant", c=0), 3)
     assert [b.start for b in blocks] == [1, 3, 6]
 
 
 def test_block_schedule_single_block():
-    (blk,) = block_schedule(GapSequence.quadratic(), 1)
+    (blk,) = block_schedule(GapSequence("quadratic"), 1)
     assert blk.start == 1 and blk.match_len == 1 and blk.mismatch_pos == 2
 
 
 def test_blocks_tile_without_gaps_or_overlaps():
-    for gaps in (GapSequence.quadratic(), GapSequence.constant(5), GapSequence.linear()):
+    for gaps in (GapSequence("quadratic"), GapSequence("constant", c=5), GapSequence("linear")):
         blocks = block_schedule(gaps, 12)
         for prev, nxt in zip(blocks, blocks[1:]):
             assert nxt.start == prev.mismatch_pos + prev.free_count + 1
@@ -272,11 +279,11 @@ def _roles_from_blocks(gaps, length):
 
 def test_schedule_roles_match_block_layout():
     for gaps in (
-        GapSequence.quadratic(),
-        GapSequence.linear(),
-        GapSequence.zero(),
-        GapSequence.constant(3),
-        GapSequence.from_list([4, 0, 2, 7, 1, 0, 3, 5, 2, 2]),
+        GapSequence("quadratic"),
+        GapSequence("linear"),
+        GapSequence("constant", c=0),
+        GapSequence("constant", c=3),
+        GapSequence("list", values=[4, 0, 2, 7, 1, 0, 3, 5, 2, 2]),
     ):
         for length in (1, 2, 3, 4, 5, 11, 17, 40, 57):
             roles = schedule_roles(gaps, length)
@@ -289,14 +296,14 @@ def test_schedule_roles_match_block_layout():
 
 def test_schedule_covering_exhausts_gap_list():
     with pytest.raises(InsufficientPrefix):
-        schedule_covering(GapSequence.from_list([1, 1]), 20)
+        schedule_covering(GapSequence("list", values=[1, 1]), 20)
     with pytest.raises(ValidationError):
-        schedule_roles(GapSequence.quadratic(), 0)
+        schedule_roles(GapSequence("quadratic"), 0)
 
 
 def test_apply_pattern_rows_match_single_prefix():
     rng = np.random.default_rng(5)
-    roles = schedule_roles(GapSequence.constant(2), 30)
+    roles = schedule_roles(GapSequence("constant", c=2), 30)
     for m, dtype in ((2, np.int8), (5, np.int8), (200, np.int16)):
         rows = rng.integers(1, m + 1, size=(6, 30)).astype(dtype)
         out = apply_pattern(roles, rows, m)
@@ -308,39 +315,39 @@ def test_apply_pattern_rows_match_single_prefix():
 
 
 def test_covered_base_needs_every_fixed_position():
-    roles = schedule_roles(GapSequence.quadratic(), 12)  # last fixed position: 12
+    roles = schedule_roles(GapSequence("quadratic"), 12)  # last fixed position: 12
     base = SymbolSequence(2, (2, 1) * 6)
     assert covered_base(roles, base).tolist() == base.digits.tolist()
     with pytest.raises(InsufficientPrefix, match="does not cover position 12"):
         covered_base(roles, base.truncated(11))
-    roles = schedule_roles(GapSequence.quadratic(), 10)  # positions 7..10 are free
+    roles = schedule_roles(GapSequence("quadratic"), 10)  # positions 7..10 are free
     assert covered_base(roles, base.truncated(6)).tolist() == [2, 1, 2, 1, 2, 1, 0, 0, 0, 0]
 
 
 def test_gap_list_exhaustion():
-    gaps = GapSequence.from_list([1, 2])
+    gaps = GapSequence("list", values=[1, 2])
     with pytest.raises(InsufficientPrefix):
         gaps.value(3)
 
 
 def test_gap_json_round_trip():
     for gaps in (
-        GapSequence.quadratic(),
-        GapSequence.constant(4),
-        GapSequence.from_list([0, 2, 5]),
-        GapSequence.affine(2, 1),
-        GapSequence.linear(),
+        GapSequence("quadratic"),
+        GapSequence("constant", c=4),
+        GapSequence("list", values=[0, 2, 5]),
+        GapSequence("affine", a=2, b=1),
+        GapSequence("linear"),
     ):
         assert GapSequence.from_json(gaps.to_json()) == gaps
-    assert GapSequence.from_json({"rule": "zero"}) == GapSequence.constant(0)
+    assert GapSequence.from_json({"rule": "zero"}) == GapSequence("constant", c=0)
 
 
 def test_gap_json_fields_per_rule():
-    assert GapSequence.quadratic().to_json() == {"rule": "quadratic"}
-    assert GapSequence.linear().to_json() == {"rule": "linear"}
-    assert GapSequence.zero().to_json() == {"rule": "constant", "c": 0}
-    assert GapSequence.from_list([0, 2]).to_json() == {"rule": "list", "values": [0, 2]}
-    assert GapSequence.affine(2, 1).to_json() == {"rule": "affine", "a": 2, "b": 1}
+    assert GapSequence("quadratic").to_json() == {"rule": "quadratic"}
+    assert GapSequence("linear").to_json() == {"rule": "linear"}
+    assert GapSequence("constant", c=0).to_json() == {"rule": "constant", "c": 0}
+    assert GapSequence("list", values=[0, 2]).to_json() == {"rule": "list", "values": [0, 2]}
+    assert GapSequence("affine", a=2, b=1).to_json() == {"rule": "affine", "a": 2, "b": 1}
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -363,14 +370,14 @@ def test_gap_rule_takes_exactly_its_parameters(kwargs):
 def test_construct_partner_all_ones_zero_gaps():
     base = SymbolSequence(2, (1,) * 8)
     filler = SymbolSequence(2, ())
-    t = construct_partner(base, GapSequence.zero(), filler, 6)
+    t = construct_partner(base, GapSequence("constant", c=0), filler, 6)
     assert t.digits.tolist() == [1, 2, 1, 1, 2, 1]
 
 
 def test_construct_partner_m3_with_free_digit():
     base = SymbolSequence(3, (2,) * 6)
     filler = SymbolSequence(3, (1,) * 4)
-    t = construct_partner(base, GapSequence.from_list([1, 1, 1]), filler, 4)
+    t = construct_partner(base, GapSequence("list", values=[1, 1, 1]), filler, 4)
     assert t.digits.tolist() == [2, 3, 1, 2]
 
 
@@ -384,14 +391,14 @@ def test_construct_partner_insufficient_base():
     base = SymbolSequence(2, (1, 1))
     filler = SymbolSequence(2, (1,) * 10)
     with pytest.raises(InsufficientPrefix):
-        construct_partner(base, GapSequence.zero(), filler, 6)
+        construct_partner(base, GapSequence("constant", c=0), filler, 6)
 
 
 def test_construct_partner_insufficient_filler():
     base = SymbolSequence(2, (1,) * 20)
     filler = SymbolSequence(2, ())
     with pytest.raises(InsufficientPrefix):
-        construct_partner(base, GapSequence.quadratic(), filler, 10)
+        construct_partner(base, GapSequence("quadratic"), filler, 10)
 
 
 def test_partner_pattern_holds_blockwise():
@@ -399,7 +406,7 @@ def test_partner_pattern_holds_blockwise():
     for m in (2, 3, 5):
         base = random_sequence(m, 200, rng)
         filler = random_sequence(m, 200, rng)
-        gaps = GapSequence.quadratic()
+        gaps = GapSequence("quadratic")
         t = construct_partner(base, gaps, filler, 150)
         for blk in block_schedule(gaps, 8):
             if blk.mismatch_pos > 150:
@@ -413,7 +420,9 @@ def test_partner_pattern_holds_blockwise():
 def test_extract_filler_round_trip_seeded():
     rng = np.random.default_rng(3)
     for m in (2, 3, 5):
-        for gaps in (GapSequence.quadratic(), GapSequence.constant(3), GapSequence.zero()):
+        for gaps in (
+            GapSequence("quadratic"), GapSequence("constant", c=3), GapSequence("constant", c=0)
+        ):
             base = random_sequence(m, 120, rng)
             filler = random_sequence(m, 120, rng)
             t = construct_partner(base, gaps, filler, 100)
@@ -431,7 +440,8 @@ def test_partner_bijection_round_trip(m, data):
     length = data.draw(st.integers(10, 60))
     base = SymbolSequence(m, tuple(data.draw(st.lists(st.integers(1, m), min_size=length, max_size=length))))
     filler_digits = data.draw(st.lists(st.integers(1, m), min_size=length, max_size=length))
-    gaps = GapSequence.from_list(data.draw(st.lists(st.integers(0, 4), min_size=12, max_size=12)))
+    values = data.draw(st.lists(st.integers(0, 4), min_size=12, max_size=12))
+    gaps = GapSequence("list", values=values)
     t = construct_partner(base, gaps, SymbolSequence(m, tuple(filler_digits)), length)
     got = extract_filler(t, base, gaps)
     assert construct_partner(base, gaps, got, length).digits.tolist() == t.digits.tolist()
@@ -439,7 +449,7 @@ def test_partner_bijection_round_trip(m, data):
 
 def test_distinct_fillers_give_distinct_partners():
     base = SymbolSequence(2, (1,) * 40)
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     f1 = SymbolSequence(2, (1,) * 30)
     f2 = SymbolSequence(2, (2,) + (1,) * 29)
     t1 = construct_partner(base, gaps, f1, 30)
@@ -450,7 +460,7 @@ def test_distinct_fillers_give_distinct_partners():
 def test_extract_filler_zero_gaps_has_no_free_digits():
     base = SymbolSequence(2, (1,) * 10)
     partner = SymbolSequence(2, (1, 2, 1, 1, 2))
-    got = extract_filler(partner, base, GapSequence.zero())
+    got = extract_filler(partner, base, GapSequence("constant", c=0))
     assert got.digits.tolist() == []
 
 
@@ -458,14 +468,14 @@ def test_extract_filler_rejects_missing_mismatch():
     base = SymbolSequence(2, (1,) * 10)
     partner = SymbolSequence(2, (1, 1, 1, 1, 2))  # position 2 should flip
     with pytest.raises(NotInSubset):
-        extract_filler(partner, base, GapSequence.zero())
+        extract_filler(partner, base, GapSequence("constant", c=0))
 
 
 def test_extract_filler_rejects_broken_match():
     base = SymbolSequence(2, (1,) * 10)
     partner = SymbolSequence(2, (2, 2, 1, 1, 2))  # position 1 must match
     with pytest.raises(NotInSubset):
-        extract_filler(partner, base, GapSequence.zero())
+        extract_filler(partner, base, GapSequence("constant", c=0))
 
 
 def test_extract_filler_names_first_violation():
@@ -473,10 +483,10 @@ def test_extract_filler_names_first_violation():
     # position 2 should flip and position 4 should match: the flip is reported
     partner = SymbolSequence(2, (1, 1, 1, 2, 2))
     with pytest.raises(NotInSubset, match="position 2: expected flipped digit 2, got 1"):
-        extract_filler(partner, base, GapSequence.zero())
+        extract_filler(partner, base, GapSequence("constant", c=0))
     partner = SymbolSequence(2, (1, 2, 2, 1, 2))
     with pytest.raises(NotInSubset, match="position 3: expected matched digit 1, got 2"):
-        extract_filler(partner, base, GapSequence.zero())
+        extract_filler(partner, base, GapSequence("constant", c=0))
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +499,7 @@ def _window_dist(s, t, window, m):
 
 def test_proximity_and_separation_bounds_small():
     rng = np.random.default_rng(23)
-    gaps = GapSequence.quadratic()
+    gaps = GapSequence("quadratic")
     blocks = 10
     sched = block_schedule(gaps, blocks)
     window = 48
@@ -514,7 +524,7 @@ def test_proximity_and_separation_bounds_small():
 
 
 def test_gap_condition_quadratic_passes():
-    rep = check_gap_condition(GapSequence.quadratic(), 100)
+    rep = check_gap_condition(GapSequence("quadratic"), 100)
     assert rep.verdict == "pass"
     # closed form: M^2 * 6 / (M (M+1) (2M+1))
     expected = 100**2 * 6 / (100 * 101 * 201)
@@ -523,38 +533,38 @@ def test_gap_condition_quadratic_passes():
 
 
 def test_gap_condition_linear_fails_with_limit_two():
-    rep = check_gap_condition(GapSequence.linear(), 200)
+    rep = check_gap_condition(GapSequence("linear"), 200)
     assert rep.verdict == "fail"
     assert rep.ratios[199] == pytest.approx(2 * 200 / 201, rel=1e-12)
 
 
 def test_gap_condition_constant_fails_divergent():
-    rep = check_gap_condition(GapSequence.constant(5), 100)
+    rep = check_gap_condition(GapSequence("constant", c=5), 100)
     assert rep.verdict == "fail"
     assert rep.ratios[99] == pytest.approx(100 / 5, rel=1e-12)
 
 
 def test_gap_condition_all_zero_reports_division_by_zero():
-    rep = check_gap_condition(GapSequence.zero(), 20)
+    rep = check_gap_condition(GapSequence("constant", c=0), 20)
     assert rep.verdict == "fail"
     assert all(math.isinf(r) for r in rep.ratios)
     assert "zero" in rep.detail
 
 
 def test_gap_condition_list_inconclusive():
-    rep = check_gap_condition(GapSequence.from_list([1] * 30), 100)
+    rep = check_gap_condition(GapSequence("list", values=[1] * 30), 100)
     assert rep.verdict == "inconclusive"
     assert len(rep.ratios) == 30
 
 
 def test_gap_condition_affine_passes_when_quadratic_term_present():
-    assert check_gap_condition(GapSequence.affine(3, 7), 50).verdict == "pass"
-    assert check_gap_condition(GapSequence.affine(0, 7), 50).verdict == "fail"
+    assert check_gap_condition(GapSequence("affine", a=3, b=7), 50).verdict == "pass"
+    assert check_gap_condition(GapSequence("affine", a=0, b=7), 50).verdict == "fail"
 
 
 def test_gap_condition_requires_ten_points():
     with pytest.raises(ValidationError):
-        check_gap_condition(GapSequence.quadratic(), 5)
+        check_gap_condition(GapSequence("quadratic"), 5)
 
 
 # --------------------------------------------------------------------------
@@ -563,8 +573,8 @@ def test_gap_condition_requires_ten_points():
 
 def test_sequence_json_round_trip():
     one = SymbolSequence(2, (1, 2, 1))
-    two = SymbolSequence.two_sided(3, (3, 1), (2, 2))
-    wide = SymbolSequence.two_sided(300, (300, 1), (128, 299))
+    two = SymbolSequence(3, (2, 2), side=TWO_SIDED, past=(3, 1))
+    wide = SymbolSequence(300, (128, 299), side=TWO_SIDED, past=(300, 1))
     for seq in (one, two, wide):
         assert SymbolSequence.from_json(seq.to_json()) == seq
     assert one.to_json() == {"m": 2, "side": "one", "digits": [1, 2, 1]}

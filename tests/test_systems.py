@@ -33,17 +33,17 @@ from lypairs.systems import (
     sample_invariant_set,
 )
 
-TENT2 = SystemSpec.tent(2.0)
-BAKER3 = SystemSpec.baker(1 / 3, 1 / 3)
-HORSE3 = SystemSpec.horseshoe(1 / 3, 3.0)
-SOLENOID3 = SystemSpec.solenoid(1 / 3, 1 / 3)
+TENT2 = SystemSpec("tent", a=2.0)
+BAKER3 = SystemSpec("baker", beta1=1 / 3, beta2=1 / 3)
+HORSE3 = SystemSpec("horseshoe", beta=1 / 3, tau=3.0)
+SOLENOID3 = SystemSpec("solenoid", beta1=1 / 3, beta2=1 / 3)
 ALL_SYSTEMS = (TENT2, BAKER3, HORSE3, SOLENOID3)
 # the four systems plus unequal contraction ratios; at (0.05, 0.9) the
 # contracting radius can outweigh the expanding one, so its product order shows
 CODED_SYSTEMS = ALL_SYSTEMS + (
-    SystemSpec.baker(0.2, 0.45),
-    SystemSpec.solenoid(0.2, 0.45),
-    SystemSpec.baker(0.05, 0.9),
+    SystemSpec("baker", beta1=0.2, beta2=0.45),
+    SystemSpec("solenoid", beta1=0.2, beta2=0.45),
+    SystemSpec("baker", beta1=0.05, beta2=0.9),
 )
 
 
@@ -83,13 +83,13 @@ def reference_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: 
 
 def test_parameter_ranges():
     with pytest.raises(ParameterOutOfRange):
-        SystemSpec.tent(1.0)
+        SystemSpec("tent", a=1.0)
     with pytest.raises(ParameterOutOfRange):
-        SystemSpec.baker(0.6, 0.5)
+        SystemSpec("baker", beta1=0.6, beta2=0.5)
     with pytest.raises(ParameterOutOfRange):
-        SystemSpec.horseshoe(0.5, 3.0)
+        SystemSpec("horseshoe", beta=0.5, tau=3.0)
     with pytest.raises(ParameterOutOfRange):
-        SystemSpec.horseshoe(0.3, 2.0)
+        SystemSpec("horseshoe", beta=0.3, tau=2.0)
     with pytest.raises(ParameterOutOfRange):
         SystemSpec("henon")
 
@@ -117,7 +117,7 @@ def test_spec_parameters_are_real_numbers():
     with pytest.raises(ValidationError, match="real numbers"):
         SystemSpec.from_json({"kind": "tent", "a": "3"})
     with pytest.raises(ValidationError, match="real numbers"):
-        SystemSpec.horseshoe(0.3, True)
+        SystemSpec("horseshoe", beta=0.3, tau=True)
     assert SystemSpec.from_json({"kind": "tent", "a": 2}).to_json() == {"kind": "tent", "a": 2.0}
 
 
@@ -314,7 +314,7 @@ def test_code_orbit_n_zero_matches_code_point():
 
 
 def test_code_orbit_two_sided_fixed_point():
-    seq = SymbolSequence.two_sided(2, (1,) * 30, (1,) * 30)
+    seq = SymbolSequence(2, (1,) * 30, side=TWO_SIDED, past=(1,) * 30)
     p = code_orbit_point(BAKER3, seq, 2, 25)
     # the all-ones coding converges to the fixed point (0, 0) at radius rate
     assert np.linalg.norm(p.center) <= 2 * p.radius + 1e-12
@@ -326,7 +326,7 @@ def test_code_orbit_prefix_errors():
     seq = SymbolSequence(2, (1,) * 10)
     with pytest.raises(InsufficientPrefix):
         code_orbit_point(TENT2, seq, 5, 10)
-    two = SymbolSequence.two_sided(2, (1,) * 3, (1,) * 30)
+    two = SymbolSequence(2, (1,) * 30, side=TWO_SIDED, past=(1,) * 3)
     with pytest.raises(InsufficientPrefix):
         code_orbit_point(BAKER3, two, 0, 10)
     with pytest.raises(ValidationError):
@@ -360,7 +360,7 @@ def test_row_norms_match_per_vector_norm(w):
     assert np.array_equal(_row_norms(d), [np.linalg.norm(v) for v in d])
 
 
-@pytest.mark.parametrize("spec", (TENT2, SystemSpec.baker(0.2, 0.45)), ids=spec_id)
+@pytest.mark.parametrize("spec", (TENT2, SystemSpec("baker", beta1=0.2, beta2=0.45)), ids=spec_id)
 def test_code_orbit_point_window_checks(spec):
     # 6 past digits (two-sided) and 60 future digits, depth 10
     past = (1, 2, 2, 1, 1, 2) if spec.side == TWO_SIDED else ()
@@ -460,9 +460,13 @@ CONJUGACY_HEX = {
     BAKER3: {1: "0x1.0000000000008p-41", 8: "0x1.0000000020000p-41"},
     HORSE3: {1: "0x1.0000000000000p-51", 8: "0x1.0000000000000p-51"},
     SOLENOID3: {1: "0x1.0000000000010p-41", 8: "0x1.0000000040000p-41"},
-    SystemSpec.baker(0.2, 0.45): {1: "0x1.0000000000000p-41", 8: "0x1.0000000000002p-41"},
-    SystemSpec.solenoid(0.2, 0.45): {1: "0x1.0000000000000p-41", 8: "0x1.0000000000004p-41"},
-    SystemSpec.tent(1.7): {3: "0x1.4000000000000p-52", 4: "0x1.2000000000000p-52"},
+    SystemSpec("baker", beta1=0.2, beta2=0.45): {
+        1: "0x1.0000000000000p-41", 8: "0x1.0000000000002p-41"
+    },
+    SystemSpec("solenoid", beta1=0.2, beta2=0.45): {
+        1: "0x1.0000000000000p-41", 8: "0x1.0000000000004p-41"
+    },
+    SystemSpec("tent", a=1.7): {3: "0x1.4000000000000p-52", 4: "0x1.2000000000000p-52"},
 }
 
 
@@ -487,7 +491,7 @@ def reference_defect(spec, trials, prefix_len, depth, seed):
     return worst
 
 
-@pytest.mark.parametrize("spec", CODED_SYSTEMS + (SystemSpec.tent(1.7),), ids=spec_id)
+@pytest.mark.parametrize("spec", CODED_SYSTEMS + (SystemSpec("tent", a=1.7),), ids=spec_id)
 def test_conjugacy_defect_matches_per_trial_reference(spec):
     # 300 trials: one full 256-trial sub-seed and a partial one
     assert conjugacy_defect(spec, 300, 21, 20, 5) == reference_defect(spec, 300, 21, 20, 5)
