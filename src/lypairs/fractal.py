@@ -40,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .symbolic import (
+    FLIP,
     FREE,
     ONE_SIDED,
     GapSequence,
@@ -53,6 +54,7 @@ from .symbolic import (
 )
 
 _CHUNK = 1 << 15  # fixed sampling chunk; part of the determinism contract
+_PIECE = 1 << 16  # uniforms per draw piece; the digits do not depend on it
 _MORAN_TOL = 1e-12
 
 
@@ -357,7 +359,29 @@ def _code_radii(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     return scale * ifs.diam / 2.0
 
 
-def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
+class _Scratch:
+    """Buffers that ``_draw_digits`` and ``_code_batch`` reuse over batches
+    of up to ``rows`` prefixes of ``depth`` digits of dtype ``dtype``: the
+    coder's transposed digits, one column of them as intp (``take`` would
+    convert it into a new array) and two float columns, and one piece of
+    uniforms with its comparison mask."""
+
+    def __init__(self, rows: int, depth: int, dtype) -> None:
+        self.cols = np.empty((depth, rows), dtype=dtype)
+        self.idx = np.empty(rows, dtype=np.intp)
+        self.x = np.empty(rows)
+        self.buf = np.empty(rows)
+        piece = min(_PIECE, rows * depth)
+        self.u = np.empty(piece)
+        self.hit = np.empty(piece, dtype=bool)
+
+
+def _code_batch(
+    ifs: IfsSystem,
+    digits: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: _Scratch | None = None,
+) -> np.ndarray:
     """Centers of ``code_point`` over rows of a (n, depth) digit array.
 
     The digits are transposed once into contiguous columns, kept in their
@@ -368,24 +392,31 @@ def _code_batch(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
     replaces the ratio gather.  ``take`` clips, so a digit below 1 reads
     column 0 of the translations and codes to a NaN center, which
     ``box_count`` rejects; a digit above m raises InvalidDigit before any
-    coding.
+    coding.  The centers go to ``out``, any (n, w) float view, or to a new
+    array; the buffers come from ``scratch``, a ``_Scratch`` of at least n
+    rows and the digits' depth and dtype, or from a new one.
     """
     n, depth = digits.shape
-    cols = np.ascontiguousarray(digits.T)
+    if scratch is None:
+        scratch = _Scratch(n, depth, digits.dtype)
+    if out is None:
+        out = np.empty((n, ifs.w))
+    cols, idx = scratch.cols[:, :n], scratch.idx[:n]
+    x, buf = scratch.x[:n], scratch.buf[:n]
+    cols[...] = digits.T
     if cols.max(initial=0) > ifs.m:
         raise InvalidDigit(f"digit {cols.max()} outside 1..{ifs.m}")
-    out = np.empty((n, ifs.w))
-    x, buf = np.empty(n), np.empty(n)
     for j in range(ifs.w):
         a, t, ratio = ifs.coding[j], ifs.coding[ifs.w + j], ifs.axis_ratios[j]
         x.fill(ifs.center[j])
         for k in range(depth - 1, -1, -1):
+            idx[...] = cols[k]
             if ratio is None:
-                a.take(cols[k], out=buf, mode="clip")  # "raise" copies through a buffer
+                a.take(idx, out=buf, mode="clip")  # "raise" copies through a buffer
                 x *= buf
             else:
                 x *= ratio
-            t.take(cols[k], out=buf, mode="clip")
+            t.take(idx, out=buf, mode="clip")
             x += buf
         out[:, j] = x
     return out
@@ -411,18 +442,29 @@ def _chunk_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _draw_digits(rng: np.random.Generator, cum: np.ndarray, shape) -> np.ndarray:
-    """Digit 1 + #{c in cum : c <= u} for each uniform u.
+def _draw_digits(
+    rng: np.random.Generator, cum: np.ndarray, out: np.ndarray, scratch: _Scratch
+) -> None:
+    """Fill the C-contiguous ``out`` with digit 1 + #{c in cum : c <= u},
+    one uniform u per entry, drawn in row-major order.
 
     Every entry of ``cum`` is compared, the last included, so a rounded
     ``cum[-1]`` below 1 gives the same digits as ``searchsorted(cum, u,
-    "right") + 1``.
+    "right") + 1``.  The uniforms are drawn in consecutive pieces of
+    ``scratch.u`` (at most ``_PIECE`` doubles, so a piece stays in cache)
+    by ``rng.random(out=...)``; PCG64 yields the same doubles whether it
+    fills one array or consecutive pieces of it, so the digits equal those
+    of a single ``rng.random(out.shape)`` draw for any piece size.
     """
-    u = rng.random(shape)
-    digits = np.ones(shape, dtype=digit_dtype(cum.size))
-    for c in cum:
-        digits += u >= c
-    return digits
+    flat = out.reshape(-1)  # a view, as ``out`` is C-contiguous
+    for start in range(0, flat.size, scratch.u.size):
+        digits = flat[start : start + scratch.u.size]
+        u, hit = scratch.u[: digits.size], scratch.hit[: digits.size]
+        rng.random(out=u)
+        digits.fill(1)
+        for c in cum:
+            np.greater_equal(u, c, out=hit)
+            digits += hit
 
 
 def _validate_sampling(count: int, depth: int, seed: int) -> None:
@@ -434,28 +476,33 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
-def _sample(count: int, width: int, rows, seed: int, stream: int, threads: int) -> PointSample:
-    """Fill a (count, width) sample with ``rows(rng, n)`` over fixed-size chunks.
+def _sample(count: int, width: int, worker, seed: int, stream: int, threads: int) -> PointSample:
+    """Fill a (count, width) sample over fixed-size chunks.
 
     Chunk i holds rows i*_CHUNK onward and draws from
     ``_chunk_rng(seed, stream, i)``, so every row depends only on the
-    seed, never on the thread count.
+    seed, never on the thread count.  ``worker(rows)`` returns a function
+    ``fill(rng, out)`` that writes the rows of one chunk of at most
+    ``rows`` rows into ``out`` and keeps its buffers from one chunk to the
+    next.  One is made per worker thread, here in the calling thread, and
+    worker k fills chunks k, k + W, k + 2W, ... of the W workers: the
+    threads allocate nothing that grows with the chunk, so no thread's
+    malloc arena is left holding chunk-sized memory, and the buffers are
+    freed when this call returns.
     """
     centers = np.empty((count, width), dtype=float)
+    chunks = -(-count // _CHUNK)
+    fills = [worker(min(_CHUNK, count)) for _ in range(max(1, min(threads, chunks)))]
 
-    def fill(chunk_index: int) -> None:
-        start = chunk_index * _CHUNK
-        n = min(_CHUNK, count - start)
-        centers[start : start + n] = rows(_chunk_rng(seed, stream, chunk_index), n)
+    def run(k: int) -> None:
+        for i in range(k, chunks, len(fills)):
+            fills[k](_chunk_rng(seed, stream, i), centers[i * _CHUNK : (i + 1) * _CHUNK])
 
-    chunks = range(-(-count // _CHUNK))
-    workers = min(threads, len(chunks))
-    if workers <= 1:
-        for i in chunks:
-            fill(i)
+    if len(fills) == 1:
+        run(0)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
+        with ThreadPoolExecutor(max_workers=len(fills)) as pool:
+            list(pool.map(run, range(len(fills))))
     return PointSample(centers)
 
 
@@ -465,11 +512,20 @@ def sample_attractor(
     """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
     _validate_sampling(count, depth, seed)
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    dtype = digit_dtype(ifs.m)
 
-    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
-        return _code_batch(ifs, _draw_digits(rng, cum, (n, depth)))
+    def worker(rows: int):
+        d = np.empty((rows, depth), dtype=dtype)
+        scratch = _Scratch(rows, depth, dtype)
 
-    return _sample(count, ifs.w, rows, seed, stream, threads)
+        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+            n = len(out)
+            _draw_digits(rng, cum, d[:n], scratch)
+            _code_batch(ifs, d[:n], out, scratch)
+
+        return fill
+
+    return _sample(count, ifs.w, worker, seed, stream, threads)
 
 
 def sample_restricted(
@@ -498,13 +554,22 @@ def sample_restricted(
     free = roles == FREE
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    dtype = digit_dtype(ifs.m)
 
-    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
-        d = np.tile(template, (n, 1))
-        d[:, free] = _draw_digits(rng, cum, (n, n_free))
-        return _code_batch(ifs, d)
+    def worker(rows: int):
+        d = np.tile(template, (rows, 1))  # only the free columns change
+        f = np.empty((rows, n_free), dtype=dtype)
+        scratch = _Scratch(rows, depth, dtype)
 
-    return _sample(count, ifs.w, rows, seed, 0, threads)
+        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+            n = len(out)
+            _draw_digits(rng, cum, f[:n], scratch)
+            d[:n, free] = f[:n]
+            _code_batch(ifs, d[:n], out, scratch)
+
+        return fill
+
+    return _sample(count, ifs.w, worker, seed, 0, threads)
 
 
 def sample_pair_set(
@@ -526,11 +591,27 @@ def sample_pair_set(
     free = roles == FREE
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    flips = np.flatnonzero(roles == FLIP).tolist()
+    dtype, w = digit_dtype(ifs.m), ifs.w
 
-    def rows(rng: np.random.Generator, n: int) -> np.ndarray:
-        s = _draw_digits(rng, cum, (n, depth))
-        t = apply_pattern(roles, s, ifs.m)
-        t[:, free] = _draw_digits(rng, cum, (n, n_free))
-        return np.hstack([_code_batch(ifs, s), _code_batch(ifs, t)])
+    def worker(rows: int):
+        s = np.empty((rows, depth), dtype=dtype)
+        t = np.empty((rows, depth), dtype=dtype)
+        f = np.empty((rows, n_free), dtype=dtype)
+        scratch = _Scratch(rows, depth, dtype)
 
-    return _sample(count, 2 * ifs.w, rows, seed, 0, threads)
+        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+            n = len(out)
+            _draw_digits(rng, cum, s[:n], scratch)
+            _draw_digits(rng, cum, f[:n], scratch)
+            t[:n] = s[:n]  # ``apply_pattern``, in place: each FLIP digit moves up by one
+            for j in flips:
+                np.remainder(s[:n, j], ifs.m, out=t[:n, j])
+                t[:n, j] += 1
+            t[:n, free] = f[:n]
+            _code_batch(ifs, s[:n], out[:, :w], scratch)
+            _code_batch(ifs, t[:n], out[:, w:], scratch)
+
+        return fill
+
+    return _sample(count, 2 * w, worker, seed, 0, threads)

@@ -168,6 +168,8 @@ class SymbolSequence:
     @classmethod
     def from_json(cls, data: dict) -> "SymbolSequence":
         side = data.get("side", ONE_SIDED)
+        if side not in (ONE_SIDED, TWO_SIDED):
+            raise ValidationError(f"side must be '{ONE_SIDED}' or '{TWO_SIDED}', got {side!r}")
         (m,) = _integers((data["m"],), "alphabet size")
         if side == ONE_SIDED:
             return cls(m, data["digits"])

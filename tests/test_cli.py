@@ -192,11 +192,16 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["verify", "--system", "tent", "--a", "2", "--blocks", "0", "--seed", "1"],
      "block_count must be >= 1"),
     (["verify", "--config", "{list}"], "config file must hold a JSON object"),
-], ids=["constant-gap-value", "length-0", "blocks-0", "config-list"])
+    (["construct", "--length", "5", "--seed", "1", "--base", "{sideways}"],
+     "side must be 'one' or 'two', got 'sideways'"),
+], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
-    rc, _, err = run(capsys, *(a.replace("{list}", str(config)) for a in argv))
+    sideways = tmp_path / "sideways.json"
+    sideways.write_text(json.dumps({"m": 2, "side": "sideways", "past": [1], "future": [2]}))
+    files = {"{list}": str(config), "{sideways}": str(sideways)}
+    rc, _, err = run(capsys, *(files.get(a, a) for a in argv))
     assert rc == 2
     assert err == f"error: {message}\n"
 

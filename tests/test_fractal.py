@@ -31,6 +31,8 @@ from lypairs.fractal import (
 )
 from lypairs.fractal import (
     _CHUNK,
+    _PIECE,
+    _Scratch,
     _chunk_rng,
     _code_batch,
     _draw_digits,
@@ -68,6 +70,18 @@ def tent_repeller_ifs() -> IfsSystem:
 def golden_ifs() -> IfsSystem:
     return IfsSystem(
         (Similitude.of(0.5, [0.0]), Similitude.of(0.25, [0.75])),
+        ((0.0, 1.0),),
+    )
+
+
+def three_map_ifs() -> IfsSystem:
+    # three maps with unequal ratios: a non-dyadic digit law
+    return IfsSystem(
+        (
+            Similitude.of(0.2, [0.0]),
+            Similitude.of(0.3, [0.35]),
+            Similitude.of(0.25, [0.75]),
+        ),
         ((0.0, 1.0),),
     )
 
@@ -267,6 +281,13 @@ def test_separation_transport():
 # samplers
 
 
+def single_draw(rng, cum, shape):
+    """The digits of one ``rng.random(shape)`` call under the cumulative law
+    ``cum``: what ``_draw_digits`` draws, piece by piece."""
+    u = rng.random(shape)
+    return (np.searchsorted(cum, u, side="right") + 1).astype(digit_dtype(cum.size))
+
+
 @pytest.mark.parametrize("m", [2, 3, 5, 12])
 @pytest.mark.parametrize("shape", [(1, 1), (7, 40), (32768, 3), (1000,)])
 def test_draw_digits_matches_searchsorted(m, shape):
@@ -278,50 +299,94 @@ def test_draw_digits_matches_searchsorted(m, shape):
         np.cumsum(weights / weights.sum()) * 0.9,   # cum[-1] < 1: digit m + 1 occurs
     ]
     for k, cum in enumerate(cums):
-        got = _draw_digits(np.random.default_rng(k), cum, shape)
-        u = np.random.default_rng(k).random(shape)
-        want = (np.searchsorted(cum, u, side="right") + 1).astype(digit_dtype(m))
+        got = np.empty(shape, dtype=digit_dtype(m))
+        _draw_digits(np.random.default_rng(k), cum, got, _Scratch(1, got.size, got.dtype))
+        want = single_draw(np.random.default_rng(k), cum, shape)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
 
+LAWS = {
+    "dyadic": np.cumsum([0.5, 0.5]),
+    "three-map": np.cumsum(bernoulli_weights(three_map_ifs().ratios)),
+}
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+@pytest.mark.parametrize("width", [0, 1, 39, 40, 41])
+def test_piecewise_draw_matches_a_single_draw(law, width):
+    # row counts just below and just above a piece boundary, and past two
+    cum = LAWS[law]
+    per_piece = _PIECE // width if width else 5
+    scratch = _Scratch(2 * per_piece + 1, 41, digit_dtype(cum.size))
+    for rows in (per_piece, per_piece + 1, 2 * per_piece + 1):
+        got = np.full((rows, width), -1, dtype=digit_dtype(cum.size))
+        rng = np.random.default_rng(rows)
+        _draw_digits(rng, cum, got, scratch)
+        ref = np.random.default_rng(rows)
+        assert np.array_equal(got, single_draw(ref, cum, (rows, width)))
+        assert rng.random() == ref.random()  # the draw used up exactly its uniforms
+
+
+def test_code_batch_into_a_strided_view():
+    for ifs in (planar_ifs(), cantor_ifs()):
+        digits = single_draw(np.random.default_rng(3), np.cumsum([0.5, 0.5]), (500, 40))
+        wide = np.full((500, 2 * ifs.w + 1), np.nan)
+        view = wide[:, 1::2]
+        assert view.shape == (500, ifs.w) and not view.flags.c_contiguous
+        assert _code_batch(ifs, digits, out=view) is view
+        want = _code_batch(ifs, digits)
+        assert np.array_equal(view, want) and view.tobytes() == want.tobytes()
+        assert np.isnan(wide[:, 0::2]).all()
+
+
 # The samplers keep only coded centers.  These helpers draw the digits
-# again from the samplers' chunk sub-seeds, in the samplers' order; each
-# test first checks that the redrawn digits code to the sample's centers.
+# again from the samplers' chunk sub-seeds, in the samplers' order, each
+# chunk's by ``single_draw`` rather than ``_draw_digits``; each test first
+# checks that the redrawn digits code to the sample's centers.
+
+
+def chunk_rows(count):
+    """(index, rows) of each sampling chunk of a ``count``-row sample."""
+    return [(i, min(_CHUNK, count - start)) for i, start in enumerate(range(0, count, _CHUNK))]
 
 
 def attractor_digits(ifs, count, depth, seed, stream=0):
     """Digits behind ``sample_attractor(ifs, count, depth, seed)``."""
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     return np.vstack([
-        _draw_digits(_chunk_rng(seed, stream, i), cum, (min(_CHUNK, count - start), depth))
-        for i, start in enumerate(range(0, count, _CHUNK))
+        single_draw(_chunk_rng(seed, stream, i), cum, (n, depth)) for i, n in chunk_rows(count)
     ])
 
 
 def restricted_digits(ifs, base, gaps, count, depth, seed):
-    """Digits behind a one-chunk ``sample_restricted`` call."""
-    assert count <= _CHUNK
+    """Digits behind ``sample_restricted(ifs, base, gaps, count, depth, seed)``."""
     roles = schedule_roles(gaps, depth)
     template = apply_pattern(roles, covered_base(roles, base), ifs.m)
     free = roles == FREE
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     d = np.tile(template, (count, 1))
-    d[:, free] = _draw_digits(_chunk_rng(seed, 0, 0), cum, (count, int(free.sum())))
+    d[:, free] = np.vstack([
+        single_draw(_chunk_rng(seed, 0, i), cum, (n, int(free.sum())))
+        for i, n in chunk_rows(count)
+    ])
     return d
 
 
 def pair_digits(ifs, gaps, count, depth, seed):
-    """Base and partner digits behind a one-chunk ``sample_pair_set`` call."""
-    assert count <= _CHUNK
+    """Base and partner digits behind ``sample_pair_set(ifs, gaps, count, depth, seed)``."""
     roles = schedule_roles(gaps, depth)
     free = roles == FREE
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    rng = _chunk_rng(seed, 0, 0)
-    s = _draw_digits(rng, cum, (count, depth))
-    t = apply_pattern(roles, s, ifs.m)
-    t[:, free] = _draw_digits(rng, cum, (count, int(free.sum())))
-    return s, t
+    bases, partners = [], []
+    for i, n in chunk_rows(count):
+        rng = _chunk_rng(seed, 0, i)
+        s = single_draw(rng, cum, (n, depth))
+        t = apply_pattern(roles, s, ifs.m)
+        t[:, free] = single_draw(rng, cum, (n, int(free.sum())))
+        bases.append(s)
+        partners.append(t)
+    return np.vstack(bases), np.vstack(partners)
 
 
 def test_sampler_deterministic_across_threads():
@@ -363,22 +428,38 @@ def test_sampler_starts_at_most_one_worker_per_chunk(monkeypatch):
     assert sizes == [3]
 
 
-@pytest.mark.parametrize("target", ["restricted", "pairs"])
-def test_sampler_thread_invariant(target):
-    # 70,000 rows: two full chunks and a partial third
-    ifs = cantor_ifs()
-    gaps = GapSequence("quadratic")
-    base = random_sequence(2, 48, np.random.default_rng(8))
-    samples = []
+THREAD_GAPS = {"quadratic": GapSequence("quadratic"), "zero": GapSequence("constant", c=0)}
+THREAD_IFS = {"middle-thirds": cantor_ifs, "three-map": three_map_ifs}
+
+
+@pytest.mark.parametrize("target, gaps, ifs_name", [
+    # quadratic gaps on the middle-thirds IFS keep the plain ids "restricted", "pairs"
+    pytest.param(target, gaps, ifs_name, id="-".join(
+        (target,) if (gaps, ifs_name) == ("quadratic", "middle-thirds")
+        else (target, gaps, ifs_name)
+    ))
+    for target in ("restricted", "pairs")
+    for gaps in THREAD_GAPS
+    for ifs_name in THREAD_IFS
+])
+def test_sampler_thread_invariant(target, gaps, ifs_name):
+    # 70,000 rows: two full chunks and a partial third, so at 2 threads one
+    # worker's buffers code a full chunk and then the short last one;
+    # constant 0 gaps leave no free digit
+    ifs, gaps = THREAD_IFS[ifs_name](), THREAD_GAPS[gaps]
+    base = random_sequence(ifs.m, 48, np.random.default_rng(8))
+    if target == "restricted":
+        want = _code_batch(ifs, restricted_digits(ifs, base, gaps, 70000, 40, seed=6))
+    else:
+        s, t = pair_digits(ifs, gaps, 70000, 40, seed=6)
+        want = np.hstack([_code_batch(ifs, s), _code_batch(ifs, t)])
+    assert want.shape == (70000, ifs.w if target == "restricted" else 2 * ifs.w)
     for threads in (1, 2, 4):
         if target == "restricted":
             sample = sample_restricted(ifs, base, gaps, 70000, 40, seed=6, threads=threads)
         else:
             sample = sample_pair_set(ifs, gaps, 70000, 40, seed=6, threads=threads)
-        samples.append(sample.centers)
-    assert samples[0].shape == (70000, ifs.w if target == "restricted" else 2 * ifs.w)
-    assert np.array_equal(samples[0], samples[1])
-    assert np.array_equal(samples[0], samples[2])
+        assert sample.centers.tobytes() == want.tobytes()
 
 
 def test_sampler_digit_marginals_uniform_for_equal_ratios():

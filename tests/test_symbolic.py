@@ -578,3 +578,11 @@ def test_sequence_json_round_trip():
     for seq in (one, two, wide):
         assert SymbolSequence.from_json(seq.to_json()) == seq
     assert one.to_json() == {"m": 2, "side": "one", "digits": [1, 2, 1]}
+
+
+@pytest.mark.parametrize("side", ["sideways", "", "One", None, 2])
+def test_sequence_json_rejects_an_unknown_side(side):
+    data = {"m": 2, "side": side, "digits": [1, 2], "past": [1], "future": [2]}
+    with pytest.raises(ValidationError) as info:
+        SymbolSequence.from_json(data)
+    assert str(info.value) == f"side must be 'one' or 'two', got {side!r}"

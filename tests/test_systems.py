@@ -14,7 +14,6 @@ from lypairs.errors import (
 from lypairs.fractal import (
     _chunk_rng,
     _code_batch,
-    _draw_digits,
     bernoulli_weights,
     code_point,
     moran_dimension,
@@ -503,7 +502,7 @@ def test_orbit_invariance_on_samples():
     sample = sample_attractor(ifs, 50, 20, seed=21)
     # the sample keeps only centers: draw its digits again from chunk 0
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    digits = _draw_digits(_chunk_rng(21, 0, 0), cum, (50, 20))
+    digits = np.searchsorted(cum, _chunk_rng(21, 0, 0).random((50, 20)), side="right") + 1
     assert np.array_equal(_code_batch(ifs, digits), sample.centers)
     for i in range(len(sample)):
         image = apply_map(TENT2, sample.centers[i])
