@@ -206,6 +206,21 @@ def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message
     assert err == f"error: {message}\n"
 
 
+def test_missing_ifs_file_exits_2_with_its_message(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    rc, _, err = run(capsys, "boxdim", "--ifs", missing, "--seed", "1")
+    assert rc == 2
+    assert err == f"error: IFS file not found: {missing}\n"
+
+
+def test_malformed_ifs_file_exits_2_with_its_message(capsys, tmp_path):
+    path = tmp_path / "no-maps.json"
+    path.write_text(json.dumps({"K": [[0, 1]]}))
+    rc, _, err = run(capsys, "boxdim", "--ifs", str(path), "--seed", "1")
+    assert rc == 2
+    assert err == "error: malformed IFS file: KeyError('maps')\n"
+
+
 # --------------------------------------------------------------------------
 # verify
 
@@ -449,6 +464,8 @@ SAMPLE_CSV_SHA256 = {
     "restricted": "842ec33d147c4810ca232baae9e09696b48387bbe4e8ca5eae84f5f200feac02",
     "pairs": "537c15352ab2fc7ea5b19e0c6e8e8fdd7919ac779205835fb12378fee33c7f07",
     "baker": "8a4aefb6408e48065df3d362228fb2360fcf23d426d228392e8e4ce9da57a68f",
+    "tent": "b757a995b54e4191c29f5fee3272f835fd239e6d8085bb67a5a34da9e5040ffd",
+    "solenoid": "1b1038178be643d8b69754c4f9d50c2ed6c3145926d02eb12954763f5bd21910",
 }
 
 
@@ -462,6 +479,11 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
         "pairs": ["--ifs", cantor_json, "--target", "pairs"],
         "baker": ["--system", "baker", "--beta1", repr(1 / 3), "--beta2", repr(1 / 3),
                   "--target", "system"],
+        # one coordinate block
+        "tent": ["--system", "tent", "--a", "2", "--target", "system"],
+        # a 2-D past block with unequal ratios beside the 1-D future block
+        "solenoid": ["--system", "solenoid", "--beta1", repr(1 / 3), "--beta2", "0.25",
+                     "--target", "system"],
     }[target]
     out_file = tmp_path / f"{target}.csv"
     rc, _, _ = run(
@@ -520,6 +542,7 @@ OUTPUT_CASES = {
     "dimension-ifs": ["dimension", "--ifs", "{cantor}", "--check-box", "--count", "20000",
                       "--depth", "25", "--seed", "3"],
     "dimension-baker": ["dimension", "--system", "baker", "--beta1", THIRD, "--beta2", "0.25"],
+    "dimension-tent": ["dimension", "--system", "tent", "--a", "2"],
     "boxdim-json": ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "50000",
                     "--depth", "30", "--seed", "3", "--eps-max", repr(3.0**-4),
                     "--eps-min", repr(3.0**-8), "--eps-ratio", "3"],
@@ -530,15 +553,25 @@ OUTPUT_CASES = {
     "sample-json-baker": ["sample", "--system", "baker", "--beta1", THIRD, "--beta2", THIRD,
                           "--target", "system", "--count", "2000", "--depth", "25", "--seed", "7",
                           "--format", "json"],
+    # pins which coding a --system pair sample projects through: the baker's
+    # past (contracting) block, which is ROADMAP item 3's known fault (the
+    # pair set lives on the future coordinate).  Item 3 will change this
+    # output and record the new digest.  The baker at beta2 = 0.25 makes the
+    # two blocks differ; the horseshoe at beta = 1/tau would hide a swap.
+    "sample-pairs-baker": ["sample", "--system", "baker", "--beta1", THIRD, "--beta2", "0.25",
+                           "--target", "pairs", "--count", "2000", "--depth", "25",
+                           "--seed", "7", "--format", "csv"],
 }
 OUTPUT_SHA256 = {
     "construct": "6686624b6bd96b499579c1bb99654418ab405ee7ddf468aa1e59be79268e5525",
     "dimension-ifs": "aee2367351e365eace2a5b179e784a56b9b64ff77a09e8102e8a57c114585284",
     "dimension-baker": "98d4719931bfb706bcc737d1b80526cf48d92a0aa7891c5fb10f7992e2b616de",
+    "dimension-tent": "4e2c025c58f6ef78c0407fa4a68af9e0ce64417c6458866acde3e10e5274e56f",
     "boxdim-json": "9231f7dbc933a142612ce0d3cb88e15eeb79b522f89aba95898984a4dbb42f51",
     "boxdim-csv": "d9c4e24c8fc995b49aaf93f3740662a80baa756b01e9b7c126c595b839d6bcbe",
     "sample-json": "dca26ebd421fa7346a940dd14f469aebcf6aee1ddb01b3fcb7c23b063730ef43",
     "sample-json-baker": "25f5bfbc8d1c0ccecfa96e7534882dd5cffb26567d2abc22e0cb8e1e07d1039b",
+    "sample-pairs-baker": "06e85d35b48cc846007fa8e7c60a908c8f68f13977017c4a458d3c0aec72737f",
 }
 
 

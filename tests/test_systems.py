@@ -434,6 +434,27 @@ def test_conjugacy_defect_within_bound_all_systems():
         assert defect <= bound, (spec.kind, defect, bound)
 
 
+# coded_radius in closed form: each coordinate block's largest ratio^depth
+# times its box diameter over 2, the blocks joined by hypot, past first
+CODED_RADIUS_FORMS = {
+    TENT2: lambda d: 0.25**d / 2,
+    SystemSpec("baker", beta1=1 / 3, beta2=0.25): lambda d: math.hypot(
+        (1 / 3) ** d * 1.0 / 2, 0.5**d * 1.0 / 2
+    ),
+    HORSE3: lambda d: math.hypot((1 / 3) ** d * 1.0 / 2, (1 / 3) ** d * 1.0 / 2),
+    SystemSpec("solenoid", beta1=1 / 3, beta2=0.25): lambda d: math.hypot(
+        (1 / 3) ** d * math.sqrt(2) / 2, 0.5**d * 1.0 / 2
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", list(CODED_RADIUS_FORMS), ids=spec_id)
+def test_coded_radius_matches_its_closed_form(spec):
+    for depth in (1, 18, 40):
+        want = CODED_RADIUS_FORMS[spec](depth)
+        assert coded_radius(spec, depth).hex() == want.hex(), depth
+
+
 def test_conjugacy_defect_fixed_point_sequences():
     seq = SymbolSequence(2, (2,) * 41)
     p0 = code_orbit_point(TENT2, seq, 0, 40)
