@@ -260,11 +260,8 @@ class Verdict:
 
 
 def _profile_parameters(spec: SystemSpec) -> tuple[float, float, float]:
-    derived = derive_ifs(spec)
-    exp, con = derived.expanding_inverse, derived.contracting
-    if con is None:
-        return spec.ambient_diam, exp.gap, max(exp.ratios)
-    return spec.ambient_diam, con.gap, max(exp.ratios + con.ratios)
+    codings = derive_ifs(spec)  # separation is read in the first block
+    return spec.ambient_diam, codings[0].gap, max(r for ifs in codings for r in ifs.ratios)
 
 
 def _checkpoint_times(block: ScheduleBlock, side: str) -> tuple[int, int]:

@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -45,14 +44,13 @@ from .errors import (
     ConvergenceError,
     DegenerateFit,
     LypairsError,
-    UndefinedRegion,
     ValidationError,
 )
 from .fractal import (
-    IfsSystem,
     _chunk_rng,
     _split,
     _two_prod_error,
+    load_ifs,
     moran_dimension,
     sample_attractor,
     sample_pair_set,
@@ -61,6 +59,8 @@ from .fractal import (
 from .symbolic import (
     GapSequence,
     SymbolSequence,
+    _from_json,
+    _read_json,
     check_gap_condition,
     construct_partner,
     extract_filler,
@@ -298,21 +298,6 @@ def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
 # argument resolution
 
 
-def _read_json(path: str, what: str):
-    if not os.path.exists(path):
-        raise ValidationError(f"{what} not found: {path}")
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _from_json(build, data, what: str):
-    """build(data) on decoded JSON input; a missing key or a wrong type exits 2."""
-    try:
-        return build(data)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {what}: {exc!r}") from exc
-
-
 def _parse_gaps(text: str) -> GapSequence:
     rule, colon, arg = text.partition(":")
     if colon and rule == "list":
@@ -374,10 +359,6 @@ def _load_sequence_file(path: str) -> SymbolSequence:
     return _from_json(SymbolSequence.from_json, _read_json(path, "sequence file"), "sequence file")
 
 
-def _load_ifs(path: str) -> IfsSystem:
-    return _from_json(IfsSystem.from_json, _read_json(path, "IFS file"), "IFS file")
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -385,14 +366,11 @@ def _load_ifs(path: str) -> IfsSystem:
 def cmd_dimension(args) -> int:
     report: dict = {"directions": []}
     if args.ifs:
-        ifs = _load_ifs(args.ifs)
-        directions = [("ifs", ifs)]
+        directions = [("ifs", load_ifs(args.ifs))]
     elif args.system:
         spec = _build_system(args)
-        derived = derive_ifs(spec)
-        directions = [("expanding", derived.expanding_inverse)]
-        if derived.contracting is not None:
-            directions.insert(0, ("contracting[0]", derived.contracting))
+        *past, future = derive_ifs(spec)
+        directions = [("contracting[0]", ifs) for ifs in past] + [("expanding", future)]
         report["system"] = spec.to_json()
     else:
         raise ValidationError("dimension needs --system or --ifs")
@@ -480,7 +458,7 @@ def _unsafe_iteration_report(spec, base, partner, depth, steps) -> dict:
         try:
             x = apply_map(spec, x)
             y = apply_map(spec, y)
-        except (UndefinedRegion, ValidationError) as exc:
+        except ValidationError as exc:
             stopped = {"time": n + 1, "reason": str(exc)}
             break
     return {"rows": rows, "stopped": stopped}
@@ -550,11 +528,11 @@ def _boxdim_points(args) -> np.ndarray:
                                      args.threads)
         return cloud.centers
     if args.ifs:
-        ifs = _load_ifs(args.ifs)
+        ifs = load_ifs(args.ifs)
     elif args.system:
-        spec = _build_system(args)
-        derived = derive_ifs(spec)
-        ifs = derived.contracting or derived.expanding_inverse
+        # the first block: a two-sided system's past coordinate, where its
+        # pair set does not live (ROADMAP item 3's fault, kept until then)
+        ifs = derive_ifs(_build_system(args))[0]
     else:
         raise ValidationError("boxdim needs --ifs, --system, or --target system")
     if args.target == "attractor":

@@ -22,7 +22,6 @@ chunk size, so results are bit-identical for any thread count.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +44,9 @@ from .symbolic import (
     ONE_SIDED,
     GapSequence,
     SymbolSequence,
+    _from_json,
     _integers,
+    _read_json,
     _reals,
     apply_pattern,
     covered_base,
@@ -230,9 +231,8 @@ class IfsSystem:
 
 
 def load_ifs(path) -> IfsSystem:
-    """The IFS of a JSON file; a decoded dict goes to ``IfsSystem.from_json``."""
-    with open(path) as fh:
-        return IfsSystem.from_json(json.load(fh))
+    """The IFS of a JSON file; a missing file or a wrong key or type raises ValidationError."""
+    return _from_json(IfsSystem.from_json, _read_json(path, "IFS file"), "IFS file")
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,9 @@ Index conventions, relied on by the geometric layers:
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -81,6 +83,21 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         return tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} not found: {path}")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _from_json(build, data, what: str):
+    """build(data) on decoded JSON; a missing key or a wrong type raises ValidationError."""
+    try:
+        return build(data)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
 
 
 def digit_dtype(m: int) -> type:

@@ -26,7 +26,8 @@ and is what makes the conjugacy checks close.
 Two-sided codings split as future digits -> expanding coordinate via the
 inverse-branch system, past digits (most recent first) -> contracting
 coordinate via the forward system, so one application of the map
-corresponds to one shift.
+corresponds to one shift.  ``derive_ifs`` lists the blocks' coding IFSs in
+ambient order: contracting (past digits), then expanding (future digits).
 """
 
 from __future__ import annotations
@@ -135,22 +136,15 @@ class SystemSpec:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class DerivedIfs:
-    """Coding systems of a SystemSpec: the contracting-coordinate system (None
-    for the tent map) and the expanding-coordinate inverse-branch system."""
-
-    contracting: IfsSystem | None
-    expanding_inverse: IfsSystem
-
-
 @lru_cache(maxsize=None)
-def derive_ifs(spec: SystemSpec) -> DerivedIfs:
-    """Build the coding IFS of each system from its printed branch maps."""
+def derive_ifs(spec: SystemSpec) -> tuple[IfsSystem, ...]:
+    """The coding IFS of each coordinate block in ambient order, from the
+    printed branch maps: a two-sided system's contracting (past-digit) system,
+    then the expanding-inverse (future-digit) system, the tent's only one."""
     if spec.kind == "tent":
-        return DerivedIfs(None, _fold_ifs(1.0 / (2.0 * spec.a)))
+        return (_fold_ifs(1.0 / (2.0 * spec.a)),)
     if spec.kind == "horseshoe":
-        return DerivedIfs(_fold_ifs(spec.beta), _fold_ifs(1.0 / spec.tau))
+        return _fold_ifs(spec.beta), _fold_ifs(1.0 / spec.tau)
     # baker and solenoid: one contracting system on [0, 1]^w, the full fold
     # 2y / 2 - 2y in the expanding coordinate
     w = spec.w - 1
@@ -161,7 +155,7 @@ def derive_ifs(spec: SystemSpec) -> DerivedIfs:
         ),
         (UNIT,) * w,
     )
-    return DerivedIfs(contracting, _fold_ifs(0.5))
+    return contracting, _fold_ifs(0.5)
 
 
 def _fold_ifs(c: float) -> IfsSystem:
@@ -216,18 +210,16 @@ def _orbit_windows(
 ) -> list[tuple[IfsSystem, np.ndarray]]:
     """The digit windows that code the orbit points of k sequences: past
     digits (k, P), most recent first, and future digits (k, F).  The point
-    at time t codes shift(seq, t) as ``code_point`` does: future digits
-    t+1..t+depth through ``expanding_inverse`` and, if two-sided, the depth
-    most recent past digits through ``contracting``, listed first.  Each
-    window array is (len(times) * k, depth), time-major.  Callers check
-    that the windows are stored."""
-    derived = derive_ifs(spec)
+    at time t codes shift(seq, t) as ``code_point`` does, one window per
+    coordinate block in ambient order: the depth most recent past digits
+    through each past block, then future digits t+1..t+depth through the
+    future block.  Each window array is (len(times) * k, depth),
+    time-major.  Callers check that the windows are stored."""
+    *past_ifs, future_ifs = derive_ifs(spec)
     line = np.hstack([past[:, ::-1], future])  # s_-P .. s_-1, s_1 .. s_F
     front = past.shape[1] + np.asarray(times)[:, None]  # column of s_{t+1}
     steps = np.arange(depth)
-    windows = [(derived.expanding_inverse, front + steps)]
-    if derived.contracting is not None:
-        windows.insert(0, (derived.contracting, front - 1 - steps))
+    windows = [(ifs, front - 1 - steps) for ifs in past_ifs] + [(future_ifs, front + steps)]
     return [(ifs, line[:, cols].swapaxes(0, 1).reshape(-1, depth)) for ifs, cols in windows]
 
 
@@ -285,13 +277,7 @@ def code_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: int) 
 
 def coded_radius(spec: SystemSpec, depth: int) -> float:
     """Worst-case radius of a depth-``depth`` coded point of the system."""
-    derived = derive_ifs(spec)
-    r_exp = max(derived.expanding_inverse.ratios) ** depth * derived.expanding_inverse.diam / 2
-    con = derived.contracting
-    if con is None:
-        return r_exp
-    r_con = max(con.ratios) ** depth * con.diam / 2
-    return math.hypot(r_con, r_exp)
+    return math.hypot(*(max(ifs.ratios) ** depth * ifs.diam / 2 for ifs in derive_ifs(spec)))
 
 
 _TRIAL_CHUNK = 256  # trials per sub-seed; part of the determinism contract
@@ -331,12 +317,10 @@ def sample_invariant_set(
 ) -> PointSample:
     """Sample the system's invariant set in its ambient space.
 
-    Product systems draw each coordinate's digits independently (streams
-    0 and 1 of the seed), matching the product structure of the coding.
+    Coordinate block k draws its digits from stream k of the seed, so the
+    blocks are independent, matching the product structure of the coding.
     """
-    derived = derive_ifs(spec)
-    if derived.contracting is None:
-        return sample_attractor(derived.expanding_inverse, count, depth, seed, threads)
-    con = sample_attractor(derived.contracting, count, depth, seed, threads, stream=0)
-    exp = sample_attractor(derived.expanding_inverse, count, depth, seed, threads, stream=1)
-    return PointSample(np.hstack([con.centers, exp.centers]))
+    return PointSample(np.hstack([
+        sample_attractor(ifs, count, depth, seed, threads, stream=k).centers
+        for k, ifs in enumerate(derive_ifs(spec))
+    ]))

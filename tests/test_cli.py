@@ -206,19 +206,17 @@ def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message
     assert err == f"error: {message}\n"
 
 
-def test_missing_ifs_file_exits_2_with_its_message(capsys, tmp_path):
-    missing = str(tmp_path / "missing.json")
-    rc, _, err = run(capsys, "boxdim", "--ifs", missing, "--seed", "1")
-    assert rc == 2
-    assert err == f"error: IFS file not found: {missing}\n"
-
-
-def test_malformed_ifs_file_exits_2_with_its_message(capsys, tmp_path):
-    path = tmp_path / "no-maps.json"
-    path.write_text(json.dumps({"K": [[0, 1]]}))
+@pytest.mark.parametrize("content, message", [
+    (None, "IFS file not found: {path}"),
+    ({"K": [[0, 1]]}, "malformed IFS file: KeyError('maps')"),
+], ids=["missing", "malformed"])
+def test_bad_ifs_file_exits_2_with_its_message(capsys, tmp_path, content, message):
+    path = tmp_path / "ifs.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
     rc, _, err = run(capsys, "boxdim", "--ifs", str(path), "--seed", "1")
     assert rc == 2
-    assert err == "error: malformed IFS file: KeyError('maps')\n"
+    assert err == f"error: {message.format(path=path)}\n"
 
 
 # --------------------------------------------------------------------------

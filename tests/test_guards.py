@@ -1,11 +1,13 @@
 """Argument checks of the library layers: each bad call raises its own
 error class with its own message."""
 
+import json
+
 import pytest
 
 from lypairs.analysis import build_verification_pair
 from lypairs.errors import ParameterOutOfRange, ValidationError
-from lypairs.fractal import IfsSystem, Similitude, sample_restricted
+from lypairs.fractal import IfsSystem, Similitude, load_ifs, sample_restricted
 from lypairs.symbolic import (
     TWO_SIDED,
     GapSequence,
@@ -94,3 +96,17 @@ def test_guard_raises_its_message(call, error, message):
     text = str(info.value)
     # a message ending in ": " goes on with the text of Python's own error
     assert text == message or (message.endswith(": ") and text.startswith(message))
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "IFS file not found: {path}"),
+    ({"K": [[0, 1]]}, "malformed IFS file: KeyError('maps')"),
+], ids=["missing", "malformed"])
+def test_load_ifs_raises_validation_error(tmp_path, content, message):
+    path = tmp_path / "ifs.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    with pytest.raises(ValidationError) as info:
+        load_ifs(path)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message.format(path=path)

@@ -69,10 +69,10 @@ def reference_orbit_point(spec: SystemSpec, seq: SymbolSequence, n: int, depth: 
     """Center and radius of ``code_point`` on the windows of shift(seq, n)."""
     derived = derive_ifs(spec)
     shifted = shift(seq, n)
-    future = code_point(derived.expanding_inverse, shifted.digits[:depth])
+    future = code_point(derived[-1], shifted.digits[:depth])
     if spec.side != TWO_SIDED:
         return future.center, future.radius
-    past = code_point(derived.contracting, shifted.past[:depth])
+    past = code_point(derived[0], shifted.past[:depth])
     return np.concatenate([past.center, future.center]), math.hypot(past.radius, future.radius)
 
 
@@ -239,27 +239,27 @@ def test_apply_map_rejects_non_finite(spec, bad):
 
 def test_tent_derived_ifs_and_dimension():
     derived = derive_ifs(TENT2)
-    assert derived.contracting is None
-    assert derived.expanding_inverse.ratios == (0.25, 0.25)
-    assert moran_dimension(derived.expanding_inverse.ratios).dimension == pytest.approx(0.5)
-    assert derived.expanding_inverse.gap == pytest.approx(0.5)
+    assert len(derived) == 1
+    assert derived[-1].ratios == (0.25, 0.25)
+    assert moran_dimension(derived[-1].ratios).dimension == pytest.approx(0.5)
+    assert derived[-1].gap == pytest.approx(0.5)
 
 
 def test_baker_derived_ifs():
     derived = derive_ifs(BAKER3)
-    con = derived.contracting
+    con = derived[0]
     assert con.ratios == (1 / 3, 1 / 3)
     d = moran_dimension(con.ratios).dimension
     assert d == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
     assert con.gap == pytest.approx(1 / 3)
     # the expanding halves legitimately touch: whole-interval coding
-    assert derived.expanding_inverse.gap == 0.0
+    assert derived[-1].gap == 0.0
 
 
 def test_horseshoe_product_dimension():
     derived = derive_ifs(HORSE3)
-    dx = moran_dimension(derived.contracting.ratios).dimension
-    dy = moran_dimension(derived.expanding_inverse.ratios).dimension
+    dx = moran_dimension(derived[0].ratios).dimension
+    dy = moran_dimension(derived[-1].ratios).dimension
     expected = math.log(2) / math.log(3)
     assert dx == pytest.approx(expected, abs=1e-10)
     assert dy == pytest.approx(expected, abs=1e-10)
@@ -268,15 +268,15 @@ def test_horseshoe_product_dimension():
 
 def test_solenoid_derived_shapes():
     derived = derive_ifs(SOLENOID3)
-    assert derived.contracting.w == 2
-    assert derived.expanding_inverse.w == 1
-    assert derived.contracting.gap == pytest.approx(math.sqrt(2) / 3)
+    assert derived[0].w == 2
+    assert derived[-1].w == 1
+    assert derived[0].gap == pytest.approx(math.sqrt(2) / 3)
 
 
 def test_tent_branches_are_right_inverses():
     derived = derive_ifs(TENT2)
     for x in np.linspace(0.0, 1.0, 41):
-        for s in derived.expanding_inverse.maps:
+        for s in derived[-1].maps:
             y = s.apply(np.array([x]))
             assert apply_map(TENT2, y)[0] == pytest.approx(x, abs=1e-12)
 
@@ -284,7 +284,7 @@ def test_tent_branches_are_right_inverses():
 def test_fold_inverse_branches_close_under_the_map():
     derived = derive_ifs(BAKER3)
     for yv in np.linspace(0.0, 1.0, 41):
-        for g in derived.expanding_inverse.maps:
+        for g in derived[-1].maps:
             y = float(g.apply(np.array([yv]))[0])
             image = apply_map(BAKER3, [0.2, y])[1]
             assert image == pytest.approx(yv, abs=1e-12)
@@ -307,7 +307,7 @@ def test_code_orbit_tent_fixed_points():
 def test_code_orbit_n_zero_matches_code_point():
     seq = SymbolSequence(2, (1, 2, 2, 1, 2) * 8)
     p = code_orbit_point(TENT2, seq, 0, 20)
-    q = code_point(derive_ifs(TENT2).expanding_inverse, seq.digits[:20])
+    q = code_point(derive_ifs(TENT2)[-1], seq.digits[:20])
     assert p.center[0] == q.center[0]
     assert p.radius == q.radius
 
@@ -519,7 +519,7 @@ def test_conjugacy_defect_matches_per_trial_reference(spec):
 
 def test_orbit_invariance_on_samples():
     derived = derive_ifs(TENT2)
-    ifs = derived.expanding_inverse
+    ifs = derived[-1]
     sample = sample_attractor(ifs, 50, 20, seed=21)
     # the sample keeps only centers: draw its digits again from chunk 0
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
@@ -544,8 +544,8 @@ def test_sample_invariant_set_thread_invariant():
     assert np.array_equal(clouds[0].centers, clouds[1].centers)
     assert np.array_equal(clouds[0].centers, clouds[2].centers)
     derived = derive_ifs(BAKER3)
-    con = sample_attractor(derived.contracting, 70000, 30, seed=4, stream=0)
-    exp = sample_attractor(derived.expanding_inverse, 70000, 30, seed=4, stream=1)
+    con = sample_attractor(derived[0], 70000, 30, seed=4, stream=0)
+    exp = sample_attractor(derived[-1], 70000, 30, seed=4, stream=1)
     assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp.centers]))
 
 
@@ -561,7 +561,7 @@ def test_horseshoe_product_marginals_match_coordinate_systems():
     n = 200000
     cloud = sample_invariant_set(HORSE3, n, 20, seed=8)
     derived = derive_ifs(HORSE3)
-    x_own = sample_attractor(derived.contracting, n, 20, seed=99)
+    x_own = sample_attractor(derived[0], n, 20, seed=99)
     for j in (2, 4, 6, 8):
         eps = 3.0**-j
         cells_prod = np.unique(np.floor(cloud.centers[:, 0] / eps).astype(np.int64))
