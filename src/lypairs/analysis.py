@@ -4,8 +4,9 @@ Box counts use the grid variant of the covering number over a ladder of
 grids of side b^-k: a point cloud occupies the cell
 (floor(x_1 * b^k), ..., floor(x_w * b^k)), the products taken exactly,
 and N_k is the number of distinct occupied cells.  Grid counts are
-dimension-equivalent to minimal ball covers.  The grids nest, so one
-sort at the finest level counts every level.  The fitted slope of
+dimension-equivalent to minimal ball covers.  The grids nest, so only
+the finest level reads the points, and each coarser level is counted
+from the distinct cells of the level below.  The fitted slope of
 log N_k against k log b over a saturation-guarded window estimates the
 box (Minkowski) dimension.
 
@@ -59,6 +60,8 @@ from .systems import code_orbit_point  # noqa: F401  (bench/spans.py wraps this 
 
 # --------------------------------------------------------------------------
 # box counting
+
+_BLOCK = 1 << 16  # rows per block of box counting; the counts do not depend on it
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,8 @@ def _exact_cells(x: np.ndarray, scale: float) -> np.ndarray:
 def _pack(columns, lo, spans) -> np.ndarray:
     """One int64 mixed-radix key per cell: digit j is column j minus lo[j],
     of radix spans[j], column 0 the most significant.  The columns (an
-    iterable read once) are shifted in place, so that the key and one
-    column are the only full-length arrays held."""
+    iterable read once) are shifted in place, and the key is built in the
+    first of them."""
     key = None
     for col, low, span in zip(columns, lo, spans):
         col -= low
@@ -148,19 +151,8 @@ def _pack(columns, lo, spans) -> np.ndarray:
     return key
 
 
-def _distinct_cells(columns, lo, hi) -> np.ndarray:
-    """The distinct cells, as a (w, n) array of columns, of int64 cell
-    columns whose column j lies within lo[j]..hi[j]: one sort of their
-    packed keys, unpacked at the distinct values, or a lexicographic sort
-    where a key would pass int64."""
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) >= 2**63:
-        cells = np.stack(list(columns))
-        cells = cells[:, np.lexsort(cells)]
-        return cells[:, np.r_[True, (cells[:, 1:] != cells[:, :-1]).any(axis=0)]]
-    key = _pack(columns, lo, spans)
-    key.sort()
-    key = key[np.r_[True, key[1:] != key[:-1]]]
+def _unpack(key, lo, spans) -> np.ndarray:
+    """The (w, n) cell columns of packed keys; ``key`` is left zeroed."""
     cells = np.empty((len(spans), len(key)), dtype=np.int64)
     for j in range(len(spans) - 1, -1, -1):
         np.divmod(key, spans[j], out=(key, cells[j]))
@@ -168,38 +160,90 @@ def _distinct_cells(columns, lo, hi) -> np.ndarray:
     return cells
 
 
+def _sort_distinct(key) -> int:
+    """Sort ``key`` in place and move its distinct values, in order, to its
+    front; returns how many there are.  Each block is compared with the same
+    rows shifted back by one.  The write cursor never passes the row before
+    the block being read, and it reaches that row only when no value has
+    been dropped, so every row a comparison reads still holds its sorted
+    value."""
+    key.sort()
+    n = 1
+    for start in range(1, len(key), _BLOCK):
+        block = key[start : start + _BLOCK]
+        kept = block[block != key[start - 1 : start - 1 + len(block)]]
+        key[n : n + len(kept)] = kept
+        n += len(kept)
+    return n
+
+
+def _distinct_cells(columns) -> np.ndarray:
+    """The distinct cells, as a (w, n) array of columns, of int64 cell
+    columns, sorted lexicographically; for levels whose packed key would
+    pass int64."""
+    cells = np.stack(list(columns))
+    cells = cells[:, np.lexsort(cells)]
+    return cells[:, np.r_[True, (cells[:, 1:] != cells[:, :-1]).any(axis=0)]]
+
+
 def box_count(points, ladder: GridLadder) -> BoxCountEstimate:
     """Occupied-grid-cell counts of a point cloud over a grid ladder.
 
-    Only the finest level reads the points.  Its exact cells are packed
-    column by column into one int64 key per point (no (n, w) cell array),
-    sorted once, and reduced to the distinct cells.  A coarser level's
+    Only the finest level reads the points.  Their exact cells are packed,
+    a block of rows at a time, into one int64 key per point, which is
+    sorted in place and compacted to the distinct keys.  A coarser level's
     cells are the distinct cells of the level below floor-divided by the
-    base, so its count comes from arrays no longer than the finer level's
-    count.  A level whose key would pass int64 sorts its cells
-    lexicographically instead.
+    base: each block of distinct keys is unpacked, divided and repacked in
+    place, then sorted and compacted again.  So beside the points only the
+    key array and one block's temporaries are held.  A level whose key
+    would pass int64 sorts its cells lexicographically instead.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.size == 0:
         raise EmptyInput("box_count needs at least one point")
-    if not np.isfinite(pts).all():
+    # min and max propagate NaN and reach any infinity, so they check
+    # every value without a full-length mask
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
         raise ValidationError("box_count points must be finite")
     scale = float(ladder.base**ladder.hi)
-    low, high = pts.min(axis=0), pts.max(axis=0)
     if not float(max(-low.min(), high.max())) * scale < 2.0**63:
         raise ValidationError("grid cell indices of the finest level exceed int64")
     # floor division by the base is monotone, so each level's column
     # bounds are the finer level's bounds divided
     lo, hi = _exact_cells(low, scale), _exact_cells(high, scale)
-    cells = _distinct_cells((_exact_cells(col, scale) for col in pts.T), lo, hi)
-    counts = [cells.shape[1]]
-    for _ in range(ladder.hi - ladder.lo):
-        lo, hi = lo // ladder.base, hi // ladder.base
-        cells //= ladder.base
-        cells = _distinct_cells(cells, lo, hi)
-        counts.append(cells.shape[1])
+    base, n, cells, key, counts = ladder.base, pts.shape[0], None, None, []
+    for level in range(ladder.hi, ladder.lo - 1, -1):
+        spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+        if math.prod(spans) >= 2**63:
+            if level == ladder.hi:
+                cells = [_exact_cells(col, scale) for col in pts.T]
+            else:
+                cells //= base
+            cells = _distinct_cells(cells)
+            n = cells.shape[1]
+        else:
+            if key is None:
+                key = np.empty(n, dtype=np.int64)
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                if level == ladder.hi:
+                    block = [_exact_cells(col, scale) for col in pts[start:stop].T]
+                else:
+                    # the finer level's distinct cells: lexsorted, or packed
+                    if cells is None:
+                        block = _unpack(key[start:stop], finer_lo, finer_spans)
+                    else:
+                        block = cells[:, start:stop]
+                    block //= base
+                key[start:stop] = _pack(block, lo, spans)
+            cells = None
+            n = _sort_distinct(key[:n])
+        counts.append(n)
+        finer_lo, finer_spans = lo, spans
+        lo, hi = lo // base, hi // base
     return BoxCountEstimate(ladder.epsilons, tuple(counts[::-1]), sample_count=pts.shape[0])
 
 

@@ -756,7 +756,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:  # inline --system JSON; files raise ValidationError
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

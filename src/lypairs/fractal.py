@@ -476,8 +476,9 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
-def _sample(count: int, width: int, worker, seed: int, stream: int, threads: int) -> PointSample:
-    """Fill a (count, width) sample over fixed-size chunks.
+def _sample(out: np.ndarray, worker, seed: int, stream: int, threads: int) -> np.ndarray:
+    """Fill the rows of ``out``, a (count, width) float array or view of
+    one, over fixed-size chunks, and return it.
 
     Chunk i holds rows i*_CHUNK onward and draws from
     ``_chunk_rng(seed, stream, i)``, so every row depends only on the
@@ -490,27 +491,25 @@ def _sample(count: int, width: int, worker, seed: int, stream: int, threads: int
     malloc arena is left holding chunk-sized memory, and the buffers are
     freed when this call returns.
     """
-    centers = np.empty((count, width), dtype=float)
+    count = len(out)
     chunks = -(-count // _CHUNK)
     fills = [worker(min(_CHUNK, count)) for _ in range(max(1, min(threads, chunks)))]
 
     def run(k: int) -> None:
         for i in range(k, chunks, len(fills)):
-            fills[k](_chunk_rng(seed, stream, i), centers[i * _CHUNK : (i + 1) * _CHUNK])
+            fills[k](_chunk_rng(seed, stream, i), out[i * _CHUNK : (i + 1) * _CHUNK])
 
     if len(fills) == 1:
         run(0)
     else:
         with ThreadPoolExecutor(max_workers=len(fills)) as pool:
             list(pool.map(run, range(len(fills))))
-    return PointSample(centers)
+    return out
 
 
-def sample_attractor(
-    ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1, stream: int = 0
-) -> PointSample:
-    """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
-    _validate_sampling(count, depth, seed)
+def _attractor_worker(ifs: IfsSystem, depth: int):
+    """The ``_sample`` worker of ``sample_attractor``: i.i.d. digits of the
+    (c_i^D) law, coded through ``ifs``."""
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     dtype = digit_dtype(ifs.m)
 
@@ -525,7 +524,16 @@ def sample_attractor(
 
         return fill
 
-    return _sample(count, ifs.w, worker, seed, stream, threads)
+    return worker
+
+
+def sample_attractor(
+    ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1, stream: int = 0
+) -> PointSample:
+    """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
+    _validate_sampling(count, depth, seed)
+    out = np.empty((count, ifs.w))
+    return PointSample(_sample(out, _attractor_worker(ifs, depth), seed, stream, threads))
 
 
 def sample_restricted(
@@ -569,7 +577,7 @@ def sample_restricted(
 
         return fill
 
-    return _sample(count, ifs.w, worker, seed, 0, threads)
+    return PointSample(_sample(np.empty((count, ifs.w)), worker, seed, 0, threads))
 
 
 def sample_pair_set(
@@ -614,4 +622,4 @@ def sample_pair_set(
 
         return fill
 
-    return _sample(count, 2 * w, worker, seed, 0, threads)
+    return PointSample(_sample(np.empty((count, 2 * w)), worker, seed, 0, threads))

@@ -86,10 +86,15 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
 
 
 def _read_json(path: str, what: str):
+    """The decoded JSON of a file; a missing file or text that is not JSON
+    raises ValidationError."""
     if not os.path.exists(path):
         raise ValidationError(f"{what} not found: {path}")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"malformed JSON input: {exc}") from exc
 
 
 def _from_json(build, data, what: str):

@@ -49,11 +49,14 @@ from .fractal import (
     IfsSystem,
     PointSample,
     Similitude,
+    _attractor_worker,
     _chunk_rng,
     _code_batch,
     _code_radii,
-    sample_attractor,
+    _sample,
+    _validate_sampling,
 )
+from .fractal import sample_attractor  # noqa: F401  (bench/spans.py wraps this name)
 from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _reals
 
 # the parameters each kind takes; a parameter of another kind is an error
@@ -319,8 +322,14 @@ def sample_invariant_set(
 
     Coordinate block k draws its digits from stream k of the seed, so the
     blocks are independent, matching the product structure of the coding.
+    Each block is sampled as ``sample_attractor`` samples it, straight into
+    its own columns of the result.
     """
-    return PointSample(np.hstack([
-        sample_attractor(ifs, count, depth, seed, threads, stream=k).centers
-        for k, ifs in enumerate(derive_ifs(spec))
-    ]))
+    codings = derive_ifs(spec)
+    _validate_sampling(count, depth, seed)
+    centers = np.empty((count, sum(ifs.w for ifs in codings)))
+    first = 0
+    for k, ifs in enumerate(codings):
+        _sample(centers[:, first : first + ifs.w], _attractor_worker(ifs, depth), seed, k, threads)
+        first += ifs.w
+    return PointSample(centers)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lypairs.analysis import (
+    _BLOCK,
     BoxCountEstimate,
     GridLadder,
     _exact_cells,
@@ -146,6 +148,42 @@ def test_box_count_matches_unique_reference(shape, scale, shift, epsilons):
         pts[:, 0] = np.round(pts[:, 0] * 4) / 4   # ties in the first column
     est = box_count(pts, epsilons)
     assert est.counts == unique_cell_counts(pts, epsilons)
+
+
+def triplet_cloud(n, w, k, seed):
+    """n points of [0, 1)^w, each of ceil(n / 3) distinct ones three times in
+    a row, at the centers of random distinct cells of side 2^-k (up to a
+    quarter of them, so that coarser levels merge neighbouring cells).
+    The sorted finest keys hold runs of three starting at multiples of 3;
+    as _BLOCK = 1 (mod 3), the runs at the block edges _BLOCK and 2 _BLOCK
+    straddle them in the sorted keys and in the row order alike."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(2 ** (k * w), size=-(-n // 3), replace=False)
+    cells = np.stack([(flat >> (k * j)) % 2**k for j in range(w)], axis=1)
+    return np.repeat((cells + 0.5) / 2**k, 3, axis=0)[:n]
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("w, k", [(1, 18), (2, 9), (3, 6)])
+def test_box_count_block_edges_match_unique_reference(n, w, k):
+    assert _BLOCK % 3 == 1
+    pts = triplet_cloud(n, w, k, seed=n + w)
+    ladder = GridLadder(2, k - 1, k + 1)
+    assert box_count(pts, ladder).counts == unique_cell_counts(pts, ladder)
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_box_count_holds_one_key_per_point(w):
+    # one int64 key per point, built and coarsened a block of rows at a time
+    pts = np.random.default_rng(w).random((1_000_000, w))
+    tracemalloc.start()
+    try:
+        est = box_count(pts, GridLadder(3, 1, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.counts[-1] > 500_000
+    assert peak <= 8 * len(pts) + 4 * 2**20
 
 
 def test_box_count_spans_beyond_int64_not_packed():

@@ -862,6 +862,20 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["boxdim", "--ifs", "{bad}", "--seed", "1", "--count", "100"],
+    ["verify", "--config", "{bad}"],
+    ["construct", "--length", "5", "--seed", "1", "--base", "{bad}"],
+    ["verify", "--system", "tent", "--a", "2", "--seed", "1", "--gaps", "list:{bad}"],
+], ids=["ifs", "config", "sequence", "gap-list"])
+def test_malformed_json_file_exits_2_with_the_decoder_message(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    rc, _, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    assert rc == 2
+    assert err == "error: malformed JSON input: Expecting value: line 1 column 1 (char 0)\n"
+
+
 # a gap rule file carrying a key of another rule, or an unknown key
 FOREIGN_GAP_KEYS = {
     "list": {"rule": "list", "values": [1] * 10, "c": 3},

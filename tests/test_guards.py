@@ -1,8 +1,6 @@
 """Argument checks of the library layers: each bad call raises its own
 error class with its own message."""
 
-import json
-
 import pytest
 
 from lypairs.analysis import build_verification_pair
@@ -98,14 +96,15 @@ def test_guard_raises_its_message(call, error, message):
     assert text == message or (message.endswith(": ") and text.startswith(message))
 
 
-@pytest.mark.parametrize("content, message", [
+@pytest.mark.parametrize("text, message", [
     (None, "IFS file not found: {path}"),
-    ({"K": [[0, 1]]}, "malformed IFS file: KeyError('maps')"),
-], ids=["missing", "malformed"])
-def test_load_ifs_raises_validation_error(tmp_path, content, message):
+    ('{"K": [[0, 1]]}', "malformed IFS file: KeyError('maps')"),
+    ("not json", "malformed JSON input: Expecting value: line 1 column 1 (char 0)"),
+], ids=["missing", "malformed", "not-json"])
+def test_load_ifs_raises_validation_error(tmp_path, text, message):
     path = tmp_path / "ifs.json"
-    if content is not None:
-        path.write_text(json.dumps(content))
+    if text is not None:
+        path.write_text(text)
     with pytest.raises(ValidationError) as info:
         load_ifs(path)
     assert type(info.value) is ValidationError

@@ -1,6 +1,7 @@
 """Tests for the four example systems, their codings, and the conjugacy check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -547,6 +548,18 @@ def test_sample_invariant_set_thread_invariant():
     con = sample_attractor(derived[0], 70000, 30, seed=4, stream=0)
     exp = sample_attractor(derived[-1], 70000, 30, seed=4, stream=1)
     assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp.centers]))
+
+
+def test_sample_invariant_set_holds_only_its_result():
+    # each coordinate block is written into its own columns of the result,
+    # so beside it only the sampling workers' chunk buffers are held
+    tracemalloc.start()
+    try:
+        cloud = sample_invariant_set(BAKER3, 1_000_000, 30, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cloud.centers.nbytes + 4 * 2**20
 
 
 def test_sample_invariant_set_stays_in_box():
