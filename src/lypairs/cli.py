@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +48,11 @@ from .errors import (
     ValidationError,
 )
 from .fractal import (
+    _attractor_job,
     _chunk_rng,
+    _pair_job,
+    _restricted_job,
+    _sample,
     _split,
     _two_prod_error,
     load_ifs,
@@ -69,6 +74,7 @@ from .symbolic import (
 )
 from .systems import (
     SystemSpec,
+    _invariant_job,
     _row_norms,
     _sequence_orbit,
     apply_map,
@@ -287,11 +293,16 @@ def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
     ``|v| < 1e-4`` and ``|v| >= 1e17`` -- are formatted one at a time with
     ``"%.17g"`` and written into their rows before the join.
     """
-    seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
     with _open_output(out) as fh:
         fh.write(header + "\n")
-        for start in range(0, rows.shape[0], _CSV_BLOCK):
-            fh.write(_csv_text(rows[start : start + _CSV_BLOCK], seps).decode("ascii"))
+        fh.writelines(_csv_blocks(rows))
+
+
+def _csv_blocks(rows: np.ndarray) -> Iterator[str]:
+    """The CSV lines of the 2-D array ``rows``, ``_CSV_BLOCK`` rows per string."""
+    seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
+    for start in range(0, rows.shape[0], _CSV_BLOCK):
+        yield _csv_text(rows[start : start + _CSV_BLOCK], seps).decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +423,6 @@ def cmd_construct(args) -> int:
         raise ValidationError("--length must be >= 1")
     gaps = _parse_gaps(args.gaps)
     report_gap = check_gap_condition(gaps, max(10, min(args.length, 100)))
-    print(f"gap condition: {report_gap.verdict} ({report_gap.detail})")
-
     rng = np.random.default_rng(_resolve_seed(args))
     if args.base == "random":
         base = random_sequence(args.m, args.length + 8, rng)
@@ -430,6 +439,8 @@ def cmd_construct(args) -> int:
 
     partner = construct_partner(base, gaps, filler, args.length)
     blocks = schedule_covering(gaps, args.length)
+    # printed once every input has been read, so a failed run prints nothing
+    print(f"gap condition: {report_gap.verdict} ({report_gap.detail})")
     out = {
         "base": base.to_json(),
         "partner": partner.to_json(),
@@ -519,14 +530,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _boxdim_points(args) -> np.ndarray:
+def _target(args) -> tuple:
+    """The target flags of ``boxdim`` and ``sample`` resolved and checked:
+    (the public sampler, its ``_sample`` job, their leading arguments, the
+    seed).  The job validates the rest, before anything is sampled."""
     seed = _resolve_seed(args)
     if args.target == "system":
         if not args.system:
             raise ValidationError("--target system needs --system")
-        cloud = sample_invariant_set(_build_system(args), args.count, args.depth, seed,
-                                     args.threads)
-        return cloud.centers
+        return sample_invariant_set, _invariant_job, (_build_system(args),), seed
     if args.ifs:
         ifs = load_ifs(args.ifs)
     elif args.system:
@@ -536,22 +548,22 @@ def _boxdim_points(args) -> np.ndarray:
     else:
         raise ValidationError("boxdim needs --ifs, --system, or --target system")
     if args.target == "attractor":
-        return sample_attractor(ifs, args.count, args.depth, seed, args.threads).centers
+        return sample_attractor, _attractor_job, (ifs,), seed
     gaps = _parse_gaps(args.gaps)
-    if args.target == "restricted":
-        if args.base == "random":
-            base = random_sequence(ifs.m, args.depth, _chunk_rng(seed, 9))
-        else:
-            base = _load_sequence_file(args.base)
-        return sample_restricted(
-            ifs, base, gaps, args.count, args.depth, seed, args.threads
-        ).centers
-    return sample_pair_set(ifs, gaps, args.count, args.depth, seed, args.threads).centers
+    if args.target == "pairs":
+        return sample_pair_set, _pair_job, (ifs, gaps), seed
+    if args.base == "random":
+        base = random_sequence(ifs.m, args.depth, _chunk_rng(seed, 9))
+    else:
+        base = _load_sequence_file(args.base)
+    return sample_restricted, _restricted_job, (ifs, base, gaps), seed
 
 
 def cmd_boxdim(args) -> int:
     ladder = _ladder(args)
-    est = dimension_fit(box_count(_boxdim_points(args), ladder))
+    sampler, _, lead, seed = _target(args)
+    points = sampler(*lead, args.count, args.depth, seed, args.threads).centers
+    est = dimension_fit(box_count(points, ladder))
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -565,11 +577,24 @@ def cmd_boxdim(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    points = _boxdim_points(args)
-    if args.format == "csv":
-        _write_csv(",".join(f"x{i + 1}" for i in range(points.shape[1])), points, args.out)
-    else:
-        _write_text(_json_text({"points": [list(row) for row in points]}), args.out)
+    """Write each chunk of points as soon as the workers have sampled it:
+    the CSV of ``_write_csv``, or the JSON of ``_write_text(_json_text(
+    {"points": ...}))``, byte for byte, with no array of all the points."""
+    _, job, lead, seed = _target(args)
+    worker, width = job(*lead, args.count, args.depth, seed)
+    with _open_output(args.out) as fh, contextlib.closing(
+        _sample(worker, args.count, width, args.threads)
+    ) as chunks:
+        if args.format == "csv":
+            fh.write(",".join(f"x{i + 1}" for i in range(width)) + "\n")
+            for rows in chunks:
+                fh.writelines(_csv_blocks(rows))
+        else:
+            fh.write('{\n  "points": [\n')
+            for i, rows in enumerate(chunks):
+                points = (f"    {_json_text(row, 2)}" for row in rows.tolist())
+                fh.write((",\n" if i else "") + ",\n".join(points))
+            fh.write("\n  ]\n}\n" if fh is sys.stdout else "\n  ]\n}")
     return EXIT_OK
 
 

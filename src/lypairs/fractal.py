@@ -17,16 +17,21 @@ projection is the natural self-similar measure on the attractor.  They
 return the coded centers only (a ``PointSample``); a prefix's radius comes
 from ``code_point``.  All randomness comes from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, chunk_index))`` with a fixed
-chunk size, so results are bit-identical for any thread count.
+chunk size, so results are bit-identical for any thread count.  One chunk
+runner, ``_sample``, serves every sampler: worker threads fill the chunks,
+either into the sampler's result array or into chunk buffers that the
+caller consumes in chunk order, so ``sample`` writes each chunk while the
+workers sample the next ones and never holds the whole point array.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -448,23 +453,29 @@ def _draw_digits(
     """Fill the C-contiguous ``out`` with digit 1 + #{c in cum : c <= u},
     one uniform u per entry, drawn in row-major order.
 
-    Every entry of ``cum`` is compared, the last included, so a rounded
+    As u < 1, an entry of ``cum`` that is at least 1 never counts and is
+    not compared; every other entry is, the last included, so a rounded
     ``cum[-1]`` below 1 gives the same digits as ``searchsorted(cum, u,
-    "right") + 1``.  The uniforms are drawn in consecutive pieces of
-    ``scratch.u`` (at most ``_PIECE`` doubles, so a piece stays in cache)
-    by ``rng.random(out=...)``; PCG64 yields the same doubles whether it
-    fills one array or consecutive pieces of it, so the digits equal those
-    of a single ``rng.random(out.shape)`` draw for any piece size.
+    "right") + 1``.  The first comparison writes its 0/1 straight into the
+    digits, the others add theirs, and 1 is added last.  The uniforms are
+    drawn in consecutive pieces of ``scratch.u`` (at most ``_PIECE``
+    doubles, so a piece stays in cache) by ``rng.random(out=...)``; PCG64
+    yields the same doubles whether it fills one array or consecutive
+    pieces of it, so the digits equal those of a single
+    ``rng.random(out.shape)`` draw for any piece size.
     """
+    first, *rest = cum[cum < 1.0].tolist() or [1.0]  # 1.0: no entry counts
     flat = out.reshape(-1)  # a view, as ``out`` is C-contiguous
+    zero_one = flat.view(bool) if flat.itemsize == 1 else flat
     for start in range(0, flat.size, scratch.u.size):
         digits = flat[start : start + scratch.u.size]
         u, hit = scratch.u[: digits.size], scratch.hit[: digits.size]
         rng.random(out=u)
-        digits.fill(1)
-        for c in cum:
+        np.greater_equal(u, first, out=zero_one[start : start + digits.size])
+        for c in rest:
             np.greater_equal(u, c, out=hit)
             digits += hit
+        digits += 1
 
 
 def _validate_sampling(count: int, depth: int, seed: int) -> None:
@@ -476,64 +487,148 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
-def _sample(out: np.ndarray, worker, seed: int, stream: int, threads: int) -> np.ndarray:
-    """Fill the rows of ``out``, a (count, width) float array or view of
-    one, over fixed-size chunks, and return it.
+def _sample(
+    worker, count: int, width: int, threads: int, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the rows of each fixed-size chunk of a (count, width) float
+    sample, in chunk order, while worker threads fill the next chunks.
 
-    Chunk i holds rows i*_CHUNK onward and draws from
-    ``_chunk_rng(seed, stream, i)``, so every row depends only on the
-    seed, never on the thread count.  ``worker(rows)`` returns a function
-    ``fill(rng, out)`` that writes the rows of one chunk of at most
-    ``rows`` rows into ``out`` and keeps its buffers from one chunk to the
-    next.  One is made per worker thread, here in the calling thread, and
-    worker k fills chunks k, k + W, k + 2W, ... of the W workers: the
-    threads allocate nothing that grows with the chunk, so no thread's
-    malloc arena is left holding chunk-sized memory, and the buffers are
-    freed when this call returns.
+    Chunk i holds rows i*_CHUNK onward.  ``worker(rows)`` returns a function
+    ``fill(i, out)`` that writes chunk i, at most ``rows`` rows, into
+    ``out``, drawing from ``_chunk_rng(seed, stream, i)`` itself, so every
+    row depends only on the seed, never on the thread count, and that keeps
+    its buffers from one chunk to the next.  One is made per worker thread,
+    here in the calling thread, and worker k fills chunks k, k + W, k + 2W,
+    ... of the W workers: the threads allocate nothing that grows with the
+    chunk, so no thread's malloc arena is left holding chunk-sized memory.
+
+    With ``out``, a (count, width) array or view of one, chunk i is written
+    into its rows and a view of them is yielded.  Without, each worker owns
+    two chunk buffers and a chunk is yielded from one of them, valid until
+    the caller asks for the next chunk, when the worker takes it back.
+    Either way a worker fills at most two chunks the caller has not yet
+    consumed.  A worker's exception is raised in the caller.  When the
+    caller stops early, by an exception or ``close()``, the workers stop at
+    their next chunk and are joined before the generator finishes.
     """
-    count = len(out)
     chunks = -(-count // _CHUNK)
-    fills = [worker(min(_CHUNK, count)) for _ in range(max(1, min(threads, chunks)))]
+    rows = min(_CHUNK, count)
+    fills = [worker(rows) for _ in range(max(1, min(threads, chunks)))]
+    free = [queue.SimpleQueue() for _ in fills]  # buffers worker k may fill (None: out's rows)
+    done = [queue.SimpleQueue() for _ in fills]  # its filled rows, or its exception
+    for q in free:
+        for _ in range(2):
+            q.put(None if out is not None else np.empty((rows, width)))
+    stop = threading.Event()
 
     def run(k: int) -> None:
-        for i in range(k, chunks, len(fills)):
-            fills[k](_chunk_rng(seed, stream, i), out[i * _CHUNK : (i + 1) * _CHUNK])
+        try:
+            for i in range(k, chunks, len(fills)):
+                buf = free[k].get()
+                if stop.is_set():
+                    return
+                start = i * _CHUNK
+                block = out[start : start + rows] if buf is None else buf[: count - start]
+                fills[k](i, block)
+                done[k].put((block, buf))
+        except BaseException as exc:  # raised again in the caller
+            done[k].put((exc, None))
 
-    if len(fills) == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=len(fills)) as pool:
-            list(pool.map(run, range(len(fills))))
-    return out
+    started = []
+    try:
+        for k in range(len(fills)):
+            started.append(threading.Thread(target=run, args=(k,)))
+            started[-1].start()
+        for i in range(chunks):
+            block, buf = done[i % len(fills)].get()
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+            free[i % len(fills)].put(buf)
+    finally:
+        stop.set()
+        for q in free:
+            q.put(None)  # wakes a worker waiting for a buffer
+        for t in started:
+            t.join()
 
 
-def _attractor_worker(ifs: IfsSystem, depth: int):
-    """The ``_sample`` worker of ``sample_attractor``: i.i.d. digits of the
-    (c_i^D) law, coded through ``ifs``."""
-    cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    dtype = digit_dtype(ifs.m)
+def _collect(job, count: int, threads: int) -> PointSample:
+    """Drain ``_sample`` over ``job``, a (worker, width) pair, into one
+    (count, width) array."""
+    worker, width = job
+    out = np.empty((count, width))
+    for _ in _sample(worker, count, width, threads, out):
+        pass
+    return PointSample(out)
+
+
+def _attractor_worker(codings: Sequence[IfsSystem], depth: int, seed: int, stream: int):
+    """The ``_sample`` worker of i.i.d. digits of each IFS's (c_i^D) law:
+    block b of ``codings`` draws from stream ``stream + b`` and is coded
+    into its own columns of the chunk, every block with the one buffer set."""
+    laws = [(ifs, np.cumsum(bernoulli_weights(ifs.ratios))) for ifs in codings]
+    dtype = digit_dtype(max(ifs.m for ifs in codings))
 
     def worker(rows: int):
         d = np.empty((rows, depth), dtype=dtype)
         scratch = _Scratch(rows, depth, dtype)
 
-        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
-            n = len(out)
-            _draw_digits(rng, cum, d[:n], scratch)
-            _code_batch(ifs, d[:n], out, scratch)
+        def fill(i: int, out: np.ndarray) -> None:
+            n, first = len(out), 0
+            for b, (ifs, cum) in enumerate(laws):
+                _draw_digits(_chunk_rng(seed, stream + b, i), cum, d[:n], scratch)
+                _code_batch(ifs, d[:n], out[:, first : first + ifs.w], scratch)
+                first += ifs.w
 
         return fill
 
     return worker
 
 
+def _attractor_job(ifs: IfsSystem, count: int, depth: int, seed: int, stream: int = 0):
+    """The validated ``_sample`` job of ``sample_attractor``."""
+    _validate_sampling(count, depth, seed)
+    return _attractor_worker((ifs,), depth, seed, stream), ifs.w
+
+
 def sample_attractor(
     ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1, stream: int = 0
 ) -> PointSample:
     """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
+    return _collect(_attractor_job(ifs, count, depth, seed, stream), count, threads)
+
+
+def _restricted_job(
+    ifs: IfsSystem, base: SymbolSequence, gaps: GapSequence, count: int, depth: int, seed: int
+):
+    """The validated ``_sample`` job of ``sample_restricted``."""
     _validate_sampling(count, depth, seed)
-    out = np.empty((count, ifs.w))
-    return PointSample(_sample(out, _attractor_worker(ifs, depth), seed, stream, threads))
+    if base.side != ONE_SIDED:
+        raise ValidationError("restricted sampling takes a one-sided base")
+    if base.m != ifs.m:
+        raise ValidationError("base alphabet must match the number of IFS maps")
+    roles = schedule_roles(gaps, depth)
+    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
+    free = roles == FREE
+    n_free = int(np.count_nonzero(free))
+    cum = np.cumsum(bernoulli_weights(ifs.ratios))
+    dtype = digit_dtype(ifs.m)
+
+    def worker(rows: int):
+        d = np.tile(template, (rows, 1))  # only the free columns change
+        f = np.empty((rows, n_free), dtype=dtype)
+        scratch = _Scratch(rows, depth, dtype)
+
+        def fill(i: int, out: np.ndarray) -> None:
+            n = len(out)
+            _draw_digits(_chunk_rng(seed, 0, i), cum, f[:n], scratch)
+            d[:n, free] = f[:n]
+            _code_batch(ifs, d[:n], out, scratch)
+
+        return fill
+
+    return worker, ifs.w
 
 
 def sample_restricted(
@@ -552,32 +647,40 @@ def sample_restricted(
     pattern of ``base`` and the cloud samples the push-forward of the
     natural measure onto the restricted set.
     """
+    return _collect(_restricted_job(ifs, base, gaps, count, depth, seed), count, threads)
+
+
+def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: int):
+    """The validated ``_sample`` job of ``sample_pair_set``."""
     _validate_sampling(count, depth, seed)
-    if base.side != ONE_SIDED:
-        raise ValidationError("restricted sampling takes a one-sided base")
-    if base.m != ifs.m:
-        raise ValidationError("base alphabet must match the number of IFS maps")
     roles = schedule_roles(gaps, depth)
-    template = apply_pattern(roles, covered_base(roles, base), ifs.m)
     free = roles == FREE
     n_free = int(np.count_nonzero(free))
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    dtype = digit_dtype(ifs.m)
+    flips = np.flatnonzero(roles == FLIP).tolist()
+    dtype, w = digit_dtype(ifs.m), ifs.w
 
     def worker(rows: int):
-        d = np.tile(template, (rows, 1))  # only the free columns change
+        s = np.empty((rows, depth), dtype=dtype)
+        t = np.empty((rows, depth), dtype=dtype)
         f = np.empty((rows, n_free), dtype=dtype)
         scratch = _Scratch(rows, depth, dtype)
 
-        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
-            n = len(out)
+        def fill(i: int, out: np.ndarray) -> None:
+            n, rng = len(out), _chunk_rng(seed, 0, i)
+            _draw_digits(rng, cum, s[:n], scratch)
             _draw_digits(rng, cum, f[:n], scratch)
-            d[:n, free] = f[:n]
-            _code_batch(ifs, d[:n], out, scratch)
+            t[:n] = s[:n]  # ``apply_pattern``, in place: each FLIP digit moves up by one
+            for j in flips:
+                np.remainder(s[:n, j], ifs.m, out=t[:n, j])
+                t[:n, j] += 1
+            t[:n, free] = f[:n]
+            _code_batch(ifs, s[:n], out[:, :w], scratch)
+            _code_batch(ifs, t[:n], out[:, w:], scratch)
 
         return fill
 
-    return PointSample(_sample(np.empty((count, ifs.w)), worker, seed, 0, threads))
+    return worker, 2 * w
 
 
 def sample_pair_set(
@@ -594,32 +697,4 @@ def sample_pair_set(
     (c_i^D) digit law; each row is a point of R^{2w} whose first w
     coordinates are distributed like ``sample_attractor`` output.
     """
-    _validate_sampling(count, depth, seed)
-    roles = schedule_roles(gaps, depth)
-    free = roles == FREE
-    n_free = int(np.count_nonzero(free))
-    cum = np.cumsum(bernoulli_weights(ifs.ratios))
-    flips = np.flatnonzero(roles == FLIP).tolist()
-    dtype, w = digit_dtype(ifs.m), ifs.w
-
-    def worker(rows: int):
-        s = np.empty((rows, depth), dtype=dtype)
-        t = np.empty((rows, depth), dtype=dtype)
-        f = np.empty((rows, n_free), dtype=dtype)
-        scratch = _Scratch(rows, depth, dtype)
-
-        def fill(rng: np.random.Generator, out: np.ndarray) -> None:
-            n = len(out)
-            _draw_digits(rng, cum, s[:n], scratch)
-            _draw_digits(rng, cum, f[:n], scratch)
-            t[:n] = s[:n]  # ``apply_pattern``, in place: each FLIP digit moves up by one
-            for j in flips:
-                np.remainder(s[:n, j], ifs.m, out=t[:n, j])
-                t[:n, j] += 1
-            t[:n, free] = f[:n]
-            _code_batch(ifs, s[:n], out[:, :w], scratch)
-            _code_batch(ifs, t[:n], out[:, w:], scratch)
-
-        return fill
-
-    return PointSample(_sample(np.empty((count, 2 * w)), worker, seed, 0, threads))
+    return _collect(_pair_job(ifs, gaps, count, depth, seed), count, threads)

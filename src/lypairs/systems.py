@@ -53,7 +53,7 @@ from .fractal import (
     _chunk_rng,
     _code_batch,
     _code_radii,
-    _sample,
+    _collect,
     _validate_sampling,
 )
 from .fractal import sample_attractor  # noqa: F401  (bench/spans.py wraps this name)
@@ -315,6 +315,13 @@ def conjugacy_defect(
     return worst
 
 
+def _invariant_job(spec: SystemSpec, count: int, depth: int, seed: int):
+    """The validated ``fractal._sample`` job of ``sample_invariant_set``."""
+    codings = derive_ifs(spec)
+    _validate_sampling(count, depth, seed)
+    return _attractor_worker(codings, depth, seed, 0), spec.w
+
+
 def sample_invariant_set(
     spec: SystemSpec, count: int, depth: int, seed: int, threads: int = 1
 ) -> PointSample:
@@ -322,14 +329,9 @@ def sample_invariant_set(
 
     Coordinate block k draws its digits from stream k of the seed, so the
     blocks are independent, matching the product structure of the coding.
-    Each block is sampled as ``sample_attractor`` samples it, straight into
-    its own columns of the result.
+    One ``fractal._sample`` call fills the result: each chunk's worker
+    samples every block of the chunk, each as ``sample_attractor`` samples
+    it, straight into the block's own columns, with one buffer set that
+    the blocks share.
     """
-    codings = derive_ifs(spec)
-    _validate_sampling(count, depth, seed)
-    centers = np.empty((count, sum(ifs.w for ifs in codings)))
-    first = 0
-    for k, ifs in enumerate(codings):
-        _sample(centers[:, first : first + ifs.w], _attractor_worker(ifs, depth), seed, k, threads)
-        first += ifs.w
-    return PointSample(centers)
+    return _collect(_invariant_job(spec, count, depth, seed), count, threads)

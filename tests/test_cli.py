@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lypairs import cli, symbolic
 from lypairs.cli import build_parser, main
+from lypairs.fractal import _CHUNK, load_ifs, sample_attractor
 
 
 def run(capsys, *argv):
@@ -467,11 +468,11 @@ SAMPLE_CSV_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("target", list(SAMPLE_CSV_SHA256))
-def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
+def sample_source(target, cantor_json, tmp_path):
+    """The flags that select one of the six ``sample`` targets."""
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"m": 2, "side": "one", "digits": [1, 2, 2, 1] * 12}))
-    source = {
+    return {
         "attractor": ["--ifs", cantor_json],
         "restricted": ["--ifs", cantor_json, "--target", "restricted", "--base", str(base)],
         "pairs": ["--ifs", cantor_json, "--target", "pairs"],
@@ -483,6 +484,11 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
         "solenoid": ["--system", "solenoid", "--beta1", repr(1 / 3), "--beta2", "0.25",
                      "--target", "system"],
     }[target]
+
+
+@pytest.mark.parametrize("target", list(SAMPLE_CSV_SHA256))
+def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
+    source = sample_source(target, cantor_json, tmp_path)
     out_file = tmp_path / f"{target}.csv"
     rc, _, _ = run(
         capsys, "sample", *source, "--count", "40000", "--depth", "40", "--seed", "21",
@@ -490,6 +496,29 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
     )
     assert rc == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SAMPLE_CSV_SHA256[target]
+
+
+@pytest.mark.parametrize("target", list(SAMPLE_CSV_SHA256))
+def test_streamed_sample_equals_the_public_sampler(capsys, cantor_json, tmp_path, target):
+    # counts at the chunk edges; the stream's blocks are its workers' buffers
+    argv = ["sample", *sample_source(target, cantor_json, tmp_path), "--seed", "5"]
+    sampler, job, lead, seed = cli._target(build_parser().parse_args(argv))
+    for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        want = sampler(*lead, count, 4, seed).centers
+        for threads in (1, 2, 3):
+            worker, width = job(*lead, count, 4, seed)
+            got = [rows.copy() for rows in cli._sample(worker, count, width, threads)]
+            assert [len(rows) for rows in got] == [
+                min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
+            assert np.vstack(got).tobytes() == want.tobytes()
+    # the CLI writes the last count's stream as the CSV of the sampler's array
+    out_file = tmp_path / "points.csv"
+    rc, _, _ = run(capsys, *argv, "--count", str(count), "--depth", "4", "--threads", "2",
+                   "--format", "csv", "--out", str(out_file))
+    assert rc == 0
+    header = ",".join(f"x{i + 1}" for i in range(want.shape[1]))
+    cli._write_csv(header, want, str(tmp_path / "want.csv"))
+    assert out_file.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # SHA-256 of `verify --out` JSON: --blocks 24 --depth 40 --seed 5, except
@@ -732,6 +761,19 @@ def test_sample_csv_stdout_matches_file(capsys, cantor_json, tmp_path):
     assert head == ["neg_log_eps,log_count", "-0,0"]
 
 
+def test_sample_json_stdout_matches_file(capsys, cantor_json, tmp_path):
+    argv = ["sample", "--ifs", cantor_json, "--count", str(_CHUNK + 1), "--depth", "12",
+            "--seed", "3", "--threads", "2", "--format", "json"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    out_file = tmp_path / "points.json"
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    # stdout is the file and one newline, as for every JSON report
+    assert out == out_file.read_text() + "\n"
+    want = sample_attractor(load_ifs(cantor_json), _CHUNK + 1, 12, 3)
+    assert np.array_equal(json.loads(out)["points"], want.centers)
+
+
 def test_config_file_supplies_options(capsys, tmp_path):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(json.dumps({"system": "tent", "a": 2.0, "seed": 5, "blocks": 10}))
@@ -871,8 +913,9 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, argv):
 def test_malformed_json_file_exits_2_with_the_decoder_message(capsys, tmp_path, argv):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
-    rc, _, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    rc, out, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
     assert rc == 2
+    assert out == ""  # construct reads its files before it prints
     assert err == "error: malformed JSON input: Expecting value: line 1 column 1 (char 0)\n"
 
 
@@ -915,8 +958,9 @@ def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
         paths[f"{{gaps-{rule}}}"].write_text(json.dumps(data))
     for name, path in paths.items():
         argv = [a.replace(name, str(path)) for a in argv]
-    rc, _, err = run(capsys, *argv)
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
+    assert out == ""
     assert err.startswith("error:")
 
 

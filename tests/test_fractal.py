@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -306,6 +307,29 @@ def test_draw_digits_matches_searchsorted(m, shape):
         assert np.array_equal(got, want)
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_draw_digits_skips_only_thresholds_at_or_above_one(data):
+    # the whole law scaled so that cum[-1] is exactly ``last``: just below 1,
+    # 1, just above 1 (interior entries may then reach 1 too), or anywhere
+    m = data.draw(st.sampled_from([1, 2, 3, 5, 130]), label="m")  # 130: int16 digits
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m), label="w")
+    last = data.draw(st.one_of(
+        st.sampled_from([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]),
+        st.floats(0.5, 1.5),
+    ), label="last")
+    cum = np.cumsum(weights)
+    cum = cum / cum[-1] * last
+    assert cum[-1] == last
+    shape = data.draw(st.tuples(st.integers(1, 60), st.integers(1, 30)), label="shape")
+    size = shape[0] * shape[1]
+    piece = data.draw(st.integers(max(1, size // 8), size), label="piece")
+    got = np.empty(shape, dtype=digit_dtype(m + 1))
+    _draw_digits(np.random.default_rng(m), cum, got, _Scratch(1, piece, got.dtype))
+    u = np.random.default_rng(m).random(shape)
+    assert np.array_equal(got, np.searchsorted(cum, u, "right") + 1)
+
+
 LAWS = {
     "dyadic": np.cumsum([0.5, 0.5]),
     "three-map": np.cumsum(bernoulli_weights(three_map_ifs().ratios)),
@@ -402,30 +426,79 @@ def test_sampler_deterministic_across_threads():
     assert not np.array_equal(a.centers, c.centers)
 
 
-def test_sampler_starts_at_most_one_worker_per_chunk(monkeypatch):
-    # a stand-in pool that records its size and runs the chunks in this thread
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(fractal, "ThreadPoolExecutor", SerialPool)
+def test_sampler_starts_at_most_one_worker_per_chunk():
+    # a worker that records each one made (one per thread) and the threads alive
+    made, alive = [], []
     ifs = cantor_ifs()
+    attractor = fractal._attractor_worker((ifs,), 12, 42, 0)
+
+    def worker(rows):
+        made.append(rows)
+        fill = attractor(rows)
+
+        def counted(i, out):
+            alive.append(threading.active_count())
+            fill(i, out)
+
+        return counted
+
     count = 2 * _CHUNK + 5  # three chunks
-    sample = sample_attractor(ifs, count, 12, seed=42, threads=64)
-    assert sizes == [3]
-    assert np.array_equal(sample.centers, sample_attractor(ifs, count, 12, seed=42).centers)
-    assert sizes == [3]
+    before = threading.active_count()
+    got = np.empty((count, 1))
+    for _ in fractal._sample(worker, count, 1, 64, got):
+        pass
+    assert made == [_CHUNK] * 3
+    assert max(alive) <= before + 3
+    assert threading.active_count() == before
+    assert np.array_equal(got, sample_attractor(ifs, count, 12, seed=42).centers)
+
+
+def chunk_index_worker(fail_at=None):
+    """A ``_sample`` worker that writes each chunk's index into its rows
+    and raises InvalidDigit on chunk ``fail_at``."""
+    def worker(rows):
+        def fill(i, out):
+            if i == fail_at:
+                raise InvalidDigit(f"chunk {i}")
+            out.fill(i)
+
+        return fill
+
+    return worker
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sample_stream_yields_chunks_in_order(threads):
+    count = 5 * _CHUNK + 3
+    got = [rows.copy() for rows in fractal._sample(chunk_index_worker(), count, 2, threads)]
+    assert [len(rows) for rows in got] == [_CHUNK] * 5 + [3]
+    assert all(np.all(rows == i) for i, rows in enumerate(got))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("into", ["stream", "array"])
+def test_sample_worker_error_reaches_the_caller(threads, into):
+    before = threading.active_count()
+    out = np.empty((5 * _CHUNK, 1)) if into == "array" else None
+    with pytest.raises(InvalidDigit, match="chunk 2"):
+        for _ in fractal._sample(chunk_index_worker(fail_at=2), 5 * _CHUNK, 1, threads, out):
+            pass
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sample_stream_stopped_early_joins_its_workers(threads):
+    before = threading.active_count()
+    stream = fractal._sample(chunk_index_worker(), 9 * _CHUNK, 1, threads)
+    next(stream)
+    assert threading.active_count() == before + threads
+    stream.close()
+    assert threading.active_count() == before
+    with pytest.raises(BrokenPipeError):
+        for i, _ in enumerate(fractal._sample(chunk_index_worker(), 9 * _CHUNK, 1, threads)):
+            if i == 1:
+                raise BrokenPipeError
+    assert threading.active_count() == before
 
 
 THREAD_GAPS = {"quadratic": GapSequence("quadratic"), "zero": GapSequence("constant", c=0)}
