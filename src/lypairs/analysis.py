@@ -30,6 +30,7 @@ positive floor on the separation bounds (limsup-positive surrogate).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,42 +187,140 @@ def _distinct_cells(columns) -> np.ndarray:
     return cells[:, np.r_[True, (cells[:, 1:] != cells[:, :-1]).any(axis=0)]]
 
 
-def box_count(points, ladder: GridLadder) -> BoxCountEstimate:
+def _rows(points) -> np.ndarray:
+    """``points`` as a float (n, w) array; a 1-D array is one column."""
+    pts = np.asarray(points, dtype=float)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+
+
+def _checked(chunks, box: np.ndarray) -> Iterator[np.ndarray]:
+    """The non-empty chunks as float (n, w) arrays, each checked to be
+    finite and in ``box`` (ValidationError otherwise).  min and max
+    propagate NaN and reach any infinity, so they check every value
+    without a full-length mask."""
+    for rows in chunks:
+        rows = _rows(rows)
+        if not len(rows):
+            continue
+        if rows.ndim != 2 or rows.shape[1] != len(box):
+            raise ValidationError(f"box_count chunk of shape {rows.shape} in a {len(box)}-D box")
+        low, high = rows.min(axis=0), rows.max(axis=0)
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise ValidationError("box_count points must be finite")
+        if (low < box[:, 0]).any() or (high > box[:, 1]).any():
+            raise ValidationError(
+                f"box_count points span {np.stack([low, high], axis=1).tolist()}, "
+                f"outside the box {box.tolist()}"
+            )
+        yield rows
+
+
+def _distinct_keys(chunks, box, scale, lo, spans):
+    """(row count, key, n) of the finest level's distinct packed cells,
+    ``key[:n]`` sorted.  Each chunk's cells are packed a block of rows at a
+    time into a key of its own, which is sorted and compacted; the first
+    chunk's key then collects the distinct keys of the others, and is
+    compacted when it fills and doubled when compacting frees less than
+    half of it."""
+    count, key, n, merged = 0, None, 0, False
+    for rows in _checked(chunks, box):
+        count += len(rows)
+        part = np.empty(len(rows), dtype=np.int64)
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start : start + _BLOCK]
+            part[start : start + len(block)] = _pack(
+                (_exact_cells(col, scale) for col in block.T), lo, spans
+            )
+        m = _sort_distinct(part)
+        if key is None:
+            key, n = part, m
+            continue
+        if n + m > len(key):
+            if merged:
+                n, merged = _sort_distinct(key[:n]), False
+            if 2 * (n + m) > len(key):
+                grown = np.empty(2 * max(len(key), n + m), dtype=np.int64)
+                grown[:n] = key[:n]
+                key = grown
+        key[n : n + m] = part[:m]
+        n, merged = n + m, True
+    if merged:
+        n = _sort_distinct(key[:n])
+    return count, key, n
+
+
+def _lexsorted_cells(chunks, box, scale):
+    """(row count, cells) of the finest level's distinct cells, as a (w, n)
+    array of columns, for a level whose packed key would pass int64: each
+    chunk's distinct cells are collected and lexsorted together."""
+    count, parts = 0, []
+    for rows in _checked(chunks, box):
+        count += len(rows)
+        parts.append(_distinct_cells(_exact_cells(col, scale) for col in rows.T))
+    if len(parts) > 1:
+        parts = [_distinct_cells(np.hstack(parts))]
+    return count, parts[0] if parts else None
+
+
+def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
     """Occupied-grid-cell counts of a point cloud over a grid ladder.
 
-    Only the finest level reads the points.  Their exact cells are packed,
-    a block of rows at a time, into one int64 key per point, which is
-    sorted in place and compacted to the distinct keys.  A coarser level's
-    cells are the distinct cells of the level below floor-divided by the
-    base: each block of distinct keys is unpacked, divided and repacked in
-    place, then sorted and compacted again.  So beside the points only the
-    key array and one block's temporaries are held.  A level whose key
-    would pass int64 sorts its cells lexicographically instead.
+    ``points`` is one (n, w) array (a 1-D array is one column), or an
+    iterator of (rows, w) chunks, such as the stream of ``fractal._sample``;
+    one array counts as one chunk, and any split of the rows into chunks
+    gives the same counts.  ``box``, a (w, 2) array of lower and upper
+    bounds, fixes the cell columns' offsets and radices; it defaults to the
+    array's own bounds, and a stream must give it.  Every chunk is checked
+    against it, so a NaN or a point outside raises ValidationError.
+
+    Only the finest level reads the points.  Each chunk's exact cells are
+    packed, a block of rows at a time, into one int64 key per row, which is
+    sorted and compacted to the distinct keys and appended to the distinct
+    keys of the chunks before (``_distinct_keys``).  So beside one chunk
+    only the distinct keys are held, and one array costs one key per point.
+    A coarser level's cells are the distinct cells of the level below
+    floor-divided by the base: each block of distinct keys is unpacked,
+    divided and repacked in place, then sorted and compacted again.  A
+    level whose key would pass int64 sorts its cells lexicographically
+    instead, its finest level collected over the chunks.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.size == 0:
-        raise EmptyInput("box_count needs at least one point")
-    # min and max propagate NaN and reach any infinity, so they check
-    # every value without a full-length mask
-    low, high = pts.min(axis=0), pts.max(axis=0)
-    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+    if not isinstance(points, Iterator):
+        pts = _rows(points)
+        if not pts.size:
+            raise EmptyInput("box_count needs at least one point")
+        if box is None:
+            box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
+        points = iter((pts,))
+    elif box is None:
+        raise ValidationError("box_count of a stream of chunks needs their box")
+    box = np.asarray(box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValidationError(f"box_count box must be a (w, 2) array, got shape {box.shape}")
+    if not np.isfinite(box).all():
         raise ValidationError("box_count points must be finite")
     scale = float(ladder.base**ladder.hi)
-    if not float(max(-low.min(), high.max())) * scale < 2.0**63:
+    if not float(max(-box[:, 0].min(), box[:, 1].max())) * scale < 2.0**63:
         raise ValidationError("grid cell indices of the finest level exceed int64")
     # floor division by the base is monotone, so each level's column
     # bounds are the finer level's bounds divided
-    lo, hi = _exact_cells(low, scale), _exact_cells(high, scale)
-    base, n, cells, key, counts = ladder.base, pts.shape[0], None, None, []
-    for level in range(ladder.hi, ladder.lo - 1, -1):
+    lo, hi = _exact_cells(box[:, 0], scale), _exact_cells(box[:, 1], scale)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    key = cells = None
+    if math.prod(spans) >= 2**63:
+        count, cells = _lexsorted_cells(points, box, scale)
+    else:
+        count, key, n = _distinct_keys(points, box, scale, lo, spans)
+    if not count:
+        raise EmptyInput("box_count needs at least one point")
+    if cells is not None:
+        n = cells.shape[1]
+    base, counts = ladder.base, [n]
+    for level in range(ladder.hi - 1, ladder.lo - 1, -1):
+        finer_lo, finer_spans = lo, spans
+        lo, hi = lo // base, hi // base
         spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
         if math.prod(spans) >= 2**63:
-            if level == ladder.hi:
-                cells = [_exact_cells(col, scale) for col in pts.T]
-            else:
-                cells //= base
+            cells //= base
             cells = _distinct_cells(cells)
             n = cells.shape[1]
         else:
@@ -229,22 +328,17 @@ def box_count(points, ladder: GridLadder) -> BoxCountEstimate:
                 key = np.empty(n, dtype=np.int64)
             for start in range(0, n, _BLOCK):
                 stop = min(start + _BLOCK, n)
-                if level == ladder.hi:
-                    block = [_exact_cells(col, scale) for col in pts[start:stop].T]
+                # the finer level's distinct cells: lexsorted, or packed
+                if cells is None:
+                    block = _unpack(key[start:stop], finer_lo, finer_spans)
                 else:
-                    # the finer level's distinct cells: lexsorted, or packed
-                    if cells is None:
-                        block = _unpack(key[start:stop], finer_lo, finer_spans)
-                    else:
-                        block = cells[:, start:stop]
-                    block //= base
+                    block = cells[:, start:stop]
+                block //= base
                 key[start:stop] = _pack(block, lo, spans)
             cells = None
             n = _sort_distinct(key[:n])
         counts.append(n)
-        finer_lo, finer_spans = lo, spans
-        lo, hi = lo // base, hi // base
-    return BoxCountEstimate(ladder.epsilons, tuple(counts[::-1]), sample_count=pts.shape[0])
+    return BoxCountEstimate(ladder.epsilons, tuple(counts[::-1]), sample_count=count)
 
 
 def dimension_fit(estimate: BoxCountEstimate) -> BoxCountEstimate:

@@ -53,14 +53,13 @@ from .fractal import (
     _pair_job,
     _restricted_job,
     _sample,
+    _SPLITTER,
     _split,
-    _two_prod_error,
     load_ifs,
     moran_dimension,
-    sample_attractor,
-    sample_pair_set,
-    sample_restricted,
 )
+# bench/spans.py wraps these names
+from .fractal import sample_attractor, sample_pair_set, sample_restricted  # noqa: F401
 from .symbolic import (
     GapSequence,
     SymbolSequence,
@@ -79,9 +78,9 @@ from .systems import (
     _sequence_orbit,
     apply_map,
     derive_ifs,
-    sample_invariant_set,
 )
-from .systems import code_orbit_point  # noqa: F401  (bench/spans.py wraps this name)
+# bench/spans.py wraps these names
+from .systems import code_orbit_point, sample_invariant_set  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -202,44 +201,86 @@ def _csv_tables():
     return tables
 
 
-def _significand(a, x, scale_table):
-    """round(a * 10^(16 - x)) half to even, exactly, as int64."""
-    scale, scale_hi, scale_lo = scale_table.take(x + 4, axis=1)
-    hi = a * scale
-    lo = _two_prod_error(*_split(a), scale_hi, scale_lo, hi)
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+class _CsvScratch:
+    """Buffers that ``_csv_text`` reuses over blocks of up to ``size``
+    values: float, integer and mask temporaries, the word indices and the
+    text and keep words.  Fresh block-sized temporaries in each block made
+    malloc map and unmap them over and over, at a page fault per 4 KiB."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.f = np.empty((7, size))
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.m = np.empty((2, size), dtype=bool)
+        self.idx = np.empty((size, 5), dtype=np.int64)
+        self.words = np.empty((2, size, 5), dtype=np.uint64)
 
 
-def _csv_text(block: np.ndarray, seps: np.ndarray) -> bytes:
-    """The rows of ``block``, each value as ``"%.17g"`` followed by its separator."""
+def _significand(a, x, scale_table, s: _CsvScratch) -> np.ndarray:
+    """round(a * 10^(16 - x)) half to even, exactly, as int64, in
+    ``s.i[1]``; a and x may be ``s.f[0]`` and ``s.i[0]``, and the other
+    buffers of ``s`` that it writes are f[1:] and i[2]."""
+    n = len(a)
+    f, out, tmp = s.f[1:, :n], s.i[1, :n], s.i[2, :n]
+    np.add(x, 4, out=tmp)
+    scale, scale_hi, scale_lo = scale_table.take(tmp, axis=1, out=f[:3])
+    hi = np.multiply(a, scale, out=f[3])
+    # Veltkamp's split of a, then Dekker's two_prod error, in the order of
+    # ``_split`` and ``_two_prod_error``
+    c = np.multiply(a, _SPLITTER, out=scale)
+    a_hi = np.subtract(c, np.subtract(c, a, out=f[4]), out=c)
+    a_lo = np.subtract(a, a_hi, out=f[4])
+    lo = np.multiply(a_hi, scale_hi, out=f[5])
+    lo -= hi
+    lo += np.multiply(a_hi, scale_lo, out=a_hi)
+    lo += np.multiply(a_lo, scale_hi, out=scale_hi)
+    lo += np.multiply(a_lo, scale_lo, out=a_lo)
+    np.copyto(out, hi, casting="unsafe")
+    np.copyto(tmp, np.rint(lo, out=lo), casting="unsafe")
+    out += tmp
+    return out
+
+
+def _csv_text(block: np.ndarray, seps: np.ndarray, s: _CsvScratch) -> memoryview:
+    """The rows of ``block``, each value as ``"%.17g"`` followed by its
+    separator, formatted in the buffers of ``s``."""
     scale, words, zeros, keep_table = _csv_tables()
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    a = np.abs(v)
-    fast = (a >= 1e-5) & (a < 1e18)
-    a[~fast] = 1.0
-    x = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
-    sig = _significand(a, x, scale)
-    step = (sig >= _E17).astype(np.int64) - (sig < _E16)
+    n = v.size
+    ints, masks = s.i[:, :n], s.m[:, :n]
+    a = np.abs(v, out=s.f[0, :n])
+    fast = np.greater_equal(a, 1e-5, out=masks[0])
+    fast &= np.less(a, 1e18, out=masks[1])
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=masks[1]))
+    x = ints[0]
+    log = np.log10(a, out=s.f[1, :n])
+    np.copyto(x, np.floor(log, out=log), casting="unsafe")
+    np.clip(x, -4, 16, out=x)
+    sig = _significand(a, x, scale, s)
+    step = ints[2]
+    np.copyto(step, np.greater_equal(sig, _E17, out=masks[1]))
+    step -= np.less(sig, _E16, out=masks[1])
     redo = np.flatnonzero(step)
     if redo.size:  # log10 was one off, or the rounding carried into a new decade
         x_new = x[redo] + step[redo]
         x[redo] = np.clip(x_new, -4, 16)
-        sig[redo] = _significand(a[redo], x[redo], scale)
+        sig[redo] = _significand(a[redo], x[redo], scale, _CsvScratch(redo.size))
         # an exponent outside -4..16 is written in exponent notation: exact path
         fast[redo] &= (x_new == x[redo]) & (sig[redo] >= _E16) & (sig[redo] < _E17)
         sig[~fast], x[~fast] = _E16, 0
 
-    # word indices: the leading digit, then four 4-digit groups
-    idx = np.empty((v.size, 5), dtype=np.int64)
-    idx[:, 0] = sig // _E16
-    rest = sig - idx[:, 0] * _E16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    idx[:, 1] = high // 10**4
-    idx[:, 2] = high - idx[:, 1] * 10**4
-    idx[:, 3] = low // 10**4
-    idx[:, 4] = low - idx[:, 3] * 10**4
-    trailing = zeros.take(idx[:, 4])
+    # word indices: the leading digit, then four 4-digit groups; sig is
+    # spent on the products
+    idx, rest, high = s.idx[:n], ints[2], ints[3]
+    np.floor_divide(sig, _E16, out=idx[:, 0])
+    np.subtract(sig, np.multiply(idx[:, 0], _E16, out=rest), out=rest)
+    np.floor_divide(rest, 10**8, out=high)
+    low = np.subtract(rest, np.multiply(high, 10**8, out=sig), out=rest)
+    np.floor_divide(high, 10**4, out=idx[:, 1])
+    np.subtract(high, np.multiply(idx[:, 1], 10**4, out=sig), out=idx[:, 2])
+    np.floor_divide(low, 10**4, out=idx[:, 3])
+    np.subtract(low, np.multiply(idx[:, 3], 10**4, out=sig), out=idx[:, 4])
+    trailing = zeros.take(idx[:, 4], out=high)
     open_rows = np.flatnonzero(trailing == 4)
     for j in (3, 2, 1):
         if not open_rows.size:
@@ -249,10 +290,16 @@ def _csv_text(block: np.ndarray, seps: np.ndarray) -> bytes:
         open_rows = open_rows[more == 4]
     idx[:, 0] += 10_000
 
-    text = words.take(idx, mode="clip")
-    keep = keep_table.take(
-        (np.signbit(v) * 21 + x + 4) * 17 + 16 - trailing, axis=0, mode="clip"
-    )
+    text, keep = s.words[:, :n]
+    words.take(idx, mode="clip", out=text)
+    # each value's keep row, (sign * 21 + x + 4) * 17 + 16 - trailing
+    row = np.multiply(np.signbit(v, out=masks[1]), 21, out=ints[1])
+    row += x
+    row += 4
+    row *= 17
+    row += 16
+    row -= trailing
+    keep_table.take(row, axis=0, mode="clip", out=keep)
     text_bytes = text.view(np.uint8)
     keep_bytes = keep.view(np.bool_)
     text_bytes.reshape(block.shape[0], -1, _CSV_ROW)[:, :, -1] = seps
@@ -264,7 +311,7 @@ def _csv_text(block: np.ndarray, seps: np.ndarray) -> bytes:
         text_bytes[slow, :size] = padded.reshape(-1, size)
         lengths = np.fromiter(map(len, exact), dtype=np.int64, count=len(exact))
         keep_bytes[slow, :size] = np.arange(size) < lengths[:, None]
-    return np.compress(keep_bytes.ravel(), text_bytes.ravel()).tobytes()
+    return memoryview(np.compress(keep_bytes.reshape(-1), text_bytes.reshape(-1)))
 
 
 def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
@@ -295,14 +342,20 @@ def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
     """
     with _open_output(out) as fh:
         fh.write(header + "\n")
-        fh.writelines(_csv_blocks(rows))
+        fh.writelines(_csv_blocks((rows,)))
 
 
-def _csv_blocks(rows: np.ndarray) -> Iterator[str]:
-    """The CSV lines of the 2-D array ``rows``, ``_CSV_BLOCK`` rows per string."""
-    seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
-    for start in range(0, rows.shape[0], _CSV_BLOCK):
-        yield _csv_text(rows[start : start + _CSV_BLOCK], seps).decode("ascii")
+def _csv_blocks(chunks) -> Iterator[str]:
+    """The CSV lines of each 2-D array of ``chunks`` in turn, ``_CSV_BLOCK``
+    rows per string, all formatted in one ``_CsvScratch``."""
+    scratch = None
+    for rows in chunks:
+        seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK]
+            if scratch is None or scratch.size < block.size:
+                scratch = _CsvScratch(block.size)
+            yield str(_csv_text(block, seps, scratch), "ascii")
 
 
 # --------------------------------------------------------------------------
@@ -402,8 +455,8 @@ def cmd_dimension(args) -> int:
     if args.check_box:
         seed, ladder = _resolve_seed(args), _ladder(args)
         name, ifs = directions[0]
-        sample = sample_attractor(ifs, args.count, args.depth, seed, args.threads)
-        est = dimension_fit(box_count(sample.centers, ladder))
+        job = _attractor_job(ifs, args.count, args.depth, seed)
+        est = _streamed_fit(job, args.count, args.threads, ladder)
         d0 = report["directions"][0]["dimension"]
         print(
             f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
@@ -532,13 +585,14 @@ def cmd_verify(args) -> int:
 
 def _target(args) -> tuple:
     """The target flags of ``boxdim`` and ``sample`` resolved and checked:
-    (the public sampler, its ``_sample`` job, their leading arguments, the
-    seed).  The job validates the rest, before anything is sampled."""
+    (the ``_sample`` job builder of the target's sampler, its leading
+    arguments, the seed).  The job validates the rest, before anything is
+    sampled."""
     seed = _resolve_seed(args)
     if args.target == "system":
         if not args.system:
             raise ValidationError("--target system needs --system")
-        return sample_invariant_set, _invariant_job, (_build_system(args),), seed
+        return _invariant_job, (_build_system(args),), seed
     if args.ifs:
         ifs = load_ifs(args.ifs)
     elif args.system:
@@ -548,22 +602,33 @@ def _target(args) -> tuple:
     else:
         raise ValidationError("boxdim needs --ifs, --system, or --target system")
     if args.target == "attractor":
-        return sample_attractor, _attractor_job, (ifs,), seed
+        return _attractor_job, (ifs,), seed
     gaps = _parse_gaps(args.gaps)
     if args.target == "pairs":
-        return sample_pair_set, _pair_job, (ifs, gaps), seed
+        return _pair_job, (ifs, gaps), seed
     if args.base == "random":
         base = random_sequence(ifs.m, args.depth, _chunk_rng(seed, 9))
     else:
         base = _load_sequence_file(args.base)
-    return sample_restricted, _restricted_job, (ifs, base, gaps), seed
+    return _restricted_job, (ifs, base, gaps), seed
+
+
+def _streamed_fit(job, count: int, threads: int, ladder: GridLadder):
+    """The fitted box count of ``count`` rows of a ``_sample`` job, a
+    (worker, box) pair: ``box_count`` reads each chunk while the workers
+    sample the next ones, and stops them if it raises."""
+    worker, box = job
+    with contextlib.closing(_sample(worker, count, len(box), threads)) as chunks:
+        return dimension_fit(box_count(chunks, ladder, box))
 
 
 def cmd_boxdim(args) -> int:
+    """Box-count the target's sample as it streams from the workers, in
+    the sampler's domain box, so no array of the points is held; the
+    counts equal those of the collected sample."""
     ladder = _ladder(args)
-    sampler, _, lead, seed = _target(args)
-    points = sampler(*lead, args.count, args.depth, seed, args.threads).centers
-    est = dimension_fit(box_count(points, ladder))
+    job, lead, seed = _target(args)
+    est = _streamed_fit(job(*lead, args.count, args.depth, seed), args.count, args.threads, ladder)
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -580,15 +645,15 @@ def cmd_sample(args) -> int:
     """Write each chunk of points as soon as the workers have sampled it:
     the CSV of ``_write_csv``, or the JSON of ``_write_text(_json_text(
     {"points": ...}))``, byte for byte, with no array of all the points."""
-    _, job, lead, seed = _target(args)
-    worker, width = job(*lead, args.count, args.depth, seed)
+    job, lead, seed = _target(args)
+    worker, box = job(*lead, args.count, args.depth, seed)
+    width = len(box)
     with _open_output(args.out) as fh, contextlib.closing(
         _sample(worker, args.count, width, args.threads)
     ) as chunks:
         if args.format == "csv":
             fh.write(",".join(f"x{i + 1}" for i in range(width)) + "\n")
-            for rows in chunks:
-                fh.writelines(_csv_blocks(rows))
+            fh.writelines(_csv_blocks(chunks))
         else:
             fh.write('{\n  "points": [\n')
             for i, rows in enumerate(chunks):

@@ -20,8 +20,10 @@ from ``code_point``.  All randomness comes from numpy's PCG64 seeded through
 chunk size, so results are bit-identical for any thread count.  One chunk
 runner, ``_sample``, serves every sampler: worker threads fill the chunks,
 either into the sampler's result array or into chunk buffers that the
-caller consumes in chunk order, so ``sample`` writes each chunk while the
-workers sample the next ones and never holds the whole point array.
+caller consumes in chunk order, so ``sample`` writes, and ``boxdim``
+box-counts, each chunk while the workers sample the next ones and never
+holds the whole point array.  Each sampler's job also gives the box that
+holds every row it samples (``IfsSystem.coded_box`` per coordinate block).
 """
 
 from __future__ import annotations
@@ -161,8 +163,7 @@ class IfsSystem:
         for s in maps:
             if s.w != w:
                 raise ValidationError("map dimension does not match the domain box")
-        box_arr = self.box_arr
-        tol = 1e-9 * float(np.max(box_arr[:, 1] - box_arr[:, 0]))
+        box_arr, tol = self.box_arr, self.slack
         images = [s.image_box(box_arr) for s in maps]
         for i, img in enumerate(images):
             if np.any(img[:, 0] < box_arr[:, 0] - tol) or np.any(img[:, 1] > box_arr[:, 1] + tol):
@@ -204,6 +205,31 @@ class IfsSystem:
     @cached_property
     def box_arr(self) -> np.ndarray:
         return np.asarray(self.box, dtype=float)
+
+    @cached_property
+    def slack(self) -> float:
+        """How far a map's image may overhang K on an axis and still pass
+        the containment check."""
+        return 1e-9 * float(np.max(self.box_arr[:, 1] - self.box_arr[:, 0]))
+
+    @cached_property
+    def coded_box(self) -> np.ndarray:
+        """(w, 2) bounds of every center that ``code_point`` and
+        ``_code_batch`` return.
+
+        Each image S_i(K) lies in K widened by the slack s, so S_i maps K
+        widened by d into K widened by s + r d, r the largest ratio, and
+        every composed image lies in K widened by s / (1 - r).  Each Horner
+        step x <- a x + t starts from the center of K and rounds twice, by
+        at most 2u M (1 + u) with M the largest |x| there and u = 2^-53; so
+        the errors add up to under 2^-50 M / (1 - r).
+        """
+        box, gap = self.box_arr, 1.0 - max(self.ratios)
+        reach = self.slack / gap
+        pad = reach + 2.0**-50 * (float(np.abs(box).max()) + reach) / gap
+        out = box + np.array([-pad, pad])
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -554,11 +580,11 @@ def _sample(
 
 
 def _collect(job, count: int, threads: int) -> PointSample:
-    """Drain ``_sample`` over ``job``, a (worker, width) pair, into one
-    (count, width) array."""
-    worker, width = job
-    out = np.empty((count, width))
-    for _ in _sample(worker, count, width, threads, out):
+    """Drain ``_sample`` over ``job``, a (worker, box) pair, into one
+    (count, w) array; ``box`` is the (w, 2) bounds of every sampled row."""
+    worker, box = job
+    out = np.empty((count, len(box)))
+    for _ in _sample(worker, count, len(box), threads, out):
         pass
     return PointSample(out)
 
@@ -589,7 +615,7 @@ def _attractor_worker(codings: Sequence[IfsSystem], depth: int, seed: int, strea
 def _attractor_job(ifs: IfsSystem, count: int, depth: int, seed: int, stream: int = 0):
     """The validated ``_sample`` job of ``sample_attractor``."""
     _validate_sampling(count, depth, seed)
-    return _attractor_worker((ifs,), depth, seed, stream), ifs.w
+    return _attractor_worker((ifs,), depth, seed, stream), ifs.coded_box
 
 
 def sample_attractor(
@@ -628,7 +654,7 @@ def _restricted_job(
 
         return fill
 
-    return worker, ifs.w
+    return worker, ifs.coded_box
 
 
 def sample_restricted(
@@ -680,7 +706,7 @@ def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: i
 
         return fill
 
-    return worker, 2 * w
+    return worker, np.vstack([ifs.coded_box] * 2)
 
 
 def sample_pair_set(

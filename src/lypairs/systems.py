@@ -319,7 +319,8 @@ def _invariant_job(spec: SystemSpec, count: int, depth: int, seed: int):
     """The validated ``fractal._sample`` job of ``sample_invariant_set``."""
     codings = derive_ifs(spec)
     _validate_sampling(count, depth, seed)
-    return _attractor_worker(codings, depth, seed, 0), spec.w
+    box = np.vstack([ifs.coded_box for ifs in codings])
+    return _attractor_worker(codings, depth, seed, 0), box
 
 
 def sample_invariant_set(

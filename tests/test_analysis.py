@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lypairs import analysis
 from lypairs.analysis import (
     _BLOCK,
     BoxCountEstimate,
@@ -34,6 +35,7 @@ from lypairs.errors import (
     ValidationError,
 )
 from lypairs.fractal import (
+    _CHUNK,
     IfsSystem,
     Similitude,
     _code_batch,
@@ -151,22 +153,38 @@ def test_box_count_matches_unique_reference(shape, scale, shift, epsilons):
 
 
 def triplet_cloud(n, w, k, seed):
-    """n points of [0, 1)^w, each of ceil(n / 3) distinct ones three times in
-    a row, at the centers of random distinct cells of side 2^-k (up to a
-    quarter of them, so that coarser levels merge neighbouring cells).
-    The sorted finest keys hold runs of three starting at multiples of 3;
-    as _BLOCK = 1 (mod 3), the runs at the block edges _BLOCK and 2 _BLOCK
-    straddle them in the sorted keys and in the row order alike."""
+    """n points of [0, 1)^w, each of m = ceil(n / 3) distinct ones three
+    times in a row, at the centers of random distinct cells of side 2^-k,
+    drawn from the first 4 m cells in the order of their packed keys (or
+    all of them, if fewer), so that coarser levels merge neighbouring
+    cells.  The sorted finest keys hold runs of three starting at multiples
+    of 3; as _BLOCK = 1 (mod 3), the runs at the block edges _BLOCK and
+    2 _BLOCK straddle them in the sorted keys and in the row order alike."""
     rng = np.random.default_rng(seed)
-    flat = rng.choice(2 ** (k * w), size=-(-n // 3), replace=False)
+    m = -(-n // 3)
+    flat = rng.choice(min(2 ** (k * w), 4 * m), size=m, replace=False)
     cells = np.stack([(flat >> (k * j)) % 2**k for j in range(w)], axis=1)
     return np.repeat((cells + 0.5) / 2**k, 3, axis=0)[:n]
 
 
+SMALL_BLOCK = 256  # = 1 (mod 3), as _BLOCK
+
+
+def at_block(n, block):
+    """The size at the same place next to a multiple of ``block`` as n is
+    next to a multiple of ``_BLOCK``: q _BLOCK + r, |r| < _BLOCK / 2,
+    becomes q block + r."""
+    q = round(n / _BLOCK)
+    return q * block + n - q * _BLOCK
+
+
+# each size is named by its place at _BLOCK and runs at SMALL_BLOCK
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 @pytest.mark.parametrize("w, k", [(1, 18), (2, 9), (3, 6)])
-def test_box_count_block_edges_match_unique_reference(n, w, k):
-    assert _BLOCK % 3 == 1
+def test_box_count_block_edges_match_unique_reference(monkeypatch, n, w, k):
+    assert _BLOCK % 3 == SMALL_BLOCK % 3 == 1
+    monkeypatch.setattr(analysis, "_BLOCK", SMALL_BLOCK)
+    n = at_block(n, SMALL_BLOCK)
     pts = triplet_cloud(n, w, k, seed=n + w)
     ladder = GridLadder(2, k - 1, k + 1)
     assert box_count(pts, ladder).counts == unique_cell_counts(pts, ladder)
@@ -184,6 +202,82 @@ def test_box_count_holds_one_key_per_point(w):
         tracemalloc.stop()
     assert est.counts[-1] > 500_000
     assert peak <= 8 * len(pts) + 4 * 2**20
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(data=None)
+def test_chunked_box_count_matches_one_array(data):
+    # any split into chunks, and any box that holds the points, counts as
+    # the one array does; its own bounds are the default box
+    if data is None:   # w = 3 in a box of spans near 4e28: the lexsort path
+        ladder = GridLadder(10, 1, 9)
+        pts = np.random.default_rng(2).uniform(-1, 1, (300, 3))
+        pts[150:] = pts[:150]
+        cuts, pad = [0, 7, 7, 100, 299], (1.0, 0.5)
+    else:
+        w = data.draw(st.integers(1, 3))
+        base = data.draw(st.sampled_from([2, 3, 10]))
+        hi = data.draw(st.integers(0, 12))
+        ladder = GridLadder(base, data.draw(st.integers(0, hi)), hi)
+        cols = [data.draw(_grid_points(base, hi)) for _ in range(w)]
+        n = min(map(len, cols))
+        pts = np.array([c[:n] for c in cols]).T
+        pts[n // 2 :] = pts[: n - n // 2]   # repeated points
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=8))
+        pad = (data.draw(st.floats(0, 4)), data.draw(st.floats(0, 4)))
+    box = np.stack([pts.min(axis=0) - pad[0], pts.max(axis=0) + pad[1]], axis=1)
+    if data is None:
+        assert np.prod((box[:, 1] - box[:, 0]) * 1e9) > 2.0**63
+    want = box_count(pts, ladder)
+    assert want.counts == unique_cell_counts(pts, ladder)
+    got = box_count(iter(np.split(pts, sorted(cuts))), ladder, box)  # empty chunks too
+    assert (got.counts, got.sample_count) == (want.counts, len(pts))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1e-300])
+def test_stray_point_in_a_later_chunk_raises(bad):
+    chunks = [np.full((5, 2), 0.5), np.full((6, 2), 0.25), np.full((4, 2), 0.75)]
+    chunks[1][3, 1] = bad
+    box = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="outside the box" if np.isfinite(bad) else "finite"):
+        box_count(iter(chunks), GridLadder(2, 1, 4), box)
+    assert box_count(iter(chunks[:1] + chunks[2:]), GridLadder(2, 1, 4), box).counts[-1] == 2
+
+
+def test_box_count_stream_needs_a_box_of_its_width():
+    chunks = [np.full((5, 2), 0.5)]
+    with pytest.raises(ValidationError, match="needs their box"):
+        box_count(iter(chunks), GridLadder(2, 1, 4))
+    with pytest.raises(ValidationError, match="chunk of shape"):
+        box_count(iter(chunks), GridLadder(2, 1, 4), np.array([[0.0, 1.0]]))
+    with pytest.raises(EmptyInput):
+        box_count(iter([np.empty((0, 1))]), GridLadder(2, 1, 4), np.array([[0.0, 1.0]]))
+
+
+def repeating_stream(chunks, seed):
+    """``chunks`` chunks of _CHUNK rows, each drawn from the same 4096
+    points of [0, 1)^2 and made only when asked for."""
+    pool = np.random.default_rng(seed).random((4096, 2))
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(chunks):
+        yield pool[rng.integers(0, len(pool), _CHUNK)]
+
+
+def test_streamed_box_count_memory_does_not_grow_with_the_stream():
+    box, ladder, peaks, counts = np.array([[0.0, 1.0], [0.0, 1.0]]), GridLadder(2, 4, 16), [], []
+    box_count(repeating_stream(1, seed=3), ladder, box)  # one-off allocations
+    for chunks in (8, 32):
+        tracemalloc.start()
+        try:
+            est = box_count(repeating_stream(chunks, seed=3), ladder, box)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.sample_count == chunks * _CHUNK
+        counts.append(est.counts)
+    assert counts[0] == counts[1]
+    assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
 def test_box_count_spans_beyond_int64_not_packed():

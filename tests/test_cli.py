@@ -6,6 +6,8 @@ import io
 import json
 import math
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lypairs import cli, symbolic
+from lypairs.analysis import GridLadder, box_count
 from lypairs.cli import build_parser, main
 from lypairs.fractal import _CHUNK, load_ifs, sample_attractor
 
@@ -441,6 +444,81 @@ def test_boxdim_deterministic_across_threads(capsys, cantor_json, tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_boxdim_stray_center_exits_2_and_joins_its_workers(
+    capsys, cantor_json, monkeypatch, threads, bad
+):
+    # chunk 2 of 5 gets a center that is NaN or outside the IFS's box
+    job = cli._attractor_job
+
+    def stray_job(*args):
+        worker, box = job(*args)
+
+        def stray_worker(rows):
+            fill = worker(rows)
+
+            def stray_fill(i, out):
+                fill(i, out)
+                if i == 2:
+                    out[7] = bad
+
+            return stray_fill
+
+        return stray_worker, box
+
+    monkeypatch.setattr(cli, "_attractor_job", stray_job)
+    before = threading.active_count()
+    rc, out, err = run(
+        capsys, "boxdim", "--ifs", cantor_json, "--count", str(5 * _CHUNK), "--depth", "12",
+        "--seed", "1", "--threads", str(threads),
+    )
+    assert (rc, out) == (2, "")
+    assert ("finite" if math.isnan(bad) else "outside the box") in err
+    assert threading.active_count() == before
+
+
+def test_boxdim_counts_centers_in_the_containment_slack(capsys, tmp_path):
+    # map 1's image overhangs K = [0, 1] by 4e-10, within the 1e-9 that
+    # IfsSystem accepts, so the centers that start with a long run of 1s
+    # lie below 0; the streamed count equals the collected sample's
+    path = tmp_path / "overhang.json"
+    path.write_text(json.dumps({"w": 1, "K": [[0, 1]], "maps": [
+        {"ratio": 0.5, "t": [-4e-10]}, {"ratio": 0.001, "t": [0.999]}]}))
+    out_file = tmp_path / "est.json"
+    rc, _, _ = run(
+        capsys, "boxdim", "--ifs", str(path), "--count", "100000", "--depth", "40",
+        "--seed", "3", "--eps-max", "0.25", "--eps-min", repr(2.0**-20),
+        "--out", str(out_file),
+    )
+    assert rc == 0
+    centers = sample_attractor(load_ifs(path), 100000, 40, seed=3).centers
+    assert centers.min() < 0
+    want = box_count(centers, GridLadder(2, 2, 20)).counts
+    assert json.loads(out_file.read_text())["counts"] == list(want)
+
+
+@pytest.mark.parametrize("target", ["attractor", "restricted", "pairs", "baker", "solenoid"])
+def test_boxdim_streamed_counts_equal_the_collected_sample(capsys, cantor_json, tmp_path, target):
+    # the restricted set needs a ladder over its free digits 14..22
+    ladder = GridLadder(3, 12, 23) if target == "restricted" else GridLadder(2, 4, 14)
+    count = 3 * _CHUNK + 7
+    argv = [*sample_source(target, cantor_json, tmp_path), "--seed", "5", "--depth", "40",
+            "--count", str(count), "--eps-ratio", str(ladder.base),
+            "--eps-max", repr(ladder.epsilons[0]), "--eps-min", repr(ladder.epsilons[-1])]
+    job, lead, seed = cli._target(build_parser().parse_args(["boxdim", *argv]))
+    worker, box = job(*lead, count, 40, seed)
+    centers = np.empty((count, len(box)))
+    for _ in cli._sample(worker, count, len(box), 1, centers):
+        pass
+    want = box_count(centers, ladder).counts
+    for threads in ("1", "2"):
+        out_file = tmp_path / f"est-{threads}.json"
+        rc, _, _ = run(capsys, "boxdim", *argv, "--threads", threads, "--out", str(out_file))
+        assert rc == 0
+        assert json.loads(out_file.read_text())["counts"] == list(want)
+
+
 def test_sample_system_target(capsys, tmp_path):
     out_file = tmp_path / "horseshoe.csv"
     rc, _, _ = run(
@@ -502,12 +580,14 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
 def test_streamed_sample_equals_the_public_sampler(capsys, cantor_json, tmp_path, target):
     # counts at the chunk edges; the stream's blocks are its workers' buffers
     argv = ["sample", *sample_source(target, cantor_json, tmp_path), "--seed", "5"]
-    sampler, job, lead, seed = cli._target(build_parser().parse_args(argv))
+    job, lead, seed = cli._target(build_parser().parse_args(argv))
+    sampler = {"attractor": cli.sample_attractor, "restricted": cli.sample_restricted,
+               "pairs": cli.sample_pair_set}.get(target, cli.sample_invariant_set)
     for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
         want = sampler(*lead, count, 4, seed).centers
         for threads in (1, 2, 3):
-            worker, width = job(*lead, count, 4, seed)
-            got = [rows.copy() for rows in cli._sample(worker, count, width, threads)]
+            worker, box = job(*lead, count, 4, seed)
+            got = [rows.copy() for rows in cli._sample(worker, count, len(box), threads)]
             assert [len(rows) for rows in got] == [
                 min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
             assert np.vstack(got).tobytes() == want.tobytes()
@@ -731,6 +811,25 @@ def test_points_csv_edge_values(w):
     got = written_csv(points)
     assert got.splitlines() == want.splitlines()
     assert got == want
+
+
+def test_csv_block_allocates_no_block_sized_memory():
+    # every block-sized temporary lives in the reused scratch
+    rows = np.random.default_rng(4).random((cli._CSV_BLOCK, 2))
+    seps = np.frombuffer(b",\n", dtype=np.uint8)
+    scratch = cli._CsvScratch(rows.size)
+    want = bytes(cli._csv_text(rows, seps, scratch))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = cli._csv_text(rows, seps, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bytes(text) == want == percent_csv(rows).split("\n", 1)[1].encode()
+    # np.compress makes the text and an int64 index per byte of it; beyond
+    # them, less than one float column of the block
+    assert peak - before < 9 * len(text) + 8 * rows.size
 
 
 CSV_CASES = {

@@ -722,6 +722,52 @@ def test_batch_coding_digit_below_one_codes_to_nan():
             box_count(centers, GridLadder(10, 1, 2))
 
 
+@st.composite
+def overhanging_ifs(draw):
+    """An IFS on a random box whose maps' images may overhang it by up to
+    the slack it accepts, with random ratios and flips."""
+    w = draw(st.integers(1, 2))
+    box = [sorted(draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2, unique=True)))
+           for _ in range(w)]
+    slack = 1e-9 * max(hi - lo for lo, hi in box)
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        ratio = draw(st.floats(0.01, 0.95))
+        flips = draw(st.lists(st.sampled_from([-1, 1]), min_size=w, max_size=w))
+        t = []
+        for (lo, hi), f in zip(box, flips):
+            # the image's lower end, within 0.99 slack of [lo, hi - ratio (hi - lo)]
+            low = draw(st.sampled_from([lo - 0.99 * slack, hi - ratio * (hi - lo) + 0.99 * slack,
+                                        lo + draw(st.floats(0, 1)) * (1 - ratio) * (hi - lo)]))
+            t.append(low - ratio * (lo if f == 1 else -hi))
+        maps.append(Similitude.of(ratio, t, flips))
+    return IfsSystem(tuple(maps), tuple(map(tuple, box)), separation_required=False)
+
+
+@given(ifs=overhanging_ifs(), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_coded_centers_lie_in_the_coded_box(ifs, data):
+    # prefixes of long runs of one digit reach the fixed points, which may
+    # lie outside K by up to slack / (1 - ratio)
+    runs = data.draw(st.lists(st.tuples(st.integers(1, ifs.m), st.integers(1, 40)),
+                              min_size=1, max_size=4))
+    prefix = [d for d, n in runs for _ in range(n)]
+    fixed = np.repeat(np.arange(1, ifs.m + 1, dtype=np.int8), 60).reshape(ifs.m, 60)
+    rows = np.vstack([_code_batch(ifs, fixed), _code_batch(ifs, np.array([prefix], np.int8)),
+                      code_point(ifs, prefix).center])
+    box = ifs.coded_box
+    assert np.all((box[:, 0] <= rows) & (rows <= box[:, 1]))
+    assert np.all(box[:, 0] <= ifs.box_arr[:, 0]) and np.all(ifs.box_arr[:, 1] <= box[:, 1])
+
+
+def test_coded_box_holds_a_fixed_point_outside_k():
+    ifs = IfsSystem((Similitude.of(0.5, [-4e-10]), Similitude.of(0.001, [0.999])), ((0.0, 1.0),))
+    x = code_point(ifs, [1] * 80).center[0]
+    assert ifs.coded_box[0, 0] <= x < 0
+    # the slack 1e-9 over 1 - 0.5, plus under 2e-15 for rounding
+    assert np.allclose(ifs.coded_box, [[-2e-9, 1 + 2e-9]], rtol=0, atol=2e-15)
+
+
 def test_axis_ratios_mark_equal_signed_ratios():
     assert cantor_ifs().axis_ratios == (1 / 3,)
     assert planar_ifs().axis_ratios == (None, None)
