@@ -151,6 +151,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 _CSV_BLOCK = 1 << 14  # rows formatted per write
+_CSV_PIECE = 1 << 14  # text bytes joined per gather
 _CSV_ROW = 40  # bytes per value: "-0.000" + D0 "." D1 "." ... "." D16 + separator
 _E16, _E17 = 10**16, 10**17
 
@@ -311,7 +312,18 @@ def _csv_text(block: np.ndarray, seps: np.ndarray, s: _CsvScratch) -> memoryview
         text_bytes[slow, :size] = padded.reshape(-1, size)
         lengths = np.fromiter(map(len, exact), dtype=np.int64, count=len(exact))
         keep_bytes[slow, :size] = np.arange(size) < lengths[:, None]
-    return memoryview(np.compress(keep_bytes.reshape(-1), text_bytes.reshape(-1)))
+    # join the kept bytes a piece at a time: a gather's index takes 8 bytes
+    # per kept byte, so only one piece's is built ("raise" would also copy
+    # each piece through a buffer)
+    text_bytes, keep_bytes = text_bytes.reshape(-1), keep_bytes.reshape(-1)
+    joined = np.empty(np.count_nonzero(keep_bytes), dtype=np.uint8)
+    end = 0
+    for start in range(0, text_bytes.size, _CSV_PIECE):
+        piece = slice(start, start + _CSV_PIECE)
+        kept = np.flatnonzero(keep_bytes[piece])
+        text_bytes[piece].take(kept, out=joined[end : end + kept.size], mode="clip")
+        end += kept.size
+    return memoryview(joined)
 
 
 def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
@@ -333,8 +345,8 @@ def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
       the next decade;
     * the digits fill a fixed 40-byte layout, ``-0.000`` and then each
       digit followed by ``.``; a mask chosen by (sign, X, last nonzero
-      digit) keeps the bytes of the text, and one ``np.compress`` joins
-      the block.
+      digit) keeps the bytes of the text, and a gather of the kept
+      bytes, ``_CSV_PIECE`` bytes of the block at a time, joins it.
 
     The values the layout cannot hold -- +-0, nan, +-inf, subnormals,
     ``|v| < 1e-4`` and ``|v| >= 1e17`` -- are formatted one at a time with

@@ -392,19 +392,19 @@ def _code_radii(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
 
 class _Scratch:
     """Buffers that ``_draw_digits`` and ``_code_batch`` reuse over batches
-    of up to ``rows`` prefixes of ``depth`` digits of dtype ``dtype``: the
-    coder's transposed digits, one column of them as intp (``take`` would
-    convert it into a new array) and two float columns, and one piece of
-    uniforms with its comparison mask."""
+    of up to ``rows`` prefixes of ``depth`` digits of dtype ``dtype``: one
+    digit column as intp (``take`` would convert it into a new array) and
+    two float columns, and one piece of uniforms with its comparison mask
+    and its digits."""
 
     def __init__(self, rows: int, depth: int, dtype) -> None:
-        self.cols = np.empty((depth, rows), dtype=dtype)
         self.idx = np.empty(rows, dtype=np.intp)
         self.x = np.empty(rows)
         self.buf = np.empty(rows)
         piece = min(_PIECE, rows * depth)
         self.u = np.empty(piece)
         self.hit = np.empty(piece, dtype=bool)
+        self.stage = np.empty(piece, dtype=dtype)
 
 
 def _code_batch(
@@ -415,33 +415,32 @@ def _code_batch(
 ) -> np.ndarray:
     """Centers of ``code_point`` over rows of a (n, depth) digit array.
 
-    The digits are transposed once into contiguous columns, kept in their
-    own dtype, and each axis j is coded in place from them: per column k,
-    last first, x *= coding[j, d] and then x += coding[w + j, d], from the
-    table ``code_point`` reads, so the centers equal its own bit for bit.
-    On an axis where every map has the same signed ratio, x *= that scalar
-    replaces the ratio gather.  ``take`` clips, so a digit below 1 reads
-    column 0 of the translations and codes to a NaN center, which
-    ``box_count`` rejects; a digit above m raises InvalidDigit before any
-    coding.  The centers go to ``out``, any (n, w) float view, or to a new
-    array; the buffers come from ``scratch``, a ``_Scratch`` of at least n
-    rows and the digits' depth and dtype, or from a new one.
+    Each axis j is coded in place from the digit columns, read where they
+    lie (contiguously from a Fortran-ordered array, as the samplers'
+    workers hold their digits, strided from any other) in their own dtype:
+    per column k, last first, x *= coding[j, d] and then x += coding[w + j,
+    d], from the table ``code_point`` reads, so the centers equal its own
+    bit for bit.  On an axis where every map has the same signed ratio,
+    x *= that scalar replaces the ratio gather.  ``take`` clips, so a digit
+    below 1 reads column 0 of the translations and codes to a NaN center,
+    which ``box_count`` rejects; a digit above m raises InvalidDigit before
+    any coding.  The centers go to ``out``, any (n, w) float view, or to a
+    new array; the buffers come from ``scratch``, a ``_Scratch`` of at
+    least n rows, or from a new one.
     """
     n, depth = digits.shape
     if scratch is None:
         scratch = _Scratch(n, depth, digits.dtype)
     if out is None:
         out = np.empty((n, ifs.w))
-    cols, idx = scratch.cols[:, :n], scratch.idx[:n]
-    x, buf = scratch.x[:n], scratch.buf[:n]
-    cols[...] = digits.T
-    if cols.max(initial=0) > ifs.m:
-        raise InvalidDigit(f"digit {cols.max()} outside 1..{ifs.m}")
+    idx, x, buf = scratch.idx[:n], scratch.x[:n], scratch.buf[:n]
+    if digits.max(initial=0) > ifs.m:
+        raise InvalidDigit(f"digit {digits.max()} outside 1..{ifs.m}")
     for j in range(ifs.w):
         a, t, ratio = ifs.coding[j], ifs.coding[ifs.w + j], ifs.axis_ratios[j]
         x.fill(ifs.center[j])
         for k in range(depth - 1, -1, -1):
-            idx[...] = cols[k]
+            idx[...] = digits[:, k]
             if ratio is None:
                 a.take(idx, out=buf, mode="clip")  # "raise" copies through a buffer
                 x *= buf
@@ -474,34 +473,51 @@ def _chunk_rng(seed: int, *spawn_key: int) -> np.random.Generator:
 
 
 def _draw_digits(
-    rng: np.random.Generator, cum: np.ndarray, out: np.ndarray, scratch: _Scratch
+    rng: np.random.Generator,
+    cum: np.ndarray,
+    out: np.ndarray,
+    scratch: _Scratch,
+    cols: np.ndarray | None = None,
 ) -> None:
-    """Fill the C-contiguous ``out`` with digit 1 + #{c in cum : c <= u},
-    one uniform u per entry, drawn in row-major order.
+    """Fill the (n, k) array ``out``, or only its columns ``cols`` (an
+    index array, read as an (n, len(cols)) target), with digit
+    1 + #{c in cum : c <= u}, one uniform u per entry, drawn in row-major
+    order.
 
     As u < 1, an entry of ``cum`` that is at least 1 never counts and is
     not compared; every other entry is, the last included, so a rounded
     ``cum[-1]`` below 1 gives the same digits as ``searchsorted(cum, u,
-    "right") + 1``.  The first comparison writes its 0/1 straight into the
-    digits, the others add theirs, and 1 is added last.  The uniforms are
-    drawn in consecutive pieces of ``scratch.u`` (at most ``_PIECE``
-    doubles, so a piece stays in cache) by ``rng.random(out=...)``; PCG64
-    yields the same doubles whether it fills one array or consecutive
-    pieces of it, so the digits equal those of a single
-    ``rng.random(out.shape)`` draw for any piece size.
+    "right") + 1``.  The draw goes one piece of whole rows at a time, a
+    row longer than a piece in consecutive parts: ``rng.random(out=...)``
+    fills ``scratch.u`` (at most ``_PIECE`` doubles, so a piece stays in
+    cache), the first comparison writes its 0/1 into ``scratch.stage``, the
+    others add theirs, 1 is added last, and the stage is copied into the
+    piece's rows of ``out`` in whatever layout ``out`` has (a
+    Fortran-ordered ``out`` takes it transposed).  PCG64 yields the same
+    doubles whether it fills one array or consecutive pieces of it, so the
+    digits equal those of a single ``rng.random((n, k))`` draw for any
+    piece size and layout, and the draw uses up exactly n * k uniforms.
     """
     first, *rest = cum[cum < 1.0].tolist() or [1.0]  # 1.0: no entry counts
-    flat = out.reshape(-1)  # a view, as ``out`` is C-contiguous
-    zero_one = flat.view(bool) if flat.itemsize == 1 else flat
-    for start in range(0, flat.size, scratch.u.size):
-        digits = flat[start : start + scratch.u.size]
-        u, hit = scratch.u[: digits.size], scratch.hit[: digits.size]
-        rng.random(out=u)
-        np.greater_equal(u, first, out=zero_one[start : start + digits.size])
-        for c in rest:
-            np.greater_equal(u, c, out=hit)
-            digits += hit
-        digits += 1
+    n = out.shape[0]
+    cols = np.arange(out.shape[1]) if cols is None else cols
+    if not cols.size:
+        return
+    step = max(1, scratch.u.size // cols.size)  # rows per piece
+    part = min(scratch.u.size, cols.size)  # columns per piece, fewer where a row is split
+    for r in range(0, n, step):
+        rows = slice(r, min(n, r + step))
+        for c in range(0, cols.size, part):
+            piece = cols[c : c + part]
+            size = (rows.stop - r) * piece.size
+            u, hit, digits = scratch.u[:size], scratch.hit[:size], scratch.stage[:size]
+            rng.random(out=u)
+            np.greater_equal(u, first, out=digits.view(bool) if digits.itemsize == 1 else digits)
+            for threshold in rest:
+                np.greater_equal(u, threshold, out=hit)
+                digits += hit
+            digits += 1
+            out[rows, piece] = digits.reshape(-1, piece.size)
 
 
 def _validate_sampling(count: int, depth: int, seed: int) -> None:
@@ -592,12 +608,13 @@ def _collect(job, count: int, threads: int) -> PointSample:
 def _attractor_worker(codings: Sequence[IfsSystem], depth: int, seed: int, stream: int):
     """The ``_sample`` worker of i.i.d. digits of each IFS's (c_i^D) law:
     block b of ``codings`` draws from stream ``stream + b`` and is coded
-    into its own columns of the chunk, every block with the one buffer set."""
+    into its own columns of the chunk, every block through the one digit
+    array and buffer set."""
     laws = [(ifs, np.cumsum(bernoulli_weights(ifs.ratios))) for ifs in codings]
     dtype = digit_dtype(max(ifs.m for ifs in codings))
 
     def worker(rows: int):
-        d = np.empty((rows, depth), dtype=dtype)
+        d = np.empty((rows, depth), dtype=dtype, order="F")
         scratch = _Scratch(rows, depth, dtype)
 
         def fill(i: int, out: np.ndarray) -> None:
@@ -628,7 +645,11 @@ def sample_attractor(
 def _restricted_job(
     ifs: IfsSystem, base: SymbolSequence, gaps: GapSequence, count: int, depth: int, seed: int
 ):
-    """The validated ``_sample`` job of ``sample_restricted``."""
+    """The validated ``_sample`` job of ``sample_restricted``.
+
+    Each worker holds one Fortran-ordered (rows, depth) digit array, whose
+    matched and flipped columns it writes once from the template; each
+    chunk then draws only the free columns into it, and codes it."""
     _validate_sampling(count, depth, seed)
     if base.side != ONE_SIDED:
         raise ValidationError("restricted sampling takes a one-sided base")
@@ -636,20 +657,18 @@ def _restricted_job(
         raise ValidationError("base alphabet must match the number of IFS maps")
     roles = schedule_roles(gaps, depth)
     template = apply_pattern(roles, covered_base(roles, base), ifs.m)
-    free = roles == FREE
-    n_free = int(np.count_nonzero(free))
+    free = np.flatnonzero(roles == FREE)
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     dtype = digit_dtype(ifs.m)
 
     def worker(rows: int):
-        d = np.tile(template, (rows, 1))  # only the free columns change
-        f = np.empty((rows, n_free), dtype=dtype)
+        d = np.empty((rows, depth), dtype=dtype, order="F")
+        d[...] = template
         scratch = _Scratch(rows, depth, dtype)
 
         def fill(i: int, out: np.ndarray) -> None:
             n = len(out)
-            _draw_digits(_chunk_rng(seed, 0, i), cum, f[:n], scratch)
-            d[:n, free] = f[:n]
+            _draw_digits(_chunk_rng(seed, 0, i), cum, d[:n], scratch, free)
             _code_batch(ifs, d[:n], out, scratch)
 
         return fill
@@ -677,32 +696,33 @@ def sample_restricted(
 
 
 def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: int):
-    """The validated ``_sample`` job of ``sample_pair_set``."""
+    """The validated ``_sample`` job of ``sample_pair_set``.
+
+    Each worker holds one Fortran-ordered (rows, depth) digit array.  Each
+    chunk draws the base digits into it and codes the first half of the
+    row; then, in place, moves each FLIP digit up by one, draws the filler
+    into the FREE columns (after the base, from the same generator) and
+    codes the partner half."""
     _validate_sampling(count, depth, seed)
     roles = schedule_roles(gaps, depth)
-    free = roles == FREE
-    n_free = int(np.count_nonzero(free))
+    free = np.flatnonzero(roles == FREE)
     cum = np.cumsum(bernoulli_weights(ifs.ratios))
     flips = np.flatnonzero(roles == FLIP).tolist()
     dtype, w = digit_dtype(ifs.m), ifs.w
 
     def worker(rows: int):
-        s = np.empty((rows, depth), dtype=dtype)
-        t = np.empty((rows, depth), dtype=dtype)
-        f = np.empty((rows, n_free), dtype=dtype)
+        d = np.empty((rows, depth), dtype=dtype, order="F")
         scratch = _Scratch(rows, depth, dtype)
 
         def fill(i: int, out: np.ndarray) -> None:
-            n, rng = len(out), _chunk_rng(seed, 0, i)
-            _draw_digits(rng, cum, s[:n], scratch)
-            _draw_digits(rng, cum, f[:n], scratch)
-            t[:n] = s[:n]  # ``apply_pattern``, in place: each FLIP digit moves up by one
-            for j in flips:
-                np.remainder(s[:n, j], ifs.m, out=t[:n, j])
-                t[:n, j] += 1
-            t[:n, free] = f[:n]
-            _code_batch(ifs, s[:n], out[:, :w], scratch)
-            _code_batch(ifs, t[:n], out[:, w:], scratch)
+            rng, digits = _chunk_rng(seed, 0, i), d[: len(out)]
+            _draw_digits(rng, cum, digits, scratch)
+            _code_batch(ifs, digits, out[:, :w], scratch)
+            for j in flips:  # ``apply_pattern``, in place
+                np.remainder(digits[:, j], ifs.m, out=digits[:, j])
+                digits[:, j] += 1
+            _draw_digits(rng, cum, digits, scratch, free)
+            _code_batch(ifs, digits, out[:, w:], scratch)
 
         return fill
 

@@ -98,6 +98,8 @@ class SystemSpec:
         if self.kind == "tent":
             if self.a is None or not self.a > 1.0:
                 raise ParameterOutOfRange("tent map needs a > 1")
+            if not math.isfinite(2.0 * self.a):  # the slope 2a, and the ratio 1/(2a) > 0
+                raise ParameterOutOfRange(f"tent map needs a finite 2a, got a = {self.a!r}")
         elif self.kind in ("baker", "solenoid"):
             b1, b2 = self.beta1, self.beta2
             if b1 is None or b2 is None or not (0 < b1 < 1 and 0 < b2 < 1):
@@ -332,7 +334,7 @@ def sample_invariant_set(
     blocks are independent, matching the product structure of the coding.
     One ``fractal._sample`` call fills the result: each chunk's worker
     samples every block of the chunk, each as ``sample_attractor`` samples
-    it, straight into the block's own columns, with one buffer set that
-    the blocks share.
+    it, straight into the block's own columns, through one digit array and
+    buffer set that the blocks share.
     """
     return _collect(_invariant_job(spec, count, depth, seed), count, threads)

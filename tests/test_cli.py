@@ -198,7 +198,10 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["verify", "--config", "{list}"], "config file must hold a JSON object"),
     (["construct", "--length", "5", "--seed", "1", "--base", "{sideways}"],
      "side must be 'one' or 'two', got 'sideways'"),
-], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side"])
+    (["verify", "--system", "tent", "--a", "1e308", "--seed", "1"],
+     "tent map needs a finite 2a, got a = 1e+308"),
+], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
+        "tent-2a-overflows"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
@@ -813,6 +816,18 @@ def test_points_csv_edge_values(w):
     assert got == want
 
 
+@pytest.mark.parametrize("piece", [1, 7, 40, 41, 1000])
+def test_csv_join_in_small_pieces(monkeypatch, piece):
+    # pieces that split values' 40-byte layouts, and pieces of whole layouts
+    monkeypatch.setattr(cli, "_CSV_PIECE", piece)
+    edges = csv_edge_values()
+    points = np.vstack([
+        np.concatenate([edges, np.full(-len(edges) % 3, 0.5)]).reshape(-1, 3),
+        np.random.default_rng(piece).normal(size=(50, 3)),
+    ])
+    assert written_csv(points) == percent_csv(points)
+
+
 def test_csv_block_allocates_no_block_sized_memory():
     # every block-sized temporary lives in the reused scratch
     rows = np.random.default_rng(4).random((cli._CSV_BLOCK, 2))
@@ -827,9 +842,10 @@ def test_csv_block_allocates_no_block_sized_memory():
     finally:
         tracemalloc.stop()
     assert bytes(text) == want == percent_csv(rows).split("\n", 1)[1].encode()
-    # np.compress makes the text and an int64 index per byte of it; beyond
-    # them, less than one float column of the block
-    assert peak - before < 9 * len(text) + 8 * rows.size
+    # the join makes the text; beyond it, less than 8 bytes per value of
+    # the block (one gather of the whole block would index each text byte
+    # with 8)
+    assert peak - before < len(text) + 8 * rows.size
 
 
 CSV_CASES = {

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,7 +291,7 @@ def single_draw(rng, cum, shape):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 12])
-@pytest.mark.parametrize("shape", [(1, 1), (7, 40), (32768, 3), (1000,)])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 40), (32768, 3), (1, 1000)])
 def test_draw_digits_matches_searchsorted(m, shape):
     rng = np.random.default_rng(m)
     weights = rng.random(m) + 0.05
@@ -350,6 +351,56 @@ def test_piecewise_draw_matches_a_single_draw(law, width):
         ref = np.random.default_rng(rows)
         assert np.array_equal(got, single_draw(ref, cum, (rows, width)))
         assert rng.random() == ref.random()  # the draw used up exactly its uniforms
+
+
+SMALL_PIECE = 64  # a ``_PIECE`` small enough that rows of up to 200 digits span pieces
+
+
+@pytest.mark.parametrize("piece, width", [
+    (SMALL_PIECE, 1), (SMALL_PIECE, 7), (SMALL_PIECE, 40), (SMALL_PIECE, 64),
+    (SMALL_PIECE, 65), (SMALL_PIECE, 200), (_PIECE, 70000),  # the last three split rows
+])
+@pytest.mark.parametrize("layout", ["C", "F", "F-rows"])  # F-rows: the rows of a larger F array
+def test_draw_digits_at_piece_edges(monkeypatch, piece, width, layout):
+    # row counts one below and one above a piece edge, and past three
+    monkeypatch.setattr(fractal, "_PIECE", piece)
+    cum = LAWS["three-map"]
+    per_piece = max(1, piece // width)
+    scratch = _Scratch(3 * per_piece + 1, width, digit_dtype(cum.size))
+    assert scratch.u.size == piece
+    for rows in (per_piece - 1, per_piece + 1, 3 * per_piece + 1):
+        if not rows:
+            continue
+        whole = np.full((rows + 2, width), -1, dtype=digit_dtype(cum.size), order=layout[0])
+        got = whole[:rows] if layout == "F-rows" else whole[2:]
+        rng, ref = np.random.default_rng(rows), np.random.default_rng(rows)
+        _draw_digits(rng, cum, got, scratch)
+        assert np.array_equal(got, single_draw(ref, cum, (rows, width)))
+        assert (whole[rows:] == -1).all() if layout == "F-rows" else (whole[:2] == -1).all()
+        # the draw used up exactly its uniforms
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("depth, cols", [
+    (40, np.flatnonzero(schedule_roles(GapSequence("quadratic"), 40) == FREE)),
+    (200, np.arange(3, 200, 2)),  # 99 columns: each row spans two pieces
+    (40, np.array([39, 0, 17])),  # any order: the draw fills them as listed
+    (40, np.array([], dtype=np.intp)),  # no free column: nothing is drawn
+])
+def test_draw_digits_into_a_column_subset(monkeypatch, depth, cols):
+    monkeypatch.setattr(fractal, "_PIECE", SMALL_PIECE)
+    cum = LAWS["three-map"]
+    dtype = digit_dtype(cum.size)
+    scratch = _Scratch(100, depth, dtype)
+    others = np.setdiff1d(np.arange(depth), cols)
+    for rows in (1, 100):
+        got = np.empty((rows, depth), dtype=dtype, order="F")
+        got[...] = np.arange(depth) % 50 + 10  # no digit of the law
+        rng, ref = np.random.default_rng(rows), np.random.default_rng(rows)
+        _draw_digits(rng, cum, got, scratch, cols)
+        assert np.array_equal(got[:, cols], single_draw(ref, cum, (rows, cols.size)))
+        assert np.array_equal(got[:, others], np.broadcast_to(others % 50 + 10, (rows, others.size)))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_code_batch_into_a_strided_view():
@@ -533,6 +584,24 @@ def test_sampler_thread_invariant(target, gaps, ifs_name):
         else:
             sample = sample_pair_set(ifs, gaps, 70000, 40, seed=6, threads=threads)
         assert sample.centers.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("threads, bound_mib", [(1, 4.0), (2, 6.5)])
+def test_pair_sampler_memory_beyond_its_result(threads, bound_mib):
+    # each worker holds one chunk-sized digit array (1.25 MiB at depth 40)
+    # beside its coding and draw buffers, about 2.6 MiB traced per worker;
+    # a second such array per worker breaks the 2-thread bound
+    ifs, gaps = cantor_ifs(), GapSequence("quadratic")
+    sample_pair_set(ifs, gaps, 1000, 40, seed=1, threads=threads)  # lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample = sample_pair_set(ifs, gaps, 1_000_000, 40, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.centers.shape == (1_000_000, 2)
+    assert peak - before - sample.centers.nbytes < bound_mib * 2**20
 
 
 def test_sampler_digit_marginals_uniform_for_equal_ratios():

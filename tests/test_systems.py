@@ -94,6 +94,15 @@ def test_parameter_ranges():
         SystemSpec("henon")
 
 
+def test_tent_rejects_an_a_whose_2a_overflows():
+    for a in (1e308, 2.0**1023, math.inf):
+        with pytest.raises(ParameterOutOfRange, match=r"finite 2a, got a = "):
+            SystemSpec("tent", a=a)
+    # the largest a whose 2a is finite codes with a positive ratio
+    (ifs,) = derive_ifs(SystemSpec("tent", a=np.nextafter(2.0**1023, 0.0)))
+    assert 0.0 < ifs.ratios[0] < 1.0
+
+
 def test_spec_json_round_trip():
     for spec in ALL_SYSTEMS:
         assert SystemSpec.from_json(spec.to_json()) == spec
