@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from .symbolic import (
 )
 from .systems import (
     SystemSpec,
-    _invariant_job,
     _row_norms,
     _sequence_orbit,
     apply_map,
@@ -326,13 +325,16 @@ def _csv_text(block: np.ndarray, seps: np.ndarray, s: _CsvScratch) -> memoryview
     return memoryview(joined)
 
 
-def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
-    """The line ``header``, then one line per row of the 2-D array ``rows``,
-    each value as ``"%.17g" % v``.
+def _write_csv(header: str, chunks: Iterable[np.ndarray], out: str | None) -> None:
+    """The line ``header``, then one line per row of each 2-D array of
+    ``chunks`` in turn, each value as ``"%.17g" % v``: the one CSV writer,
+    of ``boxdim``'s ladder (one array) and of ``sample``'s points (each
+    chunk as the workers yield it).
 
-    The text is built in numpy, a block of rows at a time, and is the same
-    byte for byte as Python's.  For each value ``a = |v|`` with decimal
-    exponent X in -4..16 (the fixed-point range of ``%.17g``):
+    The text is built in numpy, ``_CSV_BLOCK`` rows at a time, all in one
+    ``_CsvScratch``, and is the same byte for byte as Python's.  For each
+    value ``a = |v|`` with decimal exponent X in -4..16 (the fixed-point
+    range of ``%.17g``):
 
     * the 17 significant digits are ``N = round(a * 10^(16 - X))``.
       ``10^k`` is exact in a double for k <= 22, and Dekker's ``two_prod``
@@ -352,22 +354,16 @@ def _write_csv(header: str, rows: np.ndarray, out: str | None) -> None:
     ``|v| < 1e-4`` and ``|v| >= 1e17`` -- are formatted one at a time with
     ``"%.17g"`` and written into their rows before the join.
     """
+    scratch = None
     with _open_output(out) as fh:
         fh.write(header + "\n")
-        fh.writelines(_csv_blocks((rows,)))
-
-
-def _csv_blocks(chunks) -> Iterator[str]:
-    """The CSV lines of each 2-D array of ``chunks`` in turn, ``_CSV_BLOCK``
-    rows per string, all formatted in one ``_CsvScratch``."""
-    scratch = None
-    for rows in chunks:
-        seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
-        for start in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[start : start + _CSV_BLOCK]
-            if scratch is None or scratch.size < block.size:
-                scratch = _CsvScratch(block.size)
-            yield str(_csv_text(block, seps, scratch), "ascii")
+        for rows in chunks:
+            seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
+            for start in range(0, rows.shape[0], _CSV_BLOCK):
+                block = rows[start : start + _CSV_BLOCK]
+                if scratch is None or scratch.size < block.size:
+                    scratch = _CsvScratch(block.size)
+                fh.write(str(_csv_text(block, seps, scratch), "ascii"))
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +463,7 @@ def cmd_dimension(args) -> int:
     if args.check_box:
         seed, ladder = _resolve_seed(args), _ladder(args)
         name, ifs = directions[0]
-        job = _attractor_job(ifs, args.count, args.depth, seed)
+        job = _attractor_job((ifs,), args.count, args.depth, seed)
         est = _streamed_fit(job, args.count, args.threads, ladder)
         d0 = report["directions"][0]["dimension"]
         print(
@@ -596,15 +592,16 @@ def cmd_verify(args) -> int:
 
 
 def _target(args) -> tuple:
-    """The target flags of ``boxdim`` and ``sample`` resolved and checked:
-    (the ``_sample`` job builder of the target's sampler, its leading
-    arguments, the seed).  The job validates the rest, before anything is
+    """The ``_sample`` job, a (worker, box) pair, of the target flags of
+    ``boxdim`` and ``sample`` at their ``--count``, ``--depth`` and
+    ``--seed``, every flag resolved and checked before anything is
     sampled."""
     seed = _resolve_seed(args)
+    sizes = (args.count, args.depth, seed)
     if args.target == "system":
         if not args.system:
             raise ValidationError("--target system needs --system")
-        return _invariant_job, (_build_system(args),), seed
+        return _attractor_job(derive_ifs(_build_system(args)), *sizes)
     if args.ifs:
         ifs = load_ifs(args.ifs)
     elif args.system:
@@ -614,15 +611,15 @@ def _target(args) -> tuple:
     else:
         raise ValidationError("boxdim needs --ifs, --system, or --target system")
     if args.target == "attractor":
-        return _attractor_job, (ifs,), seed
+        return _attractor_job((ifs,), *sizes)
     gaps = _parse_gaps(args.gaps)
     if args.target == "pairs":
-        return _pair_job, (ifs, gaps), seed
+        return _pair_job(ifs, gaps, *sizes)
     if args.base == "random":
         base = random_sequence(ifs.m, args.depth, _chunk_rng(seed, 9))
     else:
         base = _load_sequence_file(args.base)
-    return _restricted_job, (ifs, base, gaps), seed
+    return _restricted_job(ifs, base, gaps, *sizes)
 
 
 def _streamed_fit(job, count: int, threads: int, ladder: GridLadder):
@@ -639,15 +636,14 @@ def cmd_boxdim(args) -> int:
     the sampler's domain box, so no array of the points is held; the
     counts equal those of the collected sample."""
     ladder = _ladder(args)
-    job, lead, seed = _target(args)
-    est = _streamed_fit(job(*lead, args.count, args.depth, seed), args.count, args.threads, ladder)
+    est = _streamed_fit(_target(args), args.count, args.threads, ladder)
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
     )
     if args.format == "csv":
         rows = [(-math.log(e), math.log(n)) for e, n in zip(est.epsilons, est.counts)]
-        _write_csv("neg_log_eps,log_count", np.array(rows), args.out)
+        _write_csv("neg_log_eps,log_count", [np.array(rows)], args.out)
     else:
         _write_text(_json_text({**dataclasses.asdict(est), "target": args.target}), args.out)
     return EXIT_OK
@@ -657,21 +653,17 @@ def cmd_sample(args) -> int:
     """Write each chunk of points as soon as the workers have sampled it:
     the CSV of ``_write_csv``, or the JSON of ``_write_text(_json_text(
     {"points": ...}))``, byte for byte, with no array of all the points."""
-    job, lead, seed = _target(args)
-    worker, box = job(*lead, args.count, args.depth, seed)
-    width = len(box)
-    with _open_output(args.out) as fh, contextlib.closing(
-        _sample(worker, args.count, width, args.threads)
-    ) as chunks:
+    worker, box = _target(args)
+    with contextlib.closing(_sample(worker, args.count, len(box), args.threads)) as chunks:
         if args.format == "csv":
-            fh.write(",".join(f"x{i + 1}" for i in range(width)) + "\n")
-            fh.writelines(_csv_blocks(chunks))
+            _write_csv(",".join(f"x{i + 1}" for i in range(len(box))), chunks, args.out)
         else:
-            fh.write('{\n  "points": [\n')
-            for i, rows in enumerate(chunks):
-                points = (f"    {_json_text(row, 2)}" for row in rows.tolist())
-                fh.write((",\n" if i else "") + ",\n".join(points))
-            fh.write("\n  ]\n}\n" if fh is sys.stdout else "\n  ]\n}")
+            with _open_output(args.out) as fh:
+                fh.write('{\n  "points": [\n')
+                for i, rows in enumerate(chunks):
+                    points = (f"    {_json_text(row, 2)}" for row in rows.tolist())
+                    fh.write((",\n" if i else "") + ",\n".join(points))
+                fh.write("\n  ]\n}\n" if fh is sys.stdout else "\n  ]\n}")
     return EXIT_OK
 
 
@@ -857,6 +849,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy refuses an array of the sizes asked for
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except json.JSONDecodeError as exc:  # inline --system JSON; files raise ValidationError
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)

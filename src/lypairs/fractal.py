@@ -391,13 +391,17 @@ def _code_radii(ifs: IfsSystem, digits: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers that ``_draw_digits`` and ``_code_batch`` reuse over batches
-    of up to ``rows`` prefixes of ``depth`` digits of dtype ``dtype``: one
-    digit column as intp (``take`` would convert it into a new array) and
-    two float columns, and one piece of uniforms with its comparison mask
-    and its digits."""
+    """The buffers of one sampling worker, reused over its chunks of up to
+    ``rows`` prefixes of ``depth`` digits of dtype ``dtype``: the
+    Fortran-ordered (rows, depth) digit array that ``_draw_digits`` fills
+    and ``_code_batch`` reads in place; ``_code_batch``'s three coding
+    columns, one digit column as intp (``take`` would convert it into a new
+    array) and two float columns; and ``_draw_digits``'s piece of uniforms
+    with its comparison mask and its digits.  At depth 0 only the coding
+    columns take memory."""
 
     def __init__(self, rows: int, depth: int, dtype) -> None:
+        self.digits = np.empty((rows, depth), dtype=dtype, order="F")
         self.idx = np.empty(rows, dtype=np.intp)
         self.x = np.empty(rows)
         self.buf = np.empty(rows)
@@ -425,12 +429,12 @@ def _code_batch(
     below 1 reads column 0 of the translations and codes to a NaN center,
     which ``box_count`` rejects; a digit above m raises InvalidDigit before
     any coding.  The centers go to ``out``, any (n, w) float view, or to a
-    new array; the buffers come from ``scratch``, a ``_Scratch`` of at
-    least n rows, or from a new one.
+    new array; the coding columns come from ``scratch``, a ``_Scratch`` of
+    at least n rows, or from a new one of depth 0, which holds only them.
     """
     n, depth = digits.shape
     if scratch is None:
-        scratch = _Scratch(n, depth, digits.dtype)
+        scratch = _Scratch(n, 0, digits.dtype)
     if out is None:
         out = np.empty((n, ifs.w))
     idx, x, buf = scratch.idx[:n], scratch.x[:n], scratch.buf[:n]
@@ -605,41 +609,37 @@ def _collect(job, count: int, threads: int) -> PointSample:
     return PointSample(out)
 
 
-def _attractor_worker(codings: Sequence[IfsSystem], depth: int, seed: int, stream: int):
-    """The ``_sample`` worker of i.i.d. digits of each IFS's (c_i^D) law:
-    block b of ``codings`` draws from stream ``stream + b`` and is coded
-    into its own columns of the chunk, every block through the one digit
-    array and buffer set."""
+def _attractor_job(codings: Sequence[IfsSystem], count: int, depth: int, seed: int):
+    """The validated ``_sample`` job of i.i.d. digits of each coding IFS's
+    (c_i^D) law, one coordinate block per IFS of ``codings``: the job of
+    ``sample_attractor`` for ``(ifs,)`` and of ``sample_invariant_set`` for
+    ``derive_ifs(spec)``.  Block b draws from stream b of the seed and is
+    coded into its own columns of the chunk, every block through the
+    worker's one ``_Scratch``; the box stacks each block's ``coded_box``."""
+    _validate_sampling(count, depth, seed)
     laws = [(ifs, np.cumsum(bernoulli_weights(ifs.ratios))) for ifs in codings]
     dtype = digit_dtype(max(ifs.m for ifs in codings))
 
     def worker(rows: int):
-        d = np.empty((rows, depth), dtype=dtype, order="F")
         scratch = _Scratch(rows, depth, dtype)
 
         def fill(i: int, out: np.ndarray) -> None:
-            n, first = len(out), 0
+            first, d = 0, scratch.digits[: len(out)]
             for b, (ifs, cum) in enumerate(laws):
-                _draw_digits(_chunk_rng(seed, stream + b, i), cum, d[:n], scratch)
-                _code_batch(ifs, d[:n], out[:, first : first + ifs.w], scratch)
+                _draw_digits(_chunk_rng(seed, b, i), cum, d, scratch)
+                _code_batch(ifs, d, out[:, first : first + ifs.w], scratch)
                 first += ifs.w
 
         return fill
 
-    return worker
-
-
-def _attractor_job(ifs: IfsSystem, count: int, depth: int, seed: int, stream: int = 0):
-    """The validated ``_sample`` job of ``sample_attractor``."""
-    _validate_sampling(count, depth, seed)
-    return _attractor_worker((ifs,), depth, seed, stream), ifs.coded_box
+    return worker, np.vstack([ifs.coded_box for ifs in codings])
 
 
 def sample_attractor(
-    ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1, stream: int = 0
+    ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1
 ) -> PointSample:
     """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
-    return _collect(_attractor_job(ifs, count, depth, seed, stream), count, threads)
+    return _collect(_attractor_job((ifs,), count, depth, seed), count, threads)
 
 
 def _restricted_job(
@@ -647,9 +647,9 @@ def _restricted_job(
 ):
     """The validated ``_sample`` job of ``sample_restricted``.
 
-    Each worker holds one Fortran-ordered (rows, depth) digit array, whose
-    matched and flipped columns it writes once from the template; each
-    chunk then draws only the free columns into it, and codes it."""
+    Each worker writes the matched and flipped columns of its
+    ``_Scratch``'s digit array once, from the template; each chunk then
+    draws only the free columns into it, and codes it."""
     _validate_sampling(count, depth, seed)
     if base.side != ONE_SIDED:
         raise ValidationError("restricted sampling takes a one-sided base")
@@ -662,14 +662,13 @@ def _restricted_job(
     dtype = digit_dtype(ifs.m)
 
     def worker(rows: int):
-        d = np.empty((rows, depth), dtype=dtype, order="F")
-        d[...] = template
         scratch = _Scratch(rows, depth, dtype)
+        scratch.digits[...] = template
 
         def fill(i: int, out: np.ndarray) -> None:
-            n = len(out)
-            _draw_digits(_chunk_rng(seed, 0, i), cum, d[:n], scratch, free)
-            _code_batch(ifs, d[:n], out, scratch)
+            d = scratch.digits[: len(out)]
+            _draw_digits(_chunk_rng(seed, 0, i), cum, d, scratch, free)
+            _code_batch(ifs, d, out, scratch)
 
         return fill
 
@@ -698,11 +697,10 @@ def sample_restricted(
 def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: int):
     """The validated ``_sample`` job of ``sample_pair_set``.
 
-    Each worker holds one Fortran-ordered (rows, depth) digit array.  Each
-    chunk draws the base digits into it and codes the first half of the
-    row; then, in place, moves each FLIP digit up by one, draws the filler
-    into the FREE columns (after the base, from the same generator) and
-    codes the partner half."""
+    Each chunk draws the base digits into the worker's ``_Scratch`` digit
+    array and codes the first half of the row; then, in place, moves each
+    FLIP digit up by one, draws the filler into the FREE columns (after
+    the base, from the same generator) and codes the partner half."""
     _validate_sampling(count, depth, seed)
     roles = schedule_roles(gaps, depth)
     free = np.flatnonzero(roles == FREE)
@@ -711,11 +709,10 @@ def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: i
     dtype, w = digit_dtype(ifs.m), ifs.w
 
     def worker(rows: int):
-        d = np.empty((rows, depth), dtype=dtype, order="F")
         scratch = _Scratch(rows, depth, dtype)
 
         def fill(i: int, out: np.ndarray) -> None:
-            rng, digits = _chunk_rng(seed, 0, i), d[: len(out)]
+            rng, digits = _chunk_rng(seed, 0, i), scratch.digits[: len(out)]
             _draw_digits(rng, cum, digits, scratch)
             _code_batch(ifs, digits, out[:, :w], scratch)
             for j in flips:  # ``apply_pattern``, in place

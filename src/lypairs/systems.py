@@ -49,12 +49,11 @@ from .fractal import (
     IfsSystem,
     PointSample,
     Similitude,
-    _attractor_worker,
+    _attractor_job,
     _chunk_rng,
     _code_batch,
     _code_radii,
     _collect,
-    _validate_sampling,
 )
 from .fractal import sample_attractor  # noqa: F401  (bench/spans.py wraps this name)
 from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _reals
@@ -111,6 +110,8 @@ class SystemSpec:
                 raise ParameterOutOfRange("horseshoe needs beta in (0, 1/2)")
             if self.tau is None or not self.tau > 2:
                 raise ParameterOutOfRange("horseshoe needs tau > 2")
+            if not math.isfinite(self.tau):  # the ratio 1/tau > 0
+                raise ParameterOutOfRange(f"horseshoe needs a finite tau, got tau = {self.tau!r}")
 
     @property
     def side(self) -> str:
@@ -317,24 +318,16 @@ def conjugacy_defect(
     return worst
 
 
-def _invariant_job(spec: SystemSpec, count: int, depth: int, seed: int):
-    """The validated ``fractal._sample`` job of ``sample_invariant_set``."""
-    codings = derive_ifs(spec)
-    _validate_sampling(count, depth, seed)
-    box = np.vstack([ifs.coded_box for ifs in codings])
-    return _attractor_worker(codings, depth, seed, 0), box
-
-
 def sample_invariant_set(
     spec: SystemSpec, count: int, depth: int, seed: int, threads: int = 1
 ) -> PointSample:
     """Sample the system's invariant set in its ambient space.
 
-    Coordinate block k draws its digits from stream k of the seed, so the
-    blocks are independent, matching the product structure of the coding.
-    One ``fractal._sample`` call fills the result: each chunk's worker
-    samples every block of the chunk, each as ``sample_attractor`` samples
-    it, straight into the block's own columns, through one digit array and
-    buffer set that the blocks share.
+    The job is ``fractal._attractor_job`` over ``derive_ifs(spec)``:
+    coordinate block k draws its digits from stream k of the seed, so the
+    blocks are independent, matching the product structure of the coding,
+    and block 0 is ``sample_attractor``'s sample of its IFS.  Each chunk's
+    worker samples every block of the chunk straight into the block's own
+    columns of the result, through one ``_Scratch`` that the blocks share.
     """
-    return _collect(_invariant_job(spec, count, depth, seed), count, threads)
+    return _collect(_attractor_job(derive_ifs(spec), count, depth, seed), count, threads)

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from lypairs import cli, symbolic
 from lypairs.analysis import GridLadder, box_count
 from lypairs.cli import build_parser, main
-from lypairs.fractal import _CHUNK, load_ifs, sample_attractor
+from lypairs.fractal import (
+    _CHUNK,
+    load_ifs,
+    sample_attractor,
+    sample_pair_set,
+    sample_restricted,
+)
+from lypairs.symbolic import GapSequence, SymbolSequence
+from lypairs.systems import SystemSpec, sample_invariant_set
 
 
 def run(capsys, *argv):
@@ -200,8 +208,11 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
      "side must be 'one' or 'two', got 'sideways'"),
     (["verify", "--system", "tent", "--a", "1e308", "--seed", "1"],
      "tent map needs a finite 2a, got a = 1e+308"),
+    (["verify", "--system", "horseshoe", "--beta", "0.3", "--tau", "inf", "--blocks", "3",
+      "--depth", "10", "--seed", "1"],
+     "horseshoe needs a finite tau, got tau = inf"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
-        "tent-2a-overflows"])
+        "tent-2a-overflows", "horseshoe-tau-inf"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
@@ -211,6 +222,24 @@ def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message
     rc, _, err = run(capsys, *(files.get(a, a) for a in argv))
     assert rc == 2
     assert err == f"error: {message}\n"
+
+
+HUGE = str(10**16)  # digits (or int64 draws) whose one array takes 10^16 bytes or more
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--ifs", "{cantor}", "--check-box", "--count", "1", "--depth", HUGE],
+    ["construct", "--m", "2", "--length", HUGE],
+    ["verify", "--system", "tent", "--a", "2", "--blocks", "200000", "--depth", "2"],
+    ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "1", "--depth", HUGE],
+    ["sample", "--ifs", "{cantor}", "--count", "1", "--depth", HUGE],
+], ids=["dimension", "construct", "verify", "boxdim", "sample"])
+def test_array_too_large_exits_2(capsys, cantor_json, argv):
+    # numpy refuses an array of 10^16 bytes before touching memory, even
+    # where the system overcommits
+    rc, _, err = run(capsys, *(cantor_json if a == "{cantor}" else a for a in argv), "--seed", "1")
+    assert rc == 2
+    assert re.fullmatch(r"error: not enough memory: Unable to allocate .* PiB .*\n", err)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -509,8 +538,7 @@ def test_boxdim_streamed_counts_equal_the_collected_sample(capsys, cantor_json, 
     argv = [*sample_source(target, cantor_json, tmp_path), "--seed", "5", "--depth", "40",
             "--count", str(count), "--eps-ratio", str(ladder.base),
             "--eps-max", repr(ladder.epsilons[0]), "--eps-min", repr(ladder.epsilons[-1])]
-    job, lead, seed = cli._target(build_parser().parse_args(["boxdim", *argv]))
-    worker, box = job(*lead, count, 40, seed)
+    worker, box = cli._target(build_parser().parse_args(["boxdim", *argv]))
     centers = np.empty((count, len(box)))
     for _ in cli._sample(worker, count, len(box), 1, centers):
         pass
@@ -579,28 +607,42 @@ def test_sample_csv_golden_digest(capsys, cantor_json, tmp_path, target):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SAMPLE_CSV_SHA256[target]
 
 
+def public_sample(target, cantor_json, count, depth, seed):
+    """The public sampler's sample of the target ``sample_source`` selects."""
+    ifs, gaps = load_ifs(cantor_json), GapSequence("quadratic")
+    systems = {"baker": SystemSpec("baker", beta1=1 / 3, beta2=1 / 3),
+               "tent": SystemSpec("tent", a=2.0),
+               "solenoid": SystemSpec("solenoid", beta1=1 / 3, beta2=0.25)}
+    if target in systems:
+        return sample_invariant_set(systems[target], count, depth, seed)
+    if target == "attractor":
+        return sample_attractor(ifs, count, depth, seed)
+    if target == "pairs":
+        return sample_pair_set(ifs, gaps, count, depth, seed)
+    base = SymbolSequence(2, [1, 2, 2, 1] * 12)
+    return sample_restricted(ifs, base, gaps, count, depth, seed)
+
+
 @pytest.mark.parametrize("target", list(SAMPLE_CSV_SHA256))
 def test_streamed_sample_equals_the_public_sampler(capsys, cantor_json, tmp_path, target):
     # counts at the chunk edges; the stream's blocks are its workers' buffers
-    argv = ["sample", *sample_source(target, cantor_json, tmp_path), "--seed", "5"]
-    job, lead, seed = cli._target(build_parser().parse_args(argv))
-    sampler = {"attractor": cli.sample_attractor, "restricted": cli.sample_restricted,
-               "pairs": cli.sample_pair_set}.get(target, cli.sample_invariant_set)
+    argv = ["sample", *sample_source(target, cantor_json, tmp_path), "--seed", "5",
+            "--depth", "4"]
     for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
-        want = sampler(*lead, count, 4, seed).centers
+        want = public_sample(target, cantor_json, count, 4, 5).centers
         for threads in (1, 2, 3):
-            worker, box = job(*lead, count, 4, seed)
+            worker, box = cli._target(build_parser().parse_args([*argv, "--count", str(count)]))
             got = [rows.copy() for rows in cli._sample(worker, count, len(box), threads)]
             assert [len(rows) for rows in got] == [
                 min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
             assert np.vstack(got).tobytes() == want.tobytes()
     # the CLI writes the last count's stream as the CSV of the sampler's array
     out_file = tmp_path / "points.csv"
-    rc, _, _ = run(capsys, *argv, "--count", str(count), "--depth", "4", "--threads", "2",
+    rc, _, _ = run(capsys, *argv, "--count", str(count), "--threads", "2",
                    "--format", "csv", "--out", str(out_file))
     assert rc == 0
     header = ",".join(f"x{i + 1}" for i in range(want.shape[1]))
-    cli._write_csv(header, want, str(tmp_path / "want.csv"))
+    cli._write_csv(header, [want], str(tmp_path / "want.csv"))
     assert out_file.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -734,13 +776,13 @@ def csv_clouds():
 def test_points_csv_matches_format_reference(capsys, tmp_path, points):
     want = reference_csv(points)
     out_file = tmp_path / "points.csv"
-    cli._write_csv(points_header(points), points, str(out_file))
+    cli._write_csv(points_header(points), [points], str(out_file))
     # lines first: on a mismatch pytest then names the first differing row
     # instead of diffing two multi-megabyte strings
     assert out_file.read_text().splitlines() == want.splitlines()
     assert out_file.read_text() == want
     for out in (None, "-"):
-        cli._write_csv(points_header(points), points, out)
+        cli._write_csv(points_header(points), [points], out)
         assert capsys.readouterr().out == want
 
 
@@ -754,7 +796,7 @@ def percent_csv(points) -> str:
 def written_csv(points) -> str:
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        cli._write_csv(points_header(points), points, None)
+        cli._write_csv(points_header(points), [points], None)
     return text.getvalue()
 
 

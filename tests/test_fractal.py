@@ -481,7 +481,8 @@ def test_sampler_starts_at_most_one_worker_per_chunk():
     # a worker that records each one made (one per thread) and the threads alive
     made, alive = [], []
     ifs = cantor_ifs()
-    attractor = fractal._attractor_worker((ifs,), 12, 42, 0)
+    count = 2 * _CHUNK + 5  # three chunks
+    attractor, _ = fractal._attractor_job((ifs,), count, 12, 42)
 
     def worker(rows):
         made.append(rows)
@@ -493,7 +494,6 @@ def test_sampler_starts_at_most_one_worker_per_chunk():
 
         return counted
 
-    count = 2 * _CHUNK + 5  # three chunks
     before = threading.active_count()
     got = np.empty((count, 1))
     for _ in fractal._sample(worker, count, 1, 64, got):

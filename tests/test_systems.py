@@ -13,6 +13,7 @@ from lypairs.errors import (
     ValidationError,
 )
 from lypairs.fractal import (
+    _CHUNK,
     _chunk_rng,
     _code_batch,
     bernoulli_weights,
@@ -23,6 +24,7 @@ from lypairs.fractal import (
 from lypairs.symbolic import TWO_SIDED, SymbolSequence, shift
 from lypairs.systems import (
     SystemSpec,
+    _orbit_windows,
     _row_norms,
     _sequence_orbit,
     apply_map,
@@ -506,6 +508,23 @@ def test_conjugacy_defect_pinned(spec):
         assert conjugacy_defect(spec, 256, 41, 40, seed).hex() == want
 
 
+def test_code_batch_without_scratch_allocates_only_its_coding_columns():
+    # a 512 x 40 window of the tent's orbit coding, as one conjugacy_defect
+    # chunk codes it: beside its output, the coder's three coding columns
+    rows = _chunk_rng(3, 0).integers(1, 3, (512, 41))
+    ((ifs, digits),) = _orbit_windows(TENT2, rows[:, :0], rows, (0,), 40)
+    assert digits.shape == (512, 40)
+    _code_batch(ifs, digits)  # builds the IFS's cached center outside the count
+    tracemalloc.start()
+    try:
+        out = _code_batch(ifs, digits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 512 * (np.dtype(np.intp).itemsize + 2 * 8)  # a digit column, two floats
+    assert peak <= out.nbytes + columns + 8 * 1024
+
+
 def reference_defect(spec, trials, prefix_len, depth, seed):
     """Trial by trial: each trial's own draws, shift, code_point, Python-float map."""
     worst = 0.0
@@ -554,9 +573,16 @@ def test_sample_invariant_set_thread_invariant():
     assert np.array_equal(clouds[0].centers, clouds[1].centers)
     assert np.array_equal(clouds[0].centers, clouds[2].centers)
     derived = derive_ifs(BAKER3)
-    con = sample_attractor(derived[0], 70000, 30, seed=4, stream=0)
-    exp = sample_attractor(derived[-1], 70000, 30, seed=4, stream=1)
-    assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp.centers]))
+    con = sample_attractor(derived[0], 70000, 30, seed=4)
+    # the expanding block's digits, drawn again from stream 1 of each chunk
+    cum = np.cumsum(bernoulli_weights(derived[-1].ratios))
+    digits = np.vstack([
+        np.searchsorted(cum, _chunk_rng(4, 1, i).random((min(_CHUNK, 70000 - start), 30)),
+                        side="right") + 1
+        for i, start in enumerate(range(0, 70000, _CHUNK))
+    ])
+    exp = _code_batch(derived[-1], digits)
+    assert np.array_equal(clouds[0].centers, np.hstack([con.centers, exp]))
 
 
 def test_sample_invariant_set_holds_only_its_result():
