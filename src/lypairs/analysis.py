@@ -6,7 +6,10 @@ grids of side b^-k: a point cloud occupies the cell
 and N_k is the number of distinct occupied cells.  Grid counts are
 dimension-equivalent to minimal ball covers.  The grids nest, so only
 the finest level reads the points, and each coarser level is counted
-from the distinct cells of the level below.  The fitted slope of
+from the distinct cells of the level below.  Every level sorts one key
+per cell: one int64 mixed-radix number where the level's cells fit, and
+otherwise the cell's row of w int64 columns, read as one opaque value of
+8 w bytes.  The fitted slope of
 log N_k against k log b over a saturation-guarded window estimates the
 box (Minkowski) dimension.
 
@@ -137,10 +140,16 @@ def _exact_cells(x: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _pack(columns, lo, spans) -> np.ndarray:
-    """One int64 mixed-radix key per cell: digit j is column j minus lo[j],
-    of radix spans[j], column 0 the most significant.  The columns (an
-    iterable read once) are shifted in place, and the key is built in the
-    first of them."""
+    """One key per cell of a level whose column j runs from lo[j] over
+    spans[j] values; the columns are an iterable read once.  Where the
+    spans' product fits int64, the key is the int64 mixed-radix number of
+    digits column j minus lo[j], column 0 the most significant, built in
+    the first column as the columns, shifted in place, are read.
+    Otherwise it is the cell's row of w int64 columns, viewed as one
+    ``np.void`` of 8 w bytes: equal cells have equal keys, and sorting
+    groups them in byte order."""
+    if math.prod(spans) >= 2**63:
+        return np.stack(list(columns), axis=1).view(f"V{8 * len(spans)}").reshape(-1)
     key = None
     for col, low, span in zip(columns, lo, spans):
         col -= low
@@ -153,7 +162,11 @@ def _pack(columns, lo, spans) -> np.ndarray:
 
 
 def _unpack(key, lo, spans) -> np.ndarray:
-    """The (w, n) cell columns of packed keys; ``key`` is left zeroed."""
+    """The (w, n) cell columns of keys that ``_pack`` made with the same
+    ``lo`` and ``spans``.  An int64 ``key`` is left zeroed; the columns of
+    row keys are a view of ``key``."""
+    if math.prod(spans) >= 2**63:
+        return key.view(np.int64).reshape(len(key), len(spans)).T
     cells = np.empty((len(spans), len(key)), dtype=np.int64)
     for j in range(len(spans) - 1, -1, -1):
         np.divmod(key, spans[j], out=(key, cells[j]))
@@ -176,15 +189,6 @@ def _sort_distinct(key) -> int:
         key[n : n + len(kept)] = kept
         n += len(kept)
     return n
-
-
-def _distinct_cells(columns) -> np.ndarray:
-    """The distinct cells, as a (w, n) array of columns, of int64 cell
-    columns, sorted lexicographically; for levels whose packed key would
-    pass int64."""
-    cells = np.stack(list(columns))
-    cells = cells[:, np.lexsort(cells)]
-    return cells[:, np.r_[True, (cells[:, 1:] != cells[:, :-1]).any(axis=0)]]
 
 
 def _rows(points) -> np.ndarray:
@@ -216,21 +220,22 @@ def _checked(chunks, box: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _distinct_keys(chunks, box, scale, lo, spans):
-    """(row count, key, n) of the finest level's distinct packed cells,
-    ``key[:n]`` sorted.  Each chunk's cells are packed a block of rows at a
-    time into a key of its own, which is sorted and compacted; the first
-    chunk's key then collects the distinct keys of the others, and is
-    compacted when it fills and doubled when compacting frees less than
-    half of it."""
+    """(row count, key, n) of the finest level's distinct cell keys, of
+    either form of ``_pack``, ``key[:n]`` sorted.  Each chunk's cells are
+    packed a block of rows at a time into a key of its own, which is sorted
+    and compacted; the first chunk's key then collects the distinct keys of
+    the others, and is compacted when it fills and doubled when compacting
+    frees less than half of it."""
     count, key, n, merged = 0, None, 0, False
     for rows in _checked(chunks, box):
         count += len(rows)
-        part = np.empty(len(rows), dtype=np.int64)
+        part = None
         for start in range(0, len(rows), _BLOCK):
             block = rows[start : start + _BLOCK]
-            part[start : start + len(block)] = _pack(
-                (_exact_cells(col, scale) for col in block.T), lo, spans
-            )
+            packed = _pack((_exact_cells(col, scale) for col in block.T), lo, spans)
+            if part is None:
+                part = np.empty(len(rows), dtype=packed.dtype)
+            part[start : start + len(block)] = packed
         m = _sort_distinct(part)
         if key is None:
             key, n = part, m
@@ -239,7 +244,7 @@ def _distinct_keys(chunks, box, scale, lo, spans):
             if merged:
                 n, merged = _sort_distinct(key[:n]), False
             if 2 * (n + m) > len(key):
-                grown = np.empty(2 * max(len(key), n + m), dtype=np.int64)
+                grown = np.empty(2 * max(len(key), n + m), dtype=key.dtype)
                 grown[:n] = key[:n]
                 key = grown
         key[n : n + m] = part[:m]
@@ -247,19 +252,6 @@ def _distinct_keys(chunks, box, scale, lo, spans):
     if merged:
         n = _sort_distinct(key[:n])
     return count, key, n
-
-
-def _lexsorted_cells(chunks, box, scale):
-    """(row count, cells) of the finest level's distinct cells, as a (w, n)
-    array of columns, for a level whose packed key would pass int64: each
-    chunk's distinct cells are collected and lexsorted together."""
-    count, parts = 0, []
-    for rows in _checked(chunks, box):
-        count += len(rows)
-        parts.append(_distinct_cells(_exact_cells(col, scale) for col in rows.T))
-    if len(parts) > 1:
-        parts = [_distinct_cells(np.hstack(parts))]
-    return count, parts[0] if parts else None
 
 
 def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
@@ -274,15 +266,16 @@ def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
     against it, so a NaN or a point outside raises ValidationError.
 
     Only the finest level reads the points.  Each chunk's exact cells are
-    packed, a block of rows at a time, into one int64 key per row, which is
+    packed, a block of rows at a time, into one key per row, which is
     sorted and compacted to the distinct keys and appended to the distinct
     keys of the chunks before (``_distinct_keys``).  So beside one chunk
     only the distinct keys are held, and one array costs one key per point.
     A coarser level's cells are the distinct cells of the level below
     floor-divided by the base: each block of distinct keys is unpacked,
-    divided and repacked in place, then sorted and compacted again.  A
-    level whose key would pass int64 sorts its cells lexicographically
-    instead, its finest level collected over the chunks.
+    divided and repacked, then the keys are sorted and compacted again.  A
+    key is one int64 where the level's cells fit and a row of w int64
+    columns where they would pass it (``_pack``); the first level whose
+    cells fit again writes its keys into a new int64 array.
     """
     if not isinstance(points, Iterator):
         pts = _rows(points)
@@ -305,38 +298,25 @@ def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
     # bounds are the finer level's bounds divided
     lo, hi = _exact_cells(box[:, 0], scale), _exact_cells(box[:, 1], scale)
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    key = cells = None
-    if math.prod(spans) >= 2**63:
-        count, cells = _lexsorted_cells(points, box, scale)
-    else:
-        count, key, n = _distinct_keys(points, box, scale, lo, spans)
+    count, key, n = _distinct_keys(points, box, scale, lo, spans)
     if not count:
         raise EmptyInput("box_count needs at least one point")
-    if cells is not None:
-        n = cells.shape[1]
     base, counts = ladder.base, [n]
     for level in range(ladder.hi - 1, ladder.lo - 1, -1):
         finer_lo, finer_spans = lo, spans
         lo, hi = lo // base, hi // base
         spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-        if math.prod(spans) >= 2**63:
-            cells //= base
-            cells = _distinct_cells(cells)
-            n = cells.shape[1]
-        else:
-            if key is None:
-                key = np.empty(n, dtype=np.int64)
-            for start in range(0, n, _BLOCK):
-                stop = min(start + _BLOCK, n)
-                # the finer level's distinct cells: lexsorted, or packed
-                if cells is None:
-                    block = _unpack(key[start:stop], finer_lo, finer_spans)
-                else:
-                    block = cells[:, start:stop]
-                block //= base
-                key[start:stop] = _pack(block, lo, spans)
-            cells = None
-            n = _sort_distinct(key[:n])
+        coarse = key
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            block = _unpack(key[start:stop], finer_lo, finer_spans)
+            block //= base
+            packed = _pack(block, lo, spans)
+            if packed.dtype != coarse.dtype:  # row keys narrow to int64 keys
+                coarse = np.empty(n, dtype=packed.dtype)
+            coarse[start:stop] = packed
+        key = coarse
+        n = _sort_distinct(key[:n])
         counts.append(n)
     return BoxCountEstimate(ladder.epsilons, tuple(counts[::-1]), sample_count=count)
 

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -609,7 +610,7 @@ def _target(args) -> tuple:
         # pair set does not live (ROADMAP item 3's fault, kept until then)
         ifs = derive_ifs(_build_system(args))[0]
     else:
-        raise ValidationError("boxdim needs --ifs, --system, or --target system")
+        raise ValidationError(f"{args.command} needs --ifs, --system, or --target system")
     if args.target == "attractor":
         return _attractor_job((ifs,), *sizes)
     gaps = _parse_gaps(args.gaps)
@@ -652,9 +653,12 @@ def cmd_boxdim(args) -> int:
 def cmd_sample(args) -> int:
     """Write each chunk of points as soon as the workers have sampled it:
     the CSV of ``_write_csv``, or the JSON of ``_write_text(_json_text(
-    {"points": ...}))``, byte for byte, with no array of all the points."""
+    {"points": ...}))``, byte for byte, with no array of all the points.
+    The output opens only once the first chunk is sampled, so a job that
+    fails on it writes no byte and leaves no ``--out`` file."""
     worker, box = _target(args)
-    with contextlib.closing(_sample(worker, args.count, len(box), args.threads)) as chunks:
+    with contextlib.closing(_sample(worker, args.count, len(box), args.threads)) as stream:
+        chunks = itertools.chain((next(stream),), stream)
         if args.format == "csv":
             _write_csv(",".join(f"x{i + 1}" for i in range(len(box))), chunks, args.out)
         else:

@@ -139,7 +139,7 @@ def test_box_count_2d_matches_unique_reference():
         ((20000, 2), 1.0, 0.0, GridLadder(2, 1, 16)),
         ((20000, 2), 2.0, -1.0, GridLadder(1000, 1, 3)),   # key spans up to 4e18
         ((20000, 3), 1.0, -0.5, GridLadder(2, 1, 12)),
-        ((20000, 3), 1.0, 0.0, GridLadder(10, 2, 7)),      # spans 1e21: lexsort path
+        ((20000, 3), 1.0, 0.0, GridLadder(10, 2, 7)),      # spans 1e21: row keys
     ],
 )
 def test_box_count_matches_unique_reference(shape, scale, shift, epsilons):
@@ -180,14 +180,20 @@ def at_block(n, block):
 
 # each size is named by its place at _BLOCK and runs at SMALL_BLOCK
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
-@pytest.mark.parametrize("w, k", [(1, 18), (2, 9), (3, 6)])
+@pytest.mark.parametrize("w, k", [(1, 18), (2, 9), (3, 6), (3, 20)])
 def test_box_count_block_edges_match_unique_reference(monkeypatch, n, w, k):
     assert _BLOCK % 3 == SMALL_BLOCK % 3 == 1
     monkeypatch.setattr(analysis, "_BLOCK", SMALL_BLOCK)
     n = at_block(n, SMALL_BLOCK)
     pts = triplet_cloud(n, w, k, seed=n + w)
     ladder = GridLadder(2, k - 1, k + 1)
-    assert box_count(pts, ladder).counts == unique_cell_counts(pts, ladder)
+    box = None
+    if k == 20:
+        # in the unit cube the cells of level 21 pass int64, so its keys
+        # are rows; level 20's keys are int64 again, and level 19 reads them
+        box = np.array([[0.0, 1.0]] * w)
+        assert (2**21 + 1) ** 3 >= 2**63 > (2**20 + 1) ** 3
+    assert box_count(pts, ladder, box).counts == unique_cell_counts(pts, ladder)
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -210,7 +216,7 @@ def test_box_count_holds_one_key_per_point(w):
 def test_chunked_box_count_matches_one_array(data):
     # any split into chunks, and any box that holds the points, counts as
     # the one array does; its own bounds are the default box
-    if data is None:   # w = 3 in a box of spans near 4e28: the lexsort path
+    if data is None:   # w = 3 in a box of spans near 4e28: row keys
         ladder = GridLadder(10, 1, 9)
         pts = np.random.default_rng(2).uniform(-1, 1, (300, 3))
         pts[150:] = pts[:150]
@@ -255,28 +261,42 @@ def test_box_count_stream_needs_a_box_of_its_width():
         box_count(iter([np.empty((0, 1))]), GridLadder(2, 1, 4), np.array([[0.0, 1.0]]))
 
 
-def repeating_stream(chunks, seed):
+def repeating_stream(chunks, seed, w=2):
     """``chunks`` chunks of _CHUNK rows, each drawn from the same 4096
-    points of [0, 1)^2 and made only when asked for."""
-    pool = np.random.default_rng(seed).random((4096, 2))
+    points of [0, 1)^w and made only when asked for."""
+    pool = np.random.default_rng(seed).random((4096, w))
     rng = np.random.default_rng(seed + 1)
     for _ in range(chunks):
         yield pool[rng.integers(0, len(pool), _CHUNK)]
 
 
-def test_streamed_box_count_memory_does_not_grow_with_the_stream():
-    box, ladder, peaks, counts = np.array([[0.0, 1.0], [0.0, 1.0]]), GridLadder(2, 4, 16), [], []
-    box_count(repeating_stream(1, seed=3), ladder, box)  # one-off allocations
+def streamed_peaks(ladder, w):
+    """The traced peaks of box counts of 8 and 32 chunks of
+    ``repeating_stream`` in the unit box, after checking that they count
+    every row and agree."""
+    box, peaks, counts = np.array([[0.0, 1.0]] * w), [], []
+    box_count(repeating_stream(1, seed=3, w=w), ladder, box)  # one-off allocations
     for chunks in (8, 32):
         tracemalloc.start()
         try:
-            est = box_count(repeating_stream(chunks, seed=3), ladder, box)
+            est = box_count(repeating_stream(chunks, seed=3, w=w), ladder, box)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert est.sample_count == chunks * _CHUNK
         counts.append(est.counts)
     assert counts[0] == counts[1]
+    return peaks
+
+
+def test_streamed_box_count_memory_does_not_grow_with_the_stream():
+    peaks = streamed_peaks(GridLadder(2, 4, 16), w=2)
+    assert peaks[1] <= peaks[0] + 64 * 2**10
+
+
+def test_streamed_row_key_box_count_memory_does_not_grow_with_the_stream():
+    # (2^22 + 1)^3 cells pass int64: the finest keys are rows of 3 columns
+    peaks = streamed_peaks(GridLadder(2, 4, 22), w=3)
     assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
@@ -380,7 +400,7 @@ def test_exact_cells_match_fraction(data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(data=None)
 def test_roll_up_counts_match_unique_reference(data):
-    if data is None:   # w = 4 at 10^-6: spans near 1e24 take the lexsort path
+    if data is None:   # w = 4 at 10^-6: spans near 1e24 take row keys
         w, ladder = 4, GridLadder(10, 1, 6)
         pts = np.random.default_rng(1).uniform(-1, 1, (300, 4))
     else:

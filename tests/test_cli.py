@@ -211,8 +211,9 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["verify", "--system", "horseshoe", "--beta", "0.3", "--tau", "inf", "--blocks", "3",
       "--depth", "10", "--seed", "1"],
      "horseshoe needs a finite tau, got tau = inf"),
+    (["sample", "--seed", "1"], "sample needs --ifs, --system, or --target system"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
-        "tent-2a-overflows", "horseshoe-tau-inf"])
+        "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
@@ -234,12 +235,20 @@ HUGE = str(10**16)  # digits (or int64 draws) whose one array takes 10^16 bytes 
     ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "1", "--depth", HUGE],
     ["sample", "--ifs", "{cantor}", "--count", "1", "--depth", HUGE],
 ], ids=["dimension", "construct", "verify", "boxdim", "sample"])
-def test_array_too_large_exits_2(capsys, cantor_json, argv):
+def test_array_too_large_exits_2(capsys, tmp_path, cantor_json, argv):
     # numpy refuses an array of 10^16 bytes before touching memory, even
     # where the system overcommits
-    rc, _, err = run(capsys, *(cantor_json if a == "{cantor}" else a for a in argv), "--seed", "1")
+    argv = [cantor_json if a == "{cantor}" else a for a in argv] + ["--seed", "1"]
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert re.fullmatch(r"error: not enough memory: Unable to allocate .* PiB .*\n", err)
+    if argv[0] == "sample":
+        # the first chunk fails before the output opens: no JSON header on
+        # stdout, and no CSV file
+        assert out == ""
+        path = tmp_path / "points.csv"
+        assert run(capsys, *argv, "--format", "csv", "--out", str(path))[0] == 2
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("content, message", [
