@@ -25,9 +25,11 @@ iteration), and each scheduled block contributes
   the certified lower bound there stays above the separation gap of the
   coding system in the separating coordinate, minus the coded radii.
 
-``verify_liyorke`` turns these finite families into a verdict: geometric
-decay of the proximity bounds (liminf-zero surrogate) plus a uniform
-positive floor on the separation bounds (limsup-positive surrogate).
+``verify_liyorke`` turns these finite families into a verdict, read from
+the profile alone: geometric decay of the proximity bounds at the
+profile's largest ratio (liminf-zero surrogate) plus a uniform floor of
+half the separation gap on the separation bounds (limsup-positive
+surrogate).
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
     gives the same counts.  ``box``, a (w, 2) array of lower and upper
     bounds, fixes the cell columns' offsets and radices; it defaults to the
     array's own bounds, and a stream must give it.  Every chunk is checked
-    against it, so a NaN or a point outside raises ValidationError.
+    against it, so a NaN or a point outside raises ValidationError, as does
+    a box that is not finite or has a lower bound above its upper bound.
 
     Only the finest level reads the points.  Each chunk's exact cells are
     packed, a block of rows at a time, into one key per row, which is
@@ -281,16 +284,20 @@ def box_count(points, ladder: GridLadder, box=None) -> BoxCountEstimate:
         pts = _rows(points)
         if not pts.size:
             raise EmptyInput("box_count needs at least one point")
-        if box is None:
+        if box is None:  # min and max propagate NaN and reach any infinity
             box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
+            if not np.isfinite(box).all():
+                raise ValidationError("box_count points must be finite")
         points = iter((pts,))
     elif box is None:
         raise ValidationError("box_count of a stream of chunks needs their box")
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValidationError(f"box_count box must be a (w, 2) array, got shape {box.shape}")
-    if not np.isfinite(box).all():
-        raise ValidationError("box_count points must be finite")
+    if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+        raise ValidationError(
+            f"box_count box must be finite with lower <= upper bounds, got {box.tolist()}"
+        )
     scale = float(ladder.base**ladder.hi)
     if not float(max(-box[:, 0].min(), box[:, 1].max())) * scale < 2.0**63:
         raise ValidationError("grid cell indices of the finest level exceed int64")
@@ -377,11 +384,6 @@ class Verdict:
     witness: Checkpoint | None = None
 
 
-def _profile_parameters(spec: SystemSpec) -> tuple[float, float, float]:
-    codings = derive_ifs(spec)  # separation is read in the first block
-    return spec.ambient_diam, codings[0].gap, max(r for ifs in codings for r in ifs.ratios)
-
-
 def _checkpoint_times(block: ScheduleBlock, side: str) -> tuple[int, int]:
     """Proximity time u_i - 1 (matched block in front) and separation time
     u_i + i (flipped digit in front) or u_i + i + 1 (most recent past digit)."""
@@ -412,7 +414,7 @@ def liyorke_profile(
             SymbolSequence(base.m, base.digits[:span]),
             gaps,
         )
-    scale, gap, max_ratio = _profile_parameters(spec)
+    codings = derive_ifs(spec)  # separation is read in the first block
     # per block: the proximity time, then the separation time
     times = [t for b in blocks for t in _checkpoint_times(b, spec.side)]
     centers, radii = _sequence_orbit(spec, (base, partner), times, depth)
@@ -423,33 +425,24 @@ def liyorke_profile(
         bound = max(0.0, dist - slack) if k % 2 else dist + slack
         checkpoints[k % 2].append(Checkpoint(blocks[k // 2].index, t, bound, slack))
     return LiYorkeProfile(
-        *map(tuple, checkpoints), scale, gap, max_ratio, spec.side, depth
+        *map(tuple, checkpoints), spec.ambient_diam, codings[0].gap,
+        max(r for ifs in codings for r in ifs.ratios), spec.side, depth,
     )
 
 
-def verify_liyorke(
-    profile: LiYorkeProfile,
-    proximity_decay: float | None = None,
-    separation_floor: float | None = None,
-) -> Verdict:
-    """Decide the Li-Yorke surrogate criteria on a finite profile.
+def verify_liyorke(profile: LiYorkeProfile) -> Verdict:
+    """Decide the Li-Yorke surrogate criteria from a finite profile alone.
 
     Proximity passes when every checkpoint from block 2 on obeys the
-    envelope decay^(block+1) * scale + radius_slack; separation passes
-    when every certified lower bound reaches the floor.  Defaults:
-    decay = the profile's max ratio, floor = half the separation gap.
-    Blocks 0 and 1 are exempt ("eventually"): with a two-sided coding the
+    envelope max_ratio^(block+1) * scale + radius_slack + 1e-12; blocks 0
+    and 1 are exempt ("eventually"): with a two-sided coding the
     recent-past agreement only outruns the envelope once the free blocks
-    are longer than the matched blocks.
+    are longer than the matched blocks.  Separation passes when every
+    certified lower bound reaches sep_gap / 2.
     """
     if len(profile.proximity) < 3 or len(profile.separation) < 3:
         raise TooFewCheckpoints("need at least 3 checkpoints of each kind")
-    decay = profile.max_ratio if proximity_decay is None else float(proximity_decay)
-    floor = profile.sep_gap / 2 if separation_floor is None else float(separation_floor)
-    if not 0 < decay < 1:
-        raise ValidationError("proximity_decay must lie in (0,1)")
-    if not floor > 0:
-        raise ValidationError("separation_floor must be positive")
+    decay, floor = profile.max_ratio, profile.sep_gap / 2
     for cp in profile.proximity:
         if cp.block < 2:
             continue

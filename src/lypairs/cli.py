@@ -553,7 +553,7 @@ def cmd_verify(args) -> int:
         strict = False
 
     profile = liyorke_profile(spec, base, gaps, partner, args.blocks, args.depth, strict=strict)
-    verdict = verify_liyorke(profile, args.decay, args.floor)
+    verdict = verify_liyorke(profile)
     gap_report = check_gap_condition(gaps, 100)
 
     label = "PASS" if verdict.passed else "FAIL"
@@ -763,8 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="constructed",
         help="negative controls replace the constructed partner (default %(default)s)",
     )
-    p.add_argument("--decay", type=float, help="proximity decay override (default: max ratio)")
-    p.add_argument("--floor", type=float, help="separation floor override (default: gap/2)")
     p.add_argument(
         "--unsafe-iterate", action="store_true",
         help="also demo naive float iteration (divergence showcase; no effect on verdict)",
@@ -848,10 +846,7 @@ def main(argv=None) -> int:
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except LypairsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (LypairsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # numpy refuses an array of the sizes asked for

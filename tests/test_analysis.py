@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,18 @@ def test_box_count_validation():
         box_count(np.array([-1.0, 0.5]), GridLadder(2, 0, 63))
 
 
+@pytest.mark.parametrize("points, box, message", [
+    (np.full((3, 2), 0.5), np.array([0.0, 1.0]), r"box must be a \(w, 2\) array"),
+    (np.full((3, 2), 0.5), np.array([[0.0, np.nan], [0.0, 1.0]]), "box must be finite"),
+    (np.full((3, 2), 0.5), np.array([[0.0, 1.0], [-np.inf, 1.0]]), "box must be finite"),
+    (np.full((3, 2), 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]), "lower <= upper"),
+    (np.array([[0.5, np.nan], [0.25, 0.5]]), None, "points must be finite"),
+])
+def test_box_count_blames_the_box_or_the_points(points, box, message):
+    with pytest.raises(ValidationError, match=message):
+        box_count(points, GridLadder(2, 1, 4), box)
+
+
 def test_grid_ladder_sizes_and_validation():
     assert GridLadder(2, 4, 14).epsilons == tuple(2.0**-j for j in range(4, 15))
     assert GridLadder(3, 15, 23).epsilons == tuple(3.0**-j for j in range(15, 24))
@@ -589,14 +602,54 @@ def test_verify_too_few_checkpoints():
         verify_liyorke(prof)
 
 
-def test_verify_parameter_validation():
+@pytest.fixture(scope="module")
+def horseshoe_profile():
+    """The profile of ``verify``'s default pair on the horseshoe, seed 5:
+    12 blocks, depth 18."""
     gaps = GapSequence("quadratic")
-    base, partner = build_verification_pair(TENT2, gaps, 6, 12, seed=16)
-    prof = liyorke_profile(TENT2, base, gaps, partner, 6, 12)
-    with pytest.raises(ValidationError):
-        verify_liyorke(prof, proximity_decay=1.5)
-    with pytest.raises(ValidationError):
-        verify_liyorke(prof, separation_floor=0.0)
+    base, partner = build_verification_pair(HORSE3, gaps, 12, 18, seed=5)
+    return liyorke_profile(HORSE3, base, gaps, partner, 12, 18)
+
+
+def with_proximity_bound(profile, block, bound):
+    proximity = list(profile.proximity)
+    assert proximity[block].block == block
+    proximity[block] = replace(proximity[block], bound=bound)
+    return replace(profile, proximity=tuple(proximity))
+
+
+def envelope(profile, block):
+    slack = profile.proximity[block].radius_slack
+    return profile.max_ratio ** (block + 1) * profile.scale + slack + 1e-12
+
+
+def test_verify_fails_proximity_bound_above_its_envelope(horseshoe_profile):
+    prof = horseshoe_profile
+    assert verify_liyorke(prof).passed
+    at = envelope(prof, 2)
+    assert verify_liyorke(with_proximity_bound(prof, 2, at)).passed
+    verdict = verify_liyorke(with_proximity_bound(prof, 2, np.nextafter(at, np.inf)))
+    assert not verdict.passed
+    assert verdict.reason == "proximity bound exceeds decay envelope"
+    assert verdict.witness.block == 2
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_verify_exempts_blocks_0_and_1_from_the_envelope(horseshoe_profile, block):
+    raised = with_proximity_bound(horseshoe_profile, block, 2 * envelope(horseshoe_profile, block))
+    assert verify_liyorke(raised).passed
+
+
+def test_verify_fails_separation_bound_below_half_the_gap(horseshoe_profile):
+    prof = horseshoe_profile
+    floor = prof.sep_gap / 2
+    separation = list(prof.separation)
+    for bound, passed in ((floor, True), (np.nextafter(floor, 0), False)):
+        separation[5] = replace(separation[5], bound=bound)
+        verdict = verify_liyorke(replace(prof, separation=tuple(separation)))
+        assert verdict.passed is passed
+    assert verdict.reason == "separation bound below floor"
+    assert verdict.witness == separation[5]
 
 
 def test_shadow_filler_partner_differs_only_at_flips():

@@ -347,30 +347,17 @@ def test_verify_requires_seed(capsys):
 HORSESHOE_SEED_5 = ("--system", "horseshoe", "--beta", str(1 / 3), "--tau", "3", "--seed", "5")
 
 
-@pytest.mark.parametrize("flags, reason", [
-    (("--decay", "0.2"), "proximity bound exceeds decay envelope"),
-    (("--floor", "0.5"), "separation bound below floor"),
+@pytest.mark.parametrize("source, message", [
+    ("flag", "unrecognized arguments: --decay 0.2"),
+    ("config", "config key 'decay' unknown"),
 ])
-def test_verify_decay_and_floor_overrides_fail(capsys, tmp_path, flags, reason):
-    # the same pair passes with the defaults (test_verify_passes_each_system);
-    # blocks 0 and 1 are exempt from the decay envelope, so block 2 fails first
-    out_file = tmp_path / "verdict.json"
-    rc, out, _ = run(capsys, "verify", *HORSESHOE_SEED_5, *flags, "--out", str(out_file))
-    assert rc == 0
-    assert out.startswith(f"FAIL: {reason}")
-    verdict = json.loads(out_file.read_text())["verdict"]
-    assert verdict["passed"] is False
-    assert verdict["witness"]["block"] == 2
-
-
-@pytest.mark.parametrize("flags, message", [
-    (("--decay", "1.5"), "proximity_decay must lie in (0,1)"),
-    (("--floor", "0"), "separation_floor must be positive"),
-])
-def test_verify_bad_decay_or_floor_exits_2(capsys, flags, message):
-    rc, out, err = run(capsys, "verify", *HORSESHOE_SEED_5, *flags)
-    assert rc == 2
-    assert out == ""
+def test_verify_has_no_decay_option(capsys, tmp_path, source, message):
+    # the verdict reads its decay and floor from the profile alone
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"decay": 0.2}))
+    extra = ["--decay", "0.2"] if source == "flag" else ["--config", str(config)]
+    rc, out, err = run(capsys, "verify", *HORSESHOE_SEED_5, *extra)
+    assert (rc, out) == (2, "")
     assert message in err
 
 
@@ -1392,7 +1379,6 @@ def _cli_flags(paths):
         "verify": {**system, **common, **gaps, "blocks": _ints(3, 30, -1),
                    "depth": _ints(1, 60, -1), "filler": (pick("base", "random"), pick("x")),
                    "pair_mode": (pick("constructed", "identical", "eventually-equal"), pick("x")),
-                   "decay": floats("0.5", "0.9"), "floor": floats("0.01", "0.2"),
                    "unsafe_iterate": None},
         "boxdim": {**system, **ifs, **ladder, **common, **threads, **formats, **sampled},
         "sample": {**system, **ifs, **common, **threads, **formats, **sampled},
