@@ -425,6 +425,9 @@ def _ladder(args) -> GridLadder:
         if k < 0 or not math.isclose(eps, float(base) ** -k, rel_tol=1e-12):
             raise ValidationError(f"{flag} {eps!r} is not {base}^-k for an integer k >= 0")
         exponents.append(k)
+    if exponents[0] > exponents[1]:
+        raise ValidationError(
+            f"--eps-min {args.eps_min!r} is larger than --eps-max {args.eps_max!r}")
     return GridLadder(base, *exponents)
 
 
@@ -465,7 +468,7 @@ def cmd_dimension(args) -> int:
         seed, ladder = _resolve_seed(args), _ladder(args)
         name, ifs = directions[0]
         job = _attractor_job((ifs,), args.count, args.depth, seed)
-        est = _streamed_fit(job, args.count, args.threads, ladder)
+        est = _streamed_fit(job, args.threads, ladder)
         d0 = report["directions"][0]["dimension"]
         print(
             f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
@@ -544,13 +547,11 @@ def cmd_verify(args) -> int:
     base, partner = build_verification_pair(
         spec, gaps, args.blocks, args.depth, seed, filler_mode=args.filler
     )
-    strict = True
+    strict = args.pair_mode == "constructed"  # the controls break the pattern on purpose
     if args.pair_mode == "identical":
         partner = base
-        strict = False
     elif args.pair_mode == "eventually-equal":
         partner = break_pair_after_block(base, partner, gaps, last_kept_block=2)
-        strict = False
 
     profile = liyorke_profile(spec, base, gaps, partner, args.blocks, args.depth, strict=strict)
     verdict = verify_liyorke(profile)
@@ -593,9 +594,9 @@ def cmd_verify(args) -> int:
 
 
 def _target(args) -> tuple:
-    """The ``_sample`` job, a (worker, box) pair, of the target flags of
-    ``boxdim`` and ``sample`` at their ``--count``, ``--depth`` and
-    ``--seed``, every flag resolved and checked before anything is
+    """The ``_sample`` job, a (worker, box, count) triple, of the target
+    flags of ``boxdim`` and ``sample`` at their ``--count``, ``--depth``
+    and ``--seed``, every flag resolved and checked before anything is
     sampled."""
     seed = _resolve_seed(args)
     sizes = (args.count, args.depth, seed)
@@ -623,13 +624,11 @@ def _target(args) -> tuple:
     return _restricted_job(ifs, base, gaps, *sizes)
 
 
-def _streamed_fit(job, count: int, threads: int, ladder: GridLadder):
-    """The fitted box count of ``count`` rows of a ``_sample`` job, a
-    (worker, box) pair: ``box_count`` reads each chunk while the workers
-    sample the next ones, and stops them if it raises."""
-    worker, box = job
-    with contextlib.closing(_sample(worker, count, len(box), threads)) as chunks:
-        return dimension_fit(box_count(chunks, ladder, box))
+def _streamed_fit(job, threads: int, ladder: GridLadder):
+    """The box-count fit of a ``_sample`` job's rows in its box: each chunk
+    is counted while the workers sample the next, and an error stops them."""
+    with contextlib.closing(_sample(job, threads)) as chunks:
+        return dimension_fit(box_count(chunks, ladder, box=job[1]))
 
 
 def cmd_boxdim(args) -> int:
@@ -637,7 +636,7 @@ def cmd_boxdim(args) -> int:
     the sampler's domain box, so no array of the points is held; the
     counts equal those of the collected sample."""
     ladder = _ladder(args)
-    est = _streamed_fit(_target(args), args.count, args.threads, ladder)
+    est = _streamed_fit(_target(args), args.threads, ladder)
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -656,8 +655,8 @@ def cmd_sample(args) -> int:
     {"points": ...}))``, byte for byte, with no array of all the points.
     The output opens only once the first chunk is sampled, so a job that
     fails on it writes no byte and leaves no ``--out`` file."""
-    worker, box = _target(args)
-    with contextlib.closing(_sample(worker, args.count, len(box), args.threads)) as stream:
+    _, box, _ = job = _target(args)
+    with contextlib.closing(_sample(job, args.threads)) as stream:
         chunks = itertools.chain((next(stream),), stream)
         if args.format == "csv":
             _write_csv(",".join(f"x{i + 1}" for i in range(len(box))), chunks, args.out)

@@ -22,8 +22,8 @@ runner, ``_sample``, serves every sampler: worker threads fill the chunks,
 either into the sampler's result array or into chunk buffers that the
 caller consumes in chunk order, so ``sample`` writes, and ``boxdim``
 box-counts, each chunk while the workers sample the next ones and never
-holds the whole point array.  Each sampler's job also gives the box that
-holds every row it samples (``IfsSystem.coded_box`` per coordinate block).
+holds the whole point array.  Each sampler's job also gives its row count
+and the box of every row (``IfsSystem.coded_box`` per coordinate block).
 """
 
 from __future__ import annotations
@@ -533,22 +533,21 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
-def _sample(
-    worker, count: int, width: int, threads: int, out: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Yield the rows of each fixed-size chunk of a (count, width) float
-    sample, in chunk order, while worker threads fill the next chunks.
+def _sample(job, threads: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield the rows of each fixed-size chunk of ``job``'s sample in chunk
+    order, while at most ``threads`` worker threads fill the next chunks.
 
-    Chunk i holds rows i*_CHUNK onward.  ``worker(rows)`` returns a function
-    ``fill(i, out)`` that writes chunk i, at most ``rows`` rows, into
-    ``out``, drawing from ``_chunk_rng(seed, stream, i)`` itself, so every
-    row depends only on the seed, never on the thread count, and that keeps
-    its buffers from one chunk to the next.  One is made per worker thread,
-    here in the calling thread, and worker k fills chunks k, k + W, k + 2W,
-    ... of the W workers: the threads allocate nothing that grows with the
-    chunk, so no thread's malloc arena is left holding chunk-sized memory.
+    A job is a triple (worker, box, count): ``count`` rows, inside the bounds
+    ``box``.  Chunk i holds rows i*_CHUNK onward.  ``worker(rows)`` returns a
+    function ``fill(i, out)`` that writes chunk i, at most ``rows`` rows, into
+    ``out``, drawing from ``_chunk_rng(seed, stream, i)`` itself, so every row
+    depends only on the seed, never on the thread count, and that keeps its
+    buffers from one chunk to the next.  One is made per worker thread, here in
+    the calling thread, and worker k fills chunks k, k + W, k + 2W, ... of the
+    W workers: the threads allocate nothing that grows with the chunk, so no
+    thread's malloc arena is left holding chunk-sized memory.
 
-    With ``out``, a (count, width) array or view of one, chunk i is written
+    With ``out``, a (count, len(box)) array or view of one, chunk i is written
     into its rows and a view of them is yielded.  Without, each worker owns
     two chunk buffers and a chunk is yielded from one of them, valid until
     the caller asks for the next chunk, when the worker takes it back.
@@ -557,14 +556,17 @@ def _sample(
     caller stops early, by an exception or ``close()``, the workers stop at
     their next chunk and are joined before the generator finishes.
     """
+    worker, box, count = job
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValidationError("threads must be a positive integer")
     chunks = -(-count // _CHUNK)
     rows = min(_CHUNK, count)
-    fills = [worker(rows) for _ in range(max(1, min(threads, chunks)))]
+    fills = [worker(rows) for _ in range(min(threads, chunks))]
     free = [queue.SimpleQueue() for _ in fills]  # buffers worker k may fill (None: out's rows)
     done = [queue.SimpleQueue() for _ in fills]  # its filled rows, or its exception
     for q in free:
         for _ in range(2):
-            q.put(None if out is not None else np.empty((rows, width)))
+            q.put(None if out is not None else np.empty((rows, len(box))))
     stop = threading.Event()
 
     def run(k: int) -> None:
@@ -599,12 +601,11 @@ def _sample(
             t.join()
 
 
-def _collect(job, count: int, threads: int) -> PointSample:
-    """Drain ``_sample`` over ``job``, a (worker, box) pair, into one
-    (count, w) array; ``box`` is the (w, 2) bounds of every sampled row."""
-    worker, box = job
+def _collect(job, threads: int) -> PointSample:
+    """Drain ``_sample`` over ``job`` into one (count, w) array."""
+    _, box, count = job
     out = np.empty((count, len(box)))
-    for _ in _sample(worker, count, len(box), threads, out):
+    for _ in _sample(job, threads, out):
         pass
     return PointSample(out)
 
@@ -632,14 +633,14 @@ def _attractor_job(codings: Sequence[IfsSystem], count: int, depth: int, seed: i
 
         return fill
 
-    return worker, np.vstack([ifs.coded_box for ifs in codings])
+    return worker, np.vstack([ifs.coded_box for ifs in codings]), count
 
 
 def sample_attractor(
     ifs: IfsSystem, count: int, depth: int, seed: int, threads: int = 1
 ) -> PointSample:
     """Draw ``count`` coded points with i.i.d. digits distributed (c_i^D)."""
-    return _collect(_attractor_job((ifs,), count, depth, seed), count, threads)
+    return _collect(_attractor_job((ifs,), count, depth, seed), threads)
 
 
 def _restricted_job(
@@ -672,7 +673,7 @@ def _restricted_job(
 
         return fill
 
-    return worker, ifs.coded_box
+    return worker, ifs.coded_box, count
 
 
 def sample_restricted(
@@ -691,7 +692,7 @@ def sample_restricted(
     pattern of ``base`` and the cloud samples the push-forward of the
     natural measure onto the restricted set.
     """
-    return _collect(_restricted_job(ifs, base, gaps, count, depth, seed), count, threads)
+    return _collect(_restricted_job(ifs, base, gaps, count, depth, seed), threads)
 
 
 def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: int):
@@ -723,7 +724,7 @@ def _pair_job(ifs: IfsSystem, gaps: GapSequence, count: int, depth: int, seed: i
 
         return fill
 
-    return worker, np.vstack([ifs.coded_box] * 2)
+    return worker, np.vstack([ifs.coded_box] * 2), count
 
 
 def sample_pair_set(
@@ -740,4 +741,4 @@ def sample_pair_set(
     (c_i^D) digit law; each row is a point of R^{2w} whose first w
     coordinates are distributed like ``sample_attractor`` output.
     """
-    return _collect(_pair_job(ifs, gaps, count, depth, seed), count, threads)
+    return _collect(_pair_job(ifs, gaps, count, depth, seed), threads)

@@ -330,4 +330,4 @@ def sample_invariant_set(
     worker samples every block of the chunk straight into the block's own
     columns of the result, through one ``_Scratch`` that the blocks share.
     """
-    return _collect(_attractor_job(derive_ifs(spec), count, depth, seed), count, threads)
+    return _collect(_attractor_job(derive_ifs(spec), count, depth, seed), threads)

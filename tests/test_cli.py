@@ -481,7 +481,7 @@ def test_boxdim_stray_center_exits_2_and_joins_its_workers(
     job = cli._attractor_job
 
     def stray_job(*args):
-        worker, box = job(*args)
+        worker, box, count = job(*args)
 
         def stray_worker(rows):
             fill = worker(rows)
@@ -493,7 +493,7 @@ def test_boxdim_stray_center_exits_2_and_joins_its_workers(
 
             return stray_fill
 
-        return stray_worker, box
+        return stray_worker, box, count
 
     monkeypatch.setattr(cli, "_attractor_job", stray_job)
     before = threading.active_count()
@@ -534,9 +534,9 @@ def test_boxdim_streamed_counts_equal_the_collected_sample(capsys, cantor_json, 
     argv = [*sample_source(target, cantor_json, tmp_path), "--seed", "5", "--depth", "40",
             "--count", str(count), "--eps-ratio", str(ladder.base),
             "--eps-max", repr(ladder.epsilons[0]), "--eps-min", repr(ladder.epsilons[-1])]
-    worker, box = cli._target(build_parser().parse_args(["boxdim", *argv]))
-    centers = np.empty((count, len(box)))
-    for _ in cli._sample(worker, count, len(box), 1, centers):
+    job = cli._target(build_parser().parse_args(["boxdim", *argv]))
+    centers = np.empty((count, len(job[1])))
+    for _ in cli._sample(job, 1, centers):
         pass
     want = box_count(centers, ladder).counts
     for threads in ("1", "2"):
@@ -627,8 +627,8 @@ def test_streamed_sample_equals_the_public_sampler(capsys, cantor_json, tmp_path
     for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
         want = public_sample(target, cantor_json, count, 4, 5).centers
         for threads in (1, 2, 3):
-            worker, box = cli._target(build_parser().parse_args([*argv, "--count", str(count)]))
-            got = [rows.copy() for rows in cli._sample(worker, count, len(box), threads)]
+            job = cli._target(build_parser().parse_args([*argv, "--count", str(count)]))
+            got = [rows.copy() for rows in cli._sample(job, threads)]
             assert [len(rows) for rows in got] == [
                 min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
             assert np.vstack(got).tobytes() == want.tobytes()
@@ -1276,6 +1276,9 @@ def test_unbounded_ladder_exits_2(capsys, cantor_json):
     # the finest cells of middle-thirds points near 1 pass 2^63
     (["--eps-max", repr(2.0**-60), "--eps-min", repr(2.0**-64)],
      "grid cell indices of the finest level exceed int64"),
+    # the ends swapped: the message names both flags
+    (["--eps-min", "0.5", "--eps-max", "0.25"],
+     "--eps-min 0.5 is larger than --eps-max 0.25"),
 ])
 def test_ladder_flags_exit_2(capsys, cantor_json, ladder, message):
     rc, _, err = run(

@@ -482,7 +482,7 @@ def test_sampler_starts_at_most_one_worker_per_chunk():
     made, alive = [], []
     ifs = cantor_ifs()
     count = 2 * _CHUNK + 5  # three chunks
-    attractor, _ = fractal._attractor_job((ifs,), count, 12, 42)
+    attractor, box, _ = fractal._attractor_job((ifs,), count, 12, 42)
 
     def worker(rows):
         made.append(rows)
@@ -496,7 +496,7 @@ def test_sampler_starts_at_most_one_worker_per_chunk():
 
     before = threading.active_count()
     got = np.empty((count, 1))
-    for _ in fractal._sample(worker, count, 1, 64, got):
+    for _ in fractal._sample((worker, box, count), 64, got):
         pass
     assert made == [_CHUNK] * 3
     assert max(alive) <= before + 3
@@ -504,9 +504,10 @@ def test_sampler_starts_at_most_one_worker_per_chunk():
     assert np.array_equal(got, sample_attractor(ifs, count, 12, seed=42).centers)
 
 
-def chunk_index_worker(fail_at=None):
-    """A ``_sample`` worker that writes each chunk's index into its rows
-    and raises InvalidDigit on chunk ``fail_at``."""
+def chunk_index_job(count, w=1, fail_at=None):
+    """A ``_sample`` job of ``count`` rows of ``w`` columns whose worker
+    writes each chunk's index into its rows and raises InvalidDigit on
+    chunk ``fail_at``."""
     def worker(rows):
         def fill(i, out):
             if i == fail_at:
@@ -515,13 +516,13 @@ def chunk_index_worker(fail_at=None):
 
         return fill
 
-    return worker
+    return worker, np.zeros((w, 2)), count
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_sample_stream_yields_chunks_in_order(threads):
     count = 5 * _CHUNK + 3
-    got = [rows.copy() for rows in fractal._sample(chunk_index_worker(), count, 2, threads)]
+    got = [rows.copy() for rows in fractal._sample(chunk_index_job(count, 2), threads)]
     assert [len(rows) for rows in got] == [_CHUNK] * 5 + [3]
     assert all(np.all(rows == i) for i, rows in enumerate(got))
 
@@ -532,7 +533,7 @@ def test_sample_worker_error_reaches_the_caller(threads, into):
     before = threading.active_count()
     out = np.empty((5 * _CHUNK, 1)) if into == "array" else None
     with pytest.raises(InvalidDigit, match="chunk 2"):
-        for _ in fractal._sample(chunk_index_worker(fail_at=2), 5 * _CHUNK, 1, threads, out):
+        for _ in fractal._sample(chunk_index_job(5 * _CHUNK, fail_at=2), threads, out):
             pass
     assert threading.active_count() == before
 
@@ -540,13 +541,13 @@ def test_sample_worker_error_reaches_the_caller(threads, into):
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sample_stream_stopped_early_joins_its_workers(threads):
     before = threading.active_count()
-    stream = fractal._sample(chunk_index_worker(), 9 * _CHUNK, 1, threads)
+    stream = fractal._sample(chunk_index_job(9 * _CHUNK), threads)
     next(stream)
     assert threading.active_count() == before + threads
     stream.close()
     assert threading.active_count() == before
     with pytest.raises(BrokenPipeError):
-        for i, _ in enumerate(fractal._sample(chunk_index_worker(), 9 * _CHUNK, 1, threads)):
+        for i, _ in enumerate(fractal._sample(chunk_index_job(9 * _CHUNK), threads)):
             if i == 1:
                 raise BrokenPipeError
     assert threading.active_count() == before

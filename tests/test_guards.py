@@ -5,7 +5,7 @@ import pytest
 
 from lypairs.analysis import build_verification_pair
 from lypairs.errors import ParameterOutOfRange, ValidationError
-from lypairs.fractal import IfsSystem, Similitude, load_ifs, sample_restricted
+from lypairs.fractal import IfsSystem, Similitude, load_ifs, sample_attractor, sample_restricted
 from lypairs.symbolic import (
     TWO_SIDED,
     GapSequence,
@@ -68,6 +68,10 @@ GUARDS = [
     pytest.param(lambda: sample_restricted(CANTOR, TERNARY_ONES, ZERO, 10, 8, seed=1),
                  ValidationError, "base alphabet must match the number of IFS maps",
                  id="restricted-alphabet"),
+    *(pytest.param(lambda t=threads: sample_attractor(CANTOR, 10, 8, seed=1, threads=t),
+                   ValidationError, "threads must be a positive integer",
+                   id=f"sampler-threads-{threads!r}")
+      for threads in (0, -3, 2.5, "2", None)),
     # systems
     pytest.param(lambda: SystemSpec("tent", a=[2.0]), ValidationError,
                  "a must be real numbers: ", id="spec-non-real"),
