@@ -2,8 +2,7 @@
 
 Subcommands:
 
-* ``dimension`` -- Moran dimension of a coding system, optional box-count
-  cross-check;
+* ``dimension`` -- Moran dimension of a coding system;
 * ``construct`` -- build a partner sequence and its block schedule;
 * ``verify``    -- certified Li-Yorke verdict for a constructed (or
   deliberately broken) pair on one of the example systems;
@@ -463,19 +462,6 @@ def cmd_dimension(args) -> int:
     report["total_dimension"] = total
     if len(directions) > 1:
         print(f"D[total] = {total:.10g}")
-
-    if args.check_box:
-        seed, ladder = _resolve_seed(args), _ladder(args)
-        name, ifs = directions[0]
-        job = _attractor_job((ifs,), args.count, args.depth, seed)
-        est = _streamed_fit(job, args.threads, ladder)
-        d0 = report["directions"][0]["dimension"]
-        print(
-            f"box-count check[{name}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
-            f"(Moran D = {d0:.4f})"
-        )
-        report["box_check"] = est
-
     if args.out:
         _write_text(_json_text(report), args.out)
     return EXIT_OK
@@ -624,19 +610,15 @@ def _target(args) -> tuple:
     return _restricted_job(ifs, base, gaps, *sizes)
 
 
-def _streamed_fit(job, threads: int, ladder: GridLadder):
-    """The box-count fit of a ``_sample`` job's rows in its box: each chunk
-    is counted while the workers sample the next, and an error stops them."""
-    with contextlib.closing(_sample(job, threads)) as chunks:
-        return dimension_fit(box_count(chunks, ladder, box=job[1]))
-
-
 def cmd_boxdim(args) -> int:
     """Box-count the target's sample as it streams from the workers, in
     the sampler's domain box, so no array of the points is held; the
-    counts equal those of the collected sample."""
+    counts equal those of the collected sample.  Each chunk is counted
+    while the workers sample the next, and an error stops them."""
     ladder = _ladder(args)
-    est = _streamed_fit(_target(args), args.threads, ladder)
+    _, box, _ = job = _target(args)
+    with contextlib.closing(_sample(job, args.threads)) as chunks:
+        est = dimension_fit(box_count(chunks, ladder, box=box))
     print(
         f"box dimension[{args.target}]: slope = {est.slope:.4f} +/- {est.stderr:.4f} "
         f"over {len(est.fit_range)} ladder points"
@@ -683,23 +665,6 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, help="horseshoe expansion (tau > 2)")
 
 
-def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-min", type=float, default=2.0**-14,
-                   help="smallest grid size (default %(default)s)")
-    p.add_argument("--eps-max", type=float, default=2.0**-4,
-                   help="largest grid size (default %(default)s)")
-    p.add_argument("--eps-ratio", type=float, default=2.0,
-                   help="ladder base b, an integer >= 2; both ends are b^-k "
-                   "(default %(default)s)")
-
-
-def _add_sampling_flags(p: argparse.ArgumentParser, count: int) -> None:
-    p.add_argument("--count", type=int, default=count, help="sample size (default %(default)s)")
-    p.add_argument("--depth", type=int, default=30, help="coding depth (default %(default)s)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="sampling worker threads (default %(default)s)")
-
-
 def _add_target_flags(p: argparse.ArgumentParser, count: int) -> None:
     """What boxdim and sample draw, and the format they write."""
     p.add_argument("--ifs", help="IFS definition JSON file")
@@ -709,7 +674,10 @@ def _add_target_flags(p: argparse.ArgumentParser, count: int) -> None:
                    help="gap rule for restricted/pairs (default %(default)s)")
     p.add_argument("--base", default="random",
                    help="random|sequence JSON file for restricted (default %(default)s)")
-    _add_sampling_flags(p, count)
+    p.add_argument("--count", type=int, default=count, help="sample size (default %(default)s)")
+    p.add_argument("--depth", type=int, default=30, help="coding depth (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="sampling worker threads (default %(default)s)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default %(default)s)")
 
@@ -731,9 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", help="Moran dimension of a coding system")
     _add_system_flags(p)
     p.add_argument("--ifs", help="IFS definition JSON file")
-    p.add_argument("--check-box", action="store_true", help="cross-check with a box count")
-    _add_sampling_flags(p, count=200_000)
-    _add_ladder_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_dimension)
 
@@ -772,7 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boxdim", help="box-counting dimension of a sampled target")
     _add_system_flags(p)
     _add_target_flags(p, count=200_000)
-    _add_ladder_flags(p)
+    p.add_argument("--eps-min", type=float, default=2.0**-14,
+                   help="smallest grid size (default %(default)s)")
+    p.add_argument("--eps-max", type=float, default=2.0**-4,
+                   help="largest grid size (default %(default)s)")
+    p.add_argument("--eps-ratio", type=float, default=2.0,
+                   help="ladder base b, an integer >= 2; both ends are b^-k "
+                   "(default %(default)s)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_boxdim)
 
@@ -839,8 +810,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _with_config(args, argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ValidationError("--threads must be >= 1")
         return args.func(args)
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -533,6 +533,13 @@ def _validate_sampling(count: int, depth: int, seed: int) -> None:
         raise ValidationError("seed must be a non-negative integer")
 
 
+def _check_threads(threads: int) -> None:
+    """The one check of a worker thread count, made before anything is
+    allocated for the sample."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValidationError("threads must be a positive integer")
+
+
 def _sample(job, threads: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield the rows of each fixed-size chunk of ``job``'s sample in chunk
     order, while at most ``threads`` worker threads fill the next chunks.
@@ -557,8 +564,7 @@ def _sample(job, threads: int, out: np.ndarray | None = None) -> Iterator[np.nda
     their next chunk and are joined before the generator finishes.
     """
     worker, box, count = job
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValidationError("threads must be a positive integer")
+    _check_threads(threads)
     chunks = -(-count // _CHUNK)
     rows = min(_CHUNK, count)
     fills = [worker(rows) for _ in range(min(threads, chunks))]
@@ -604,6 +610,7 @@ def _sample(job, threads: int, out: np.ndarray | None = None) -> Iterator[np.nda
 def _collect(job, threads: int) -> PointSample:
     """Drain ``_sample`` over ``job`` into one (count, w) array."""
     _, box, count = job
+    _check_threads(threads)  # _sample, a generator, checks it only at its first chunk
     out = np.empty((count, len(box)))
     for _ in _sample(job, threads, out):
         pass

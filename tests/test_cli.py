@@ -110,26 +110,6 @@ def test_dimension_needs_a_source(capsys):
     assert rc == 2
 
 
-def test_dimension_check_box_requires_seed(capsys, cantor_json):
-    rc, _, err = run(capsys, "dimension", "--ifs", cantor_json, "--check-box")
-    assert rc == 2
-    assert "seed" in err
-
-
-def test_dimension_check_box(capsys, cantor_json, tmp_path):
-    out_file = tmp_path / "dim.json"
-    rc, out, _ = run(
-        capsys,
-        "dimension", "--ifs", cantor_json, "--check-box",
-        "--count", "100000", "--depth", "25", "--seed", "3",
-        "--out", str(out_file),
-    )
-    assert rc == 0
-    assert "box-count check" in out
-    data = json.loads(out_file.read_text())
-    assert abs(data["box_check"]["slope"] - 0.6309) < 0.03
-
-
 # --------------------------------------------------------------------------
 # construct
 
@@ -212,14 +192,18 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
       "--depth", "10", "--seed", "1"],
      "horseshoe needs a finite tau, got tau = inf"),
     (["sample", "--seed", "1"], "sample needs --ifs, --system, or --target system"),
+    (["boxdim", "--ifs", "{cantor}", "--target", "system", "--seed", "1"],
+     "--target system needs --system"),
+    (["sample", "--target", "system", "--seed", "1"], "--target system needs --system"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
-        "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target"])
-def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, argv, message):
+        "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target", "boxdim-system-target",
+        "sample-system-target"])
+def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, cantor_json, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
     sideways = tmp_path / "sideways.json"
     sideways.write_text(json.dumps({"m": 2, "side": "sideways", "past": [1], "future": [2]}))
-    files = {"{list}": str(config), "{sideways}": str(sideways)}
+    files = {"{list}": str(config), "{sideways}": str(sideways), "{cantor}": cantor_json}
     rc, _, err = run(capsys, *(files.get(a, a) for a in argv))
     assert rc == 2
     assert err == f"error: {message}\n"
@@ -229,12 +213,11 @@ HUGE = str(10**16)  # digits (or int64 draws) whose one array takes 10^16 bytes 
 
 
 @pytest.mark.parametrize("argv", [
-    ["dimension", "--ifs", "{cantor}", "--check-box", "--count", "1", "--depth", HUGE],
     ["construct", "--m", "2", "--length", HUGE],
     ["verify", "--system", "tent", "--a", "2", "--blocks", "200000", "--depth", "2"],
     ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "1", "--depth", HUGE],
     ["sample", "--ifs", "{cantor}", "--count", "1", "--depth", HUGE],
-], ids=["dimension", "construct", "verify", "boxdim", "sample"])
+], ids=["construct", "verify", "boxdim", "sample"])
 def test_array_too_large_exits_2(capsys, tmp_path, cantor_json, argv):
     # numpy refuses an array of 10^16 bytes before touching memory, even
     # where the system overcommits
@@ -687,8 +670,7 @@ def test_verify_json_golden_digest(capsys, tmp_path, case):
 # report layouts (field names, order, number text) are pinned byte for byte
 OUTPUT_CASES = {
     "construct": ["construct", "--m", "3", "--length", "40", "--seed", "11", "--extract"],
-    "dimension-ifs": ["dimension", "--ifs", "{cantor}", "--check-box", "--count", "20000",
-                      "--depth", "25", "--seed", "3"],
+    "dimension-ifs": ["dimension", "--ifs", "{cantor}"],
     "dimension-baker": ["dimension", "--system", "baker", "--beta1", THIRD, "--beta2", "0.25"],
     "dimension-tent": ["dimension", "--system", "tent", "--a", "2"],
     "boxdim-json": ["boxdim", "--ifs", "{cantor}", "--target", "pairs", "--count", "50000",
@@ -712,7 +694,7 @@ OUTPUT_CASES = {
 }
 OUTPUT_SHA256 = {
     "construct": "6686624b6bd96b499579c1bb99654418ab405ee7ddf468aa1e59be79268e5525",
-    "dimension-ifs": "aee2367351e365eace2a5b179e784a56b9b64ff77a09e8102e8a57c114585284",
+    "dimension-ifs": "7c313008931c35b9f19022247fc5f70ca6e9152cc512b223d7ca438b8dff4423",
     "dimension-baker": "98d4719931bfb706bcc737d1b80526cf48d92a0aa7891c5fb10f7992e2b616de",
     "dimension-tent": "4e2c025c58f6ef78c0407fa4a68af9e0ce64417c6458866acde3e10e5274e56f",
     "boxdim-json": "9231f7dbc933a142612ce0d3cb88e15eeb79b522f89aba95898984a4dbb42f51",
@@ -1022,24 +1004,23 @@ def test_config_numeric_strings_coerce_like_flags(capsys, cantor_json, tmp_path)
     assert (tmp_path / "config.json").read_text() == (tmp_path / "flags.json").read_text()
 
 
-def test_config_bool_key(capsys, cantor_json, tmp_path):
+def test_config_bool_key(capsys, tmp_path):
     cfg = tmp_path / "experiment.json"
-    argv = ["dimension", "--ifs", cantor_json, "--count", "20000", "--depth", "20",
-            "--seed", "3", "--config", str(cfg)]
-    cfg.write_text(json.dumps({"check_box": "yes"}))
+    argv = ["construct", "--length", "12", "--seed", "3", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"extract": "yes"}))
     rc, _, err = run(capsys, *argv)
     assert rc == 2
-    assert "check_box" in err
-    cfg.write_text(json.dumps({"check_box": 1}))
+    assert "extract" in err
+    cfg.write_text(json.dumps({"extract": 1}))
     assert run(capsys, *argv)[0] == 2
-    cfg.write_text(json.dumps({"check_box": True}))
+    cfg.write_text(json.dumps({"extract": True}))
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
-    assert "box-count check" in out
-    cfg.write_text(json.dumps({"check_box": False}))
+    assert "recovered filler digits" in out
+    cfg.write_text(json.dumps({"extract": False}))
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
-    assert "box-count check" not in out
+    assert "recovered filler digits" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -1208,10 +1189,7 @@ def flag_actions(command):
     return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
 
 
-COMMANDS = ["dimension", "construct", "verify", "boxdim", "sample"]
-
-
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", ["construct", "verify", "boxdim", "sample"])
 def test_help_prints_every_default(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "500")  # one line per flag: no wrapped help text
     rc, out, _ = run(capsys, command, "--help")
@@ -1230,6 +1208,8 @@ def test_help_prints_every_default(capsys, monkeypatch, command):
     ("verify", "format", "csv"),
     ("construct", "threads", "2"),
     ("verify", "threads", "1"),
+    ("dimension", "threads", "2"),
+    ("dimension", "count", "1000"),
 ])
 def test_flag_of_another_command_exits_2(capsys, tmp_path, command, flag, value):
     argv = {"dimension": ["--system", "tent", "--a", "2"],
@@ -1373,8 +1353,7 @@ def _cli_flags(paths):
         "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1),
     }
     return {
-        "dimension": {**system, **ifs, **ladder, **common, **threads, "check_box": None,
-                      "count": _ints(1, 2000, -1), "depth": _ints(1, 60, -1)},
+        "dimension": {**system, **ifs, **common},
         "construct": {**common, **gaps, "m": _ints(2, 300, -1), "length": _ints(1, 2000, -2),
                       "base": (pick("random", "ones", "{sequence}"), pick(*sequences[1:])),
                       "filler": (pick("random", "base", "{sequence}"), pick(*sequences[1:])),

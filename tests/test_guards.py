@@ -72,7 +72,18 @@ GUARDS = [
                    ValidationError, "threads must be a positive integer",
                    id=f"sampler-threads-{threads!r}")
       for threads in (0, -3, 2.5, "2", None)),
+    # checked before the (count, w) result is allocated: 10^13 rows cannot be
+    *(pytest.param(lambda t=threads: sample_attractor(CANTOR, 10**13, 8, seed=1, threads=t),
+                   ValidationError, "threads must be a positive integer",
+                   id=f"sampler-threads-{threads!r}-huge-count")
+      for threads in (0, "2")),
     # systems
+    *(pytest.param(lambda kind=kind, betas=betas: SystemSpec(kind, **betas),
+                   ParameterOutOfRange, "beta1, beta2 must lie in (0,1)", id=f"spec-{kind}-{name}")
+      for kind in ("baker", "solenoid")
+      for name, betas in (("beta1-0", {"beta1": 0.0, "beta2": 0.25}),
+                          ("beta2-1", {"beta1": 0.25, "beta2": 1.0}),
+                          ("beta2-missing", {"beta1": 0.25}))),
     pytest.param(lambda: SystemSpec("tent", a=[2.0]), ValidationError,
                  "a must be real numbers: ", id="spec-non-real"),
     pytest.param(lambda: _sequence_orbit(TENT, (TERNARY_ONES,), (0,), 4), ValidationError,
