@@ -6,7 +6,7 @@ classical example systems (tent, baker, horseshoe, solenoid), and the
 numerical instruments (certified orbit bounds, box counting) that check
 the dimension and chaos claims at desk scale.
 
-The namespace holds the names README.md documents and the error classes.
+The namespace holds the error classes and most names README.md documents.
 """
 
 from .analysis import (

@@ -46,7 +46,7 @@ from .errors import (
     TooFewCheckpoints,
     ValidationError,
 )
-from .fractal import _split, _two_prod_error
+from .fractal import _chunk_rng, _split, _two_prod_error
 from .symbolic import (
     FLIP,
     FREE,
@@ -493,7 +493,7 @@ def build_verification_pair(
     if filler_mode not in ("base", "random"):
         raise ValidationError("filler_mode must be 'base' or 'random'")
     length = required_future_length(gaps, block_count, depth, spec.side)
-    rng = np.random.default_rng(seed)
+    rng = _chunk_rng(seed)
     base = random_sequence(
         2, length, rng, side=spec.side, past_length=depth if spec.side == TWO_SIDED else 0
     )

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,23 +133,21 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-@contextlib.contextmanager
-def _open_output(out: str | None):
-    if out is None or out == "-":
-        yield sys.stdout
-    else:
-        with open(out, "w") as fh:
-            yield fh
-
-
-def _write_text(text: str, out: str | None) -> None:
-    with _open_output(out) as fh:
-        fh.write(text)
-        if fh is sys.stdout and not text.endswith("\n"):
+def _write(texts: Iterable[str], out: str | None) -> None:
+    """The one output writer: the text pieces in turn, to the file ``out``,
+    or to stdout (``out`` None or "-"), where the text ends with a newline."""
+    stdout = out is None or out == "-"
+    with contextlib.nullcontext(sys.stdout) if stdout else open(out, "w") as fh:
+        end = ""
+        for text in texts:
+            fh.write(text)
+            end = text[-1:] or end
+            del text  # let the piece go before the next one is built
+        if stdout and end != "\n":
             fh.write("\n")
 
 
-_CSV_BLOCK = 1 << 14  # rows formatted per write
+_CSV_BLOCK = 1 << 14  # rows formatted per text piece
 _CSV_PIECE = 1 << 14  # text bytes joined per gather
 _CSV_ROW = 40  # bytes per value: "-0.000" + D0 "." D1 "." ... "." D16 + separator
 _E16, _E17 = 10**16, 10**17
@@ -325,11 +323,11 @@ def _csv_text(block: np.ndarray, seps: np.ndarray, s: _CsvScratch) -> memoryview
     return memoryview(joined)
 
 
-def _write_csv(header: str, chunks: Iterable[np.ndarray], out: str | None) -> None:
+def _csv_blocks(header: str, chunks: Iterable[np.ndarray]) -> Iterator[str]:
     """The line ``header``, then one line per row of each 2-D array of
-    ``chunks`` in turn, each value as ``"%.17g" % v``: the one CSV writer,
-    of ``boxdim``'s ladder (one array) and of ``sample``'s points (each
-    chunk as the workers yield it).
+    ``chunks`` in turn, each value as ``"%.17g" % v``, as text pieces for
+    ``_write``: the one CSV text, of ``boxdim``'s ladder (one array) and of
+    ``sample``'s points (each chunk as the workers yield it).
 
     The text is built in numpy, ``_CSV_BLOCK`` rows at a time, all in one
     ``_CsvScratch``, and is the same byte for byte as Python's.  For each
@@ -355,15 +353,14 @@ def _write_csv(header: str, chunks: Iterable[np.ndarray], out: str | None) -> No
     ``"%.17g"`` and written into their rows before the join.
     """
     scratch = None
-    with _open_output(out) as fh:
-        fh.write(header + "\n")
-        for rows in chunks:
-            seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
-            for start in range(0, rows.shape[0], _CSV_BLOCK):
-                block = rows[start : start + _CSV_BLOCK]
-                if scratch is None or scratch.size < block.size:
-                    scratch = _CsvScratch(block.size)
-                fh.write(str(_csv_text(block, seps, scratch), "ascii"))
+    yield header + "\n"
+    for rows in chunks:
+        seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", dtype=np.uint8)
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK]
+            if scratch is None or scratch.size < block.size:
+                scratch = _CsvScratch(block.size)
+            yield str(_csv_text(block, seps, scratch), "ascii")
 
 
 # --------------------------------------------------------------------------
@@ -406,8 +403,6 @@ def _build_system(args) -> SystemSpec:
 def _resolve_seed(args) -> int:
     if args.seed is None:
         raise ValidationError("--seed is mandatory; wall-clock seeding is not supported")
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
     return args.seed
 
 
@@ -463,7 +458,7 @@ def cmd_dimension(args) -> int:
     if len(directions) > 1:
         print(f"D[total] = {total:.10g}")
     if args.out:
-        _write_text(_json_text(report), args.out)
+        _write([_json_text(report)], args.out)
     return EXIT_OK
 
 
@@ -474,7 +469,7 @@ def cmd_construct(args) -> int:
         raise ValidationError("--length must be >= 1")
     gaps = _parse_gaps(args.gaps)
     report_gap = check_gap_condition(gaps, max(10, min(args.length, 100)))
-    rng = np.random.default_rng(_resolve_seed(args))
+    rng = _chunk_rng(_resolve_seed(args))
     if args.base == "random":
         base = random_sequence(args.m, args.length + 8, rng)
     elif args.base == "ones":
@@ -503,7 +498,7 @@ def cmd_construct(args) -> int:
         out["filler_recovered"] = recovered.digits.tolist()
         print(f"recovered filler digits: {out['filler_recovered']}")
     print(f"partner digits: {partner.digits.tolist()}")
-    _write_text(_json_text(out), args.out)
+    _write([_json_text(out)], args.out)
     return EXIT_OK
 
 
@@ -575,7 +570,7 @@ def cmd_verify(args) -> int:
         )
         print(f"  unsafe-iterate demo: max naive-vs-coded drift {worst:.3g}")
     if args.out:
-        _write_text(_json_text(report), args.out)
+        _write([_json_text(report)], args.out)
     return EXIT_OK
 
 
@@ -625,30 +620,31 @@ def cmd_boxdim(args) -> int:
     )
     if args.format == "csv":
         rows = [(-math.log(e), math.log(n)) for e, n in zip(est.epsilons, est.counts)]
-        _write_csv("neg_log_eps,log_count", [np.array(rows)], args.out)
+        _write(_csv_blocks("neg_log_eps,log_count", [np.array(rows)]), args.out)
     else:
-        _write_text(_json_text({**dataclasses.asdict(est), "target": args.target}), args.out)
+        _write([_json_text({**dataclasses.asdict(est), "target": args.target})], args.out)
     return EXIT_OK
 
 
+def _json_points(chunks: Iterable[np.ndarray]) -> Iterator[str]:
+    """``_json_text({"points": rows})`` of the chunks' rows, a piece per chunk."""
+    yield '{\n  "points": [\n'
+    for i, rows in enumerate(chunks):
+        yield (",\n" if i else "") + ",\n".join(f"    {_json_text(r, 2)}" for r in rows.tolist())
+    yield "\n  ]\n}"
+
+
 def cmd_sample(args) -> int:
-    """Write each chunk of points as soon as the workers have sampled it:
-    the CSV of ``_write_csv``, or the JSON of ``_write_text(_json_text(
-    {"points": ...}))``, byte for byte, with no array of all the points.
-    The output opens only once the first chunk is sampled, so a job that
-    fails on it writes no byte and leaves no ``--out`` file."""
+    """Write each chunk's ``_csv_blocks`` or ``_json_points`` text once it is
+    sampled, with no array of all the points.  The output opens after the
+    first chunk, so a job that fails on it writes no byte and no ``--out`` file."""
     _, box, _ = job = _target(args)
     with contextlib.closing(_sample(job, args.threads)) as stream:
         chunks = itertools.chain((next(stream),), stream)
         if args.format == "csv":
-            _write_csv(",".join(f"x{i + 1}" for i in range(len(box))), chunks, args.out)
+            _write(_csv_blocks(",".join(f"x{i + 1}" for i in range(len(box))), chunks), args.out)
         else:
-            with _open_output(args.out) as fh:
-                fh.write('{\n  "points": [\n')
-                for i, rows in enumerate(chunks):
-                    points = (f"    {_json_text(row, 2)}" for row in rows.tolist())
-                    fh.write((",\n" if i else "") + ",\n".join(points))
-                fh.write("\n  ]\n}\n" if fh is sys.stdout else "\n  ]\n}")
+            _write(_json_points(chunks), args.out)
     return EXIT_OK
 
 
@@ -810,6 +806,9 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _with_config(args, argv)
+        # checked here for every command, dimension too, which reads no seed
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError("--seed must be non-negative")
         return args.func(args)
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

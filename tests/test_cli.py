@@ -195,15 +195,22 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["boxdim", "--ifs", "{cantor}", "--target", "system", "--seed", "1"],
      "--target system needs --system"),
     (["sample", "--target", "system", "--seed", "1"], "--target system needs --system"),
+    # dimension reads no seed, but a given one is checked as every command checks it
+    (["dimension", "--system", "tent", "--a", "2", "--seed", "-5"], "--seed must be non-negative"),
+    (["dimension", "--system", "tent", "--a", "2", "--config", "{seed}"],
+     "--seed must be non-negative"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
         "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target", "boxdim-system-target",
-        "sample-system-target"])
+        "sample-system-target", "dimension-seed-flag", "dimension-seed-config"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, cantor_json, argv, message):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(["--system", "tent"]))
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"seed": -5}))
     sideways = tmp_path / "sideways.json"
     sideways.write_text(json.dumps({"m": 2, "side": "sideways", "past": [1], "future": [2]}))
-    files = {"{list}": str(config), "{sideways}": str(sideways), "{cantor}": cantor_json}
+    files = {"{list}": str(config), "{sideways}": str(sideways), "{cantor}": cantor_json,
+             "{seed}": str(seed)}
     rc, _, err = run(capsys, *(files.get(a, a) for a in argv))
     assert rc == 2
     assert err == f"error: {message}\n"
@@ -621,7 +628,7 @@ def test_streamed_sample_equals_the_public_sampler(capsys, cantor_json, tmp_path
                    "--format", "csv", "--out", str(out_file))
     assert rc == 0
     header = ",".join(f"x{i + 1}" for i in range(want.shape[1]))
-    cli._write_csv(header, [want], str(tmp_path / "want.csv"))
+    cli._write(cli._csv_blocks(header, [want]), str(tmp_path / "want.csv"))
     assert out_file.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -714,6 +721,23 @@ def test_output_golden_digest(capsys, cantor_json, tmp_path, case):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUTPUT_SHA256[case]
 
 
+@pytest.mark.parametrize("case", [*OUTPUT_CASES, "verify"])
+def test_output_reaches_stdout_dash_and_file_alike(capsys, cantor_json, tmp_path, case):
+    argv = OUTPUT_CASES.get(case, ["verify", *VERIFY_CASES["unsafe-iterate"]])
+    argv = [a.replace("{cantor}", cantor_json) for a in argv]
+    out_file = tmp_path / f"{case}.out"
+    rc, summary, _ = run(capsys, *argv, "--out", str(out_file))
+    assert rc == 0
+    text = out_file.read_text()
+    # on stdout the output follows the summary and ends with a newline
+    written = summary + text + ("" if text.endswith("\n") else "\n")
+    assert run(capsys, *argv, "--out", "-") == (0, written, "")
+    # no --out is stdout too, but dimension and verify write their report
+    # only when --out is given
+    want = summary if argv[0] in ("dimension", "verify") else written
+    assert run(capsys, *argv) == (0, want, "")
+
+
 @pytest.mark.parametrize("value, text", [
     (math.nan, '"nan"'),
     (math.inf, '"inf"'),
@@ -754,13 +778,13 @@ def csv_clouds():
 def test_points_csv_matches_format_reference(capsys, tmp_path, points):
     want = reference_csv(points)
     out_file = tmp_path / "points.csv"
-    cli._write_csv(points_header(points), [points], str(out_file))
+    cli._write(cli._csv_blocks(points_header(points), [points]), str(out_file))
     # lines first: on a mismatch pytest then names the first differing row
     # instead of diffing two multi-megabyte strings
     assert out_file.read_text().splitlines() == want.splitlines()
     assert out_file.read_text() == want
     for out in (None, "-"):
-        cli._write_csv(points_header(points), [points], out)
+        cli._write(cli._csv_blocks(points_header(points), [points]), out)
         assert capsys.readouterr().out == want
 
 
@@ -774,7 +798,7 @@ def percent_csv(points) -> str:
 def written_csv(points) -> str:
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        cli._write_csv(points_header(points), [points], None)
+        cli._write(cli._csv_blocks(points_header(points), [points]), None)
     return text.getvalue()
 
 
