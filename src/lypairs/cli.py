@@ -678,10 +678,11 @@ def _add_target_flags(p: argparse.ArgumentParser, count: int) -> None:
                    help="output format (default %(default)s)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, out: str = "stdout") -> None:
+    """``out`` says where the output goes without --out."""
     p.add_argument("--config", help="JSON config file; explicit flags override its keys")
     p.add_argument("--seed", type=int, help="RNG seed (mandatory for sampling; no default)")
-    p.add_argument("--out", help="output file, '-' = stdout (default stdout)")
+    p.add_argument("--out", help=f"output file, '-' = stdout (default {out})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", help="Moran dimension of a coding system")
     _add_system_flags(p)
     p.add_argument("--ifs", help="IFS definition JSON file")
-    _add_common_flags(p)
+    _add_common_flags(p, out="none: only the summary is printed")
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("construct", help="build a partner sequence and schedule")
@@ -727,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--unsafe-iterate", action="store_true",
         help="also demo naive float iteration (divergence showcase; no effect on verdict)",
     )
-    _add_common_flags(p)
+    _add_common_flags(p, out="none: only the summary is printed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("boxdim", help="box-counting dimension of a sampled target")
@@ -809,6 +810,8 @@ def main(argv=None) -> int:
         # checked here for every command, dimension too, which reads no seed
         if args.seed is not None and args.seed < 0:
             raise ValidationError("--seed must be non-negative")
+        if getattr(args, "ifs", None) and args.system:
+            raise ValidationError(f"{args.command} takes --ifs or --system, not both")
         return args.func(args)
     except (DegenerateFit, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Contracting similitude systems, coded points, and measure-driven samplers.
 
 An ``IfsSystem`` is a finite list of contracting similitudes S_i(x) =
-c_i * O_i x + t_i on a compact axis-aligned box K.  Orthogonal parts are
-restricted to +/-1 diagonal matrices so that every image S_i(K) is again
-an axis-aligned box and separation gaps can be computed exactly.
+c_i * O_i x + t_i on a compact axis-aligned box K.  Each orthogonal part
+O_i is a +/-1 diagonal, given as the vector of its signs (``flips``), so
+that every image S_i(K) is again an axis-aligned box and separation gaps
+can be computed exactly.
 
 Symbol prefixes are projected to points by nesting first-digit-outermost:
 the prefix (a_1, ..., a_n) codes the region S_{a_1} o ... o S_{a_n}(K),
@@ -53,6 +54,7 @@ from .symbolic import (
     SymbolSequence,
     _from_json,
     _integers,
+    _only_keys,
     _read_json,
     _reals,
     apply_pattern,
@@ -68,43 +70,23 @@ _MORAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Similitude:
-    """x -> ratio * flips * x + translation with flips a +/-1 diagonal."""
+    """x -> ratio * flips * x + translation with flips a +/-1 vector, the
+    diagonal of the orthogonal part; None is the identity."""
 
     ratio: float
-    flips: tuple[int, ...]
     translation: tuple[float, ...]
+    flips: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
             raise InvalidRatio(f"contraction ratio must lie in (0,1), got {self.ratio}")
-        object.__setattr__(self, "flips", _integers(self.flips, "orthogonal part"))
         object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
+        flips = (1,) * len(self.translation) if self.flips is None else self.flips
+        object.__setattr__(self, "flips", _integers(flips, "orthogonal part"))
         if any(f not in (-1, 1) for f in self.flips):
             raise ParameterOutOfRange("orthogonal part must be a +/-1 diagonal")
         if len(self.flips) != len(self.translation):
             raise ValidationError("flips and translation dimensions differ")
-
-    @classmethod
-    def of(cls, ratio: float, translation, orth=None) -> "Similitude":
-        """Build from a translation vector and an optional orthogonal part.
-
-        ``orth`` may be a +/-1 vector (diagonal), a diagonal matrix, or
-        None for the identity.
-        """
-        t = tuple(float(x) for x in np.atleast_1d(np.asarray(translation, dtype=float)))
-        w = len(t)
-        if orth is None:
-            flips = (1,) * w
-        else:
-            arr = np.asarray(orth)
-            if arr.ndim == 2:
-                if not np.array_equal(arr, np.diag(np.diag(arr))):
-                    raise ParameterOutOfRange(
-                        "only diagonal +/-1 orthogonal parts are supported"
-                    )
-                arr = np.diag(arr)
-            flips = tuple(np.atleast_1d(arr).tolist())
-        return cls(ratio, flips, t)
 
     @property
     def w(self) -> int:
@@ -251,8 +233,11 @@ class IfsSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "IfsSystem":
+        _only_keys(data, ("w", "K", "maps"), "an IFS file")
+        for m in data["maps"]:
+            _only_keys(m, ("ratio", "t", "orth"), "an IFS map")
         maps = tuple(
-            Similitude.of(*_reals((m["ratio"],), "ratio"), _reals(m["t"], "t"), m.get("orth"))
+            Similitude(*_reals((m["ratio"],), "ratio"), _reals(m["t"], "t"), m.get("orth"))
             for m in data["maps"]
         )
         box = tuple(_reals(ax, "K") for ax in data["K"])

@@ -85,6 +85,13 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
 
 
+def _only_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValidationError naming the first key of ``data`` not in ``keys``."""
+    unknown = next((key for key in data.keys() if key not in keys), None)
+    if unknown is not None:
+        raise ValidationError(f"unknown key {unknown!r} in {what}; it takes {', '.join(keys)}")
+
+
 def _read_json(path: str, what: str):
     """The decoded JSON of a file; a missing file or text that is not JSON
     raises ValidationError."""
@@ -192,6 +199,8 @@ class SymbolSequence:
         side = data.get("side", ONE_SIDED)
         if side not in (ONE_SIDED, TWO_SIDED):
             raise ValidationError(f"side must be '{ONE_SIDED}' or '{TWO_SIDED}', got {side!r}")
+        keys = ("m", "side", "digits") if side == ONE_SIDED else ("m", "side", "past", "future")
+        _only_keys(data, keys, f"a {side}-sided sequence")
         (m,) = _integers((data["m"],), "alphabet size")
         if side == ONE_SIDED:
             return cls(m, data["digits"])
@@ -320,7 +329,6 @@ GAP_PARAMS = {
     "constant": ("c",),
     "linear": (),
     "quadratic": (),
-    "affine": ("a", "b"),
 }
 
 
@@ -328,22 +336,20 @@ GAP_PARAMS = {
 class GapSequence:
     """Rule producing the free-digit counts N_1, N_2, ...
 
-    Supported rules: explicit finite list, constant c, linear (N_n = n),
-    quadratic (N_n = n^2), and the affine-in-n^2 form N_n = a*n^2 + b.
+    Supported rules: explicit finite list, constant c, linear (N_n = n)
+    and quadratic (N_n = n^2).
     Each rule takes exactly its parameters in ``GAP_PARAMS``.
     """
 
     rule: str
     values: tuple[int, ...] | None = None
     c: int | None = None
-    a: int | None = None
-    b: int | None = None
 
     def __post_init__(self) -> None:
         if self.rule not in GAP_PARAMS:
             raise ValidationError(f"unknown gap rule {self.rule!r}")
         own = GAP_PARAMS[self.rule]
-        for name in ("values", "c", "a", "b"):
+        for name in ("values", "c"):
             v = getattr(self, name)
             if (v is None) == (name in own):
                 state = "missing" if v is None else "not"
@@ -373,9 +379,7 @@ class GapSequence:
             return self.c
         if self.rule == "linear":
             return n
-        if self.rule == "quadratic":
-            return n * n
-        return self.a * n * n + self.b
+        return n * n
 
     def to_json(self) -> dict:
         params = {name: getattr(self, name) for name in GAP_PARAMS[self.rule]}
@@ -390,6 +394,8 @@ class GapSequence:
             if set(data) != {"rule"}:
                 raise ValidationError("gap rule zero takes no parameters")
             return cls("constant", c=0)
+        if data.get("rule") not in GAP_PARAMS:  # before another rule's keys fail cls(**data)
+            raise ValidationError(f"unknown gap rule {data.get('rule')!r}")
         return cls(**data)
 
 
@@ -582,16 +588,15 @@ def check_gap_condition(gaps: GapSequence, M_max: int) -> GapConditionReport:
         total += gaps.value(n)
         ratios.append(math.inf if total == 0 else n * n / total)
 
-    if gaps.rule == "quadratic" or (gaps.rule == "affine" and gaps.a > 0):
+    if gaps.rule == "quadratic":
         verdict, detail = "pass", "sum grows cubically in M; ratio limit 0"
     elif gaps.rule == "linear":
         verdict, detail = "fail", "ratio 2M/(M+1) has limit 2 > 0"
-    elif gaps.rule == "constant" or (gaps.rule == "affine" and gaps.a == 0):
-        c = gaps.c if gaps.rule == "constant" else gaps.b
-        if c == 0:
+    elif gaps.rule == "constant":
+        if gaps.c == 0:
             verdict, detail = "fail", "all gaps zero: division by zero, ratio undefined"
         else:
-            verdict, detail = "fail", f"ratio M/{c} diverges"
+            verdict, detail = "fail", f"ratio M/{gaps.c} diverges"
     else:
         verdict, detail = "inconclusive", "explicit finite list: empirical trend only"
     return GapConditionReport(tuple(ratios), verdict, detail)

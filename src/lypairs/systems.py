@@ -156,8 +156,8 @@ def derive_ifs(spec: SystemSpec) -> tuple[IfsSystem, ...]:
     w = spec.w - 1
     contracting = IfsSystem(
         (
-            Similitude.of(spec.beta1, [0.0] * w),
-            Similitude.of(spec.beta2, [1.0 - spec.beta2] * w),
+            Similitude(spec.beta1, [0.0] * w),
+            Similitude(spec.beta2, [1.0 - spec.beta2] * w),
         ),
         (UNIT,) * w,
     )
@@ -167,7 +167,7 @@ def derive_ifs(spec: SystemSpec) -> tuple[IfsSystem, ...]:
 def _fold_ifs(c: float) -> IfsSystem:
     """{x -> c x, x -> 1 - c x} on [0, 1]; at c = 1/2 the two halves touch."""
     return IfsSystem(
-        (Similitude.of(c, [0.0]), Similitude.of(c, [1.0], orth=[-1])),
+        (Similitude(c, [0.0]), Similitude(c, [1.0], flips=[-1])),
         (UNIT,),
         separation_required=c < 0.5,
     )

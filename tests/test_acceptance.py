@@ -45,7 +45,7 @@ CANTOR_D = math.log(2) / math.log(3)
 def cantor_ifs() -> IfsSystem:
     # x-direction system of the baker map with beta1 = beta2 = 1/3
     return IfsSystem(
-        (Similitude.of(1 / 3, [0.0]), Similitude.of(1 / 3, [2 / 3])),
+        (Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])),
         ((0.0, 1.0),),
     )
 

@@ -58,7 +58,7 @@ CANTOR_D = math.log(2) / math.log(3)
 
 def cantor_ifs() -> IfsSystem:
     return IfsSystem(
-        (Similitude.of(1 / 3, [0.0]), Similitude.of(1 / 3, [2 / 3])),
+        (Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])),
         ((0.0, 1.0),),
     )
 

@@ -35,7 +35,7 @@ def test_bench_wrapped_names_resolve():
 
 
 CANTOR = fractal.IfsSystem(
-    (fractal.Similitude.of(1 / 3, [0.0]), fractal.Similitude.of(1 / 3, [2 / 3])),
+    (fractal.Similitude(1 / 3, [0.0]), fractal.Similitude(1 / 3, [2 / 3])),
     ((0.0, 1.0),),
 )
 SAMPLERS = {

@@ -199,21 +199,46 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["dimension", "--system", "tent", "--a", "2", "--seed", "-5"], "--seed must be non-negative"),
     (["dimension", "--system", "tent", "--a", "2", "--config", "{seed}"],
      "--seed must be non-negative"),
+    # --ifs and --system together, whatever the rest of the flags
+    (["dimension", "--ifs", "{cantor}", "--system", "nonsense", "--out", "{out}"],
+     "dimension takes --ifs or --system, not both"),
+    (["boxdim", "--ifs", "{cantor}", "--system", "tent", "--a", "0.5", "--seed", "1",
+      "--count", "20000"], "boxdim takes --ifs or --system, not both"),
+    (["sample", "--target", "system", "--system", "tent", "--a", "2", "--ifs",
+      "/nonexistent.json", "--seed", "1", "--count", "2", "--out", "{out}"],
+     "sample takes --ifs or --system, not both"),
+    (["sample", "--system", "tent", "--a", "2", "--config", "{ifs-config}", "--seed", "1"],
+     "sample takes --ifs or --system, not both"),
+    # a file key that no reader takes
+    (["sample", "--ifs", "{flips-key}", "--seed", "1", "--count", "2", "--format", "csv"],
+     "unknown key 'flips' in an IFS map; it takes ratio, t, orth"),
+    (["dimension", "--ifs", "{ifs-key}"], "unknown key 'name' in an IFS file; it takes w, K, maps"),
+    (["construct", "--length", "5", "--seed", "1", "--base", "{sidee}"],
+     "unknown key 'past' in a one-sided sequence; it takes m, side, digits"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
         "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target", "boxdim-system-target",
-        "sample-system-target", "dimension-seed-flag", "dimension-seed-config"])
+        "sample-system-target", "dimension-seed-flag", "dimension-seed-config",
+        "dimension-ifs-and-system", "boxdim-ifs-and-system", "sample-ifs-and-system",
+        "ifs-and-system-config", "ifs-map-key", "ifs-file-key", "sequence-key"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, cantor_json, argv, message):
-    config = tmp_path / "experiment.json"
-    config.write_text(json.dumps(["--system", "tent"]))
-    seed = tmp_path / "seed.json"
-    seed.write_text(json.dumps({"seed": -5}))
-    sideways = tmp_path / "sideways.json"
-    sideways.write_text(json.dumps({"m": 2, "side": "sideways", "past": [1], "future": [2]}))
-    files = {"{list}": str(config), "{sideways}": str(sideways), "{cantor}": cantor_json,
-             "{seed}": str(seed)}
-    rc, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    files = {"{cantor}": cantor_json, "{out}": str(tmp_path / "out.txt")}
+    for name, data in {
+        "list": ["--system", "tent"],
+        "seed": {"seed": -5},
+        "ifs-config": {"ifs": cantor_json},
+        "sideways": {"m": 2, "side": "sideways", "past": [1], "future": [2]},
+        "sidee": {"m": 2, "digits": [1, 2] * 5, "past": [1, 1], "sidee": "two"},
+        "flips-key": {**CANTOR, "maps": [{"ratio": 0.25, "t": [0.0]},
+                                         {"ratio": 0.25, "t": [0.75], "flips": [-1]}]},
+        "ifs-key": {**CANTOR, "name": "middle thirds"},
+    }.items():
+        files[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert rc == 2
+    assert out == ""
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out.txt").exists()
 
 
 HUGE = str(10**16)  # digits (or int64 draws) whose one array takes 10^16 bytes or more
@@ -721,6 +746,10 @@ def test_output_golden_digest(capsys, cantor_json, tmp_path, case):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUTPUT_SHA256[case]
 
 
+# the commands that write their report only when --out is given
+REPORT_ONLY_WITH_OUT = ("dimension", "verify")
+
+
 @pytest.mark.parametrize("case", [*OUTPUT_CASES, "verify"])
 def test_output_reaches_stdout_dash_and_file_alike(capsys, cantor_json, tmp_path, case):
     argv = OUTPUT_CASES.get(case, ["verify", *VERIFY_CASES["unsafe-iterate"]])
@@ -734,7 +763,7 @@ def test_output_reaches_stdout_dash_and_file_alike(capsys, cantor_json, tmp_path
     assert run(capsys, *argv, "--out", "-") == (0, written, "")
     # no --out is stdout too, but dimension and verify write their report
     # only when --out is given
-    want = summary if argv[0] in ("dimension", "verify") else written
+    want = summary if argv[0] in REPORT_ONLY_WITH_OUT else written
     assert run(capsys, *argv) == (0, want, "")
 
 
@@ -1134,7 +1163,6 @@ NON_INTEGER_INPUTS = {
     "gap-list": ("gaps", [0.5, 1.9] * 10),
     "gap-values": ("gaps", {"rule": "list", "values": [1, 2, 3.5] * 5}),
     "gap-constant": ("gaps", {"rule": "constant", "c": 2.7}),
-    "gap-affine": ("gaps", {"rule": "affine", "a": 1, "b": 0.5}),
     "flips": ("ifs", {**CANTOR, "maps": [{**m, "orth": [1.5]} for m in CANTOR["maps"]]}),
     "flips-matrix": ("ifs", {**CANTOR, "maps": [{**m, "orth": [[True]]} for m in CANTOR["maps"]]}),
     "w": ("ifs", {**CANTOR, "w": 3}),
@@ -1224,6 +1252,16 @@ def test_help_prints_every_default(capsys, monkeypatch, command):
         text = action.help % {"default": action.default}
         assert f"(default {action.default})" in text, action.dest
         assert text in out, action.dest
+
+
+@pytest.mark.parametrize("command", ["dimension", "construct", "verify", "boxdim", "sample"])
+def test_out_help_names_what_goes_out_without_it(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "500")  # one line per flag: no wrapped help text
+    rc, out, _ = run(capsys, command, "--help")
+    assert rc == 0
+    (line,) = [line for line in out.splitlines() if line.lstrip().startswith("--out")]
+    default = "none: only the summary is printed" if command in REPORT_ONLY_WITH_OUT else "stdout"
+    assert line.endswith(f"output file, '-' = stdout (default {default})")
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -28,7 +28,7 @@ def open_defect(item: str, what: str):
 @open_defect("1 step 1", "a code_point radius omits the rounding of its center")
 def test_code_point_ball_holds_the_exact_image():
     # 50 depth-40 prefixes drawn as the certify audit draws its 500
-    ifs = IfsSystem((Similitude.of(THIRD, [0.0]), Similitude.of(THIRD, [2 / 3])), ((0.0, 1.0),))
+    ifs = IfsSystem((Similitude(THIRD, [0.0]), Similitude(THIRD, [2 / 3])), ((0.0, 1.0),))
     maps = [(Fraction(s.ratio), Fraction(s.translation[0])) for s in ifs.maps]
     missed = []
     for prefix in np.random.default_rng(20180712).integers(1, 3, (50, 40)).tolist():

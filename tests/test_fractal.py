@@ -17,7 +17,6 @@ from lypairs.errors import (
     InvalidDigit,
     InvalidRatio,
     OverlapError,
-    ParameterOutOfRange,
     ValidationError,
 )
 from lypairs.fractal import (
@@ -50,13 +49,14 @@ from lypairs.symbolic import (
     random_sequence,
     schedule_roles,
 )
+from lypairs.systems import SystemSpec, derive_ifs
 
 CHI2_99_DF1 = 6.6348966010212145  # 0.99 quantile of chi-square with 1 dof
 
 
 def cantor_ifs() -> IfsSystem:
     return IfsSystem(
-        (Similitude.of(1 / 3, [0.0]), Similitude.of(1 / 3, [2 / 3])),
+        (Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])),
         ((0.0, 1.0),),
     )
 
@@ -64,14 +64,14 @@ def cantor_ifs() -> IfsSystem:
 def tent_repeller_ifs() -> IfsSystem:
     # inverse branches of the slope-4 tent: x/4 and 1 - x/4
     return IfsSystem(
-        (Similitude.of(0.25, [0.0]), Similitude.of(0.25, [1.0], orth=[-1])),
+        (Similitude(0.25, [0.0]), Similitude(0.25, [1.0], flips=[-1])),
         ((0.0, 1.0),),
     )
 
 
 def golden_ifs() -> IfsSystem:
     return IfsSystem(
-        (Similitude.of(0.5, [0.0]), Similitude.of(0.25, [0.75])),
+        (Similitude(0.5, [0.0]), Similitude(0.25, [0.75])),
         ((0.0, 1.0),),
     )
 
@@ -80,9 +80,9 @@ def three_map_ifs() -> IfsSystem:
     # three maps with unequal ratios: a non-dyadic digit law
     return IfsSystem(
         (
-            Similitude.of(0.2, [0.0]),
-            Similitude.of(0.3, [0.35]),
-            Similitude.of(0.25, [0.75]),
+            Similitude(0.2, [0.0]),
+            Similitude(0.3, [0.35]),
+            Similitude(0.25, [0.75]),
         ),
         ((0.0, 1.0),),
     )
@@ -92,8 +92,8 @@ def planar_ifs() -> IfsSystem:
     # planar system with unequal ratios and a reflection
     return IfsSystem(
         (
-            Similitude.of(0.3, [0.0, 0.0]),
-            Similitude.of(0.35, [1.0, 0.65], orth=[-1, 1]),
+            Similitude(0.3, [0.0, 0.0]),
+            Similitude(0.35, [1.0, 0.65], flips=[-1, 1]),
         ),
         ((0.0, 1.0), (0.0, 1.0)),
     )
@@ -105,7 +105,7 @@ def planar_ifs() -> IfsSystem:
 
 def test_similitude_scales_all_distances():
     rng = np.random.default_rng(5)
-    s = Similitude.of(0.37, [0.2, -0.1, 0.5], orth=[1, -1, 1])
+    s = Similitude(0.37, [0.2, -0.1, 0.5], flips=[1, -1, 1])
     for _ in range(1000):
         x, y = rng.uniform(-5, 5, size=(2, 3))
         lhs = np.linalg.norm(s.apply(x) - s.apply(y))
@@ -115,16 +115,11 @@ def test_similitude_scales_all_distances():
 
 def test_similitude_rejects_bad_ratio_and_orth():
     with pytest.raises(InvalidRatio):
-        Similitude.of(1.0, [0.0])
+        Similitude(1.0, [0.0])
     with pytest.raises(InvalidRatio):
-        Similitude.of(0.0, [0.0])
-    with pytest.raises(ParameterOutOfRange):
-        Similitude.of(0.5, [0.0, 0.0], orth=[[0, 1], [1, 0]])
-
-
-def test_similitude_accepts_diagonal_matrix():
-    s = Similitude.of(0.5, [1.0, 1.0], orth=np.diag([1, -1]))
-    assert s.flips == (1, -1)
+        Similitude(0.0, [0.0])
+    with pytest.raises(ValidationError, match="orthogonal part must be integers"):
+        Similitude(0.5, [0.0, 0.0], flips=[[0, 1], [1, 0]])
 
 
 # --------------------------------------------------------------------------
@@ -188,14 +183,14 @@ def test_separation_tent_repeller():
 def test_separation_rejects_touching_halves():
     with pytest.raises(OverlapError):
         IfsSystem(
-            (Similitude.of(0.5, [0.0]), Similitude.of(0.5, [0.5])),
+            (Similitude(0.5, [0.0]), Similitude(0.5, [0.5])),
             ((0.0, 1.0),),
         )
 
 
 def test_touching_halves_allowed_when_flagged():
     ifs = IfsSystem(
-        (Similitude.of(0.5, [0.0]), Similitude.of(0.5, [0.5])),
+        (Similitude(0.5, [0.0]), Similitude(0.5, [0.5])),
         ((0.0, 1.0),),
         separation_required=False,
     )
@@ -204,7 +199,7 @@ def test_touching_halves_allowed_when_flagged():
 
 def test_domain_escape_rejected():
     with pytest.raises(ValidationError):
-        IfsSystem((Similitude.of(0.5, [0.8]),), ((0.0, 1.0),))
+        IfsSystem((Similitude(0.5, [0.8]),), ((0.0, 1.0),))
 
 
 # --------------------------------------------------------------------------
@@ -705,7 +700,7 @@ def random_ifs(draw, m_range):
         r = float(rng.uniform(0.01, 0.9))
         flips = rng.choice([-1, 1], size=w)
         low = rng.uniform(0.0, 1.0 - r, size=w)  # the image of [0, 1] is [low, low + r]
-        maps.append(Similitude.of(r, np.where(flips == 1, low, low + r), orth=flips))
+        maps.append(Similitude(r, np.where(flips == 1, low, low + r), flips=flips))
     return IfsSystem(tuple(maps), ((0.0, 1.0),) * w, separation_required=False)
 
 
@@ -810,7 +805,7 @@ def overhanging_ifs(draw):
             low = draw(st.sampled_from([lo - 0.99 * slack, hi - ratio * (hi - lo) + 0.99 * slack,
                                         lo + draw(st.floats(0, 1)) * (1 - ratio) * (hi - lo)]))
             t.append(low - ratio * (lo if f == 1 else -hi))
-        maps.append(Similitude.of(ratio, t, flips))
+        maps.append(Similitude(ratio, t, flips))
     return IfsSystem(tuple(maps), tuple(map(tuple, box)), separation_required=False)
 
 
@@ -831,7 +826,7 @@ def test_coded_centers_lie_in_the_coded_box(ifs, data):
 
 
 def test_coded_box_holds_a_fixed_point_outside_k():
-    ifs = IfsSystem((Similitude.of(0.5, [-4e-10]), Similitude.of(0.001, [0.999])), ((0.0, 1.0),))
+    ifs = IfsSystem((Similitude(0.5, [-4e-10]), Similitude(0.001, [0.999])), ((0.0, 1.0),))
     x = code_point(ifs, [1] * 80).center[0]
     assert ifs.coded_box[0, 0] <= x < 0
     # the slack 1e-9 over 1 - 0.5, plus under 2e-15 for rounding
@@ -843,7 +838,7 @@ def test_axis_ratios_mark_equal_signed_ratios():
     assert planar_ifs().axis_ratios == (None, None)
     assert tent_repeller_ifs().axis_ratios == (None,)   # 1/4 and -1/4
     same = IfsSystem(
-        (Similitude.of(0.25, [0.0, 0.0]), Similitude.of(0.25, [1.0, 0.75], orth=[-1, 1])),
+        (Similitude(0.25, [0.0, 0.0]), Similitude(0.25, [1.0, 0.75], flips=[-1, 1])),
         ((0.0, 1.0), (0.0, 1.0)),
     )
     assert same.axis_ratios == (None, 0.25)
@@ -869,17 +864,31 @@ def test_sampler_rejects_bad_arguments():
 
 
 def test_ifs_json_round_trip(tmp_path):
-    ifs = golden_ifs()
-    data = ifs.to_json()
-    again = IfsSystem.from_json(data)
-    assert again.ratios == ifs.ratios
-    assert again.box == ifs.box
-    path = tmp_path / "golden.json"
+    """An IFS file gives back the box and the coding table byte for byte,
+    every flip and translation: the golden IFS and each coding IFS of the
+    four systems at the benchmark's parameters, whose fold maps carry a -1
+    flip.  A file holds no ``separation_required``, so the touching 1/2
+    fold of the baker and the solenoid is rebuilt from the file's maps, and
+    every other IFS is read back with ``load_ifs``."""
     import json
 
-    path.write_text(json.dumps(data))
-    loaded = load_ifs(path)
-    assert loaded.ratios == ifs.ratios
+    third = 1 / 3
+    specs = (SystemSpec("tent", a=2.0), SystemSpec("baker", beta1=third, beta2=third),
+             SystemSpec("horseshoe", beta=third, tau=3.0),
+             SystemSpec("solenoid", beta1=third, beta2=third))
+    systems = [golden_ifs(), *(ifs for spec in specs for ifs in derive_ifs(spec))]
+    assert sum(-1 in s.flips for ifs in systems for s in ifs.maps) == 5
+    path = tmp_path / "ifs.json"
+    for ifs in systems:
+        path.write_text(json.dumps(ifs.to_json()))
+        if ifs.separation_required:
+            again = load_ifs(path)
+        else:
+            data = json.loads(path.read_text())
+            maps = [Similitude(m["ratio"], m["t"], m["orth"]) for m in data["maps"]]
+            again = IfsSystem(maps, data["K"], separation_required=False)
+        assert again.box == ifs.box
+        assert again.coding.tobytes() == ifs.coding.tobytes()
 
 
 def test_ifs_json_matches_documented_shape():

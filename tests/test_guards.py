@@ -23,7 +23,7 @@ ONES = SymbolSequence(2, (1,) * 12)
 TWO_SIDED_ONES = SymbolSequence(2, (1,) * 12, side=TWO_SIDED, past=(1,) * 4)
 TERNARY_ONES = SymbolSequence(3, (1,) * 12)
 UNIT = ((0.0, 1.0),)
-CANTOR = IfsSystem((Similitude.of(1 / 3, [0.0]), Similitude.of(1 / 3, [2 / 3])), UNIT)
+CANTOR = IfsSystem((Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])), UNIT)
 
 GUARDS = [
     # symbolic
@@ -52,15 +52,15 @@ GUARDS = [
     pytest.param(lambda: extract_filler(SymbolSequence(2, ()), ONES, ZERO), ValidationError,
                  "partner prefix is empty", id="extract-empty"),
     # fractal
-    pytest.param(lambda: Similitude(0.5, (2,), (0.0,)), ParameterOutOfRange,
+    pytest.param(lambda: Similitude(0.5, (0.0,), (2,)), ParameterOutOfRange,
                  "orthogonal part must be a +/-1 diagonal", id="similitude-flip"),
-    pytest.param(lambda: Similitude(0.5, (1, 1), (0.0,)), ValidationError,
+    pytest.param(lambda: Similitude(0.5, (0.0,), (1, 1)), ValidationError,
                  "flips and translation dimensions differ", id="similitude-shape"),
     pytest.param(lambda: IfsSystem((), UNIT), ValidationError,
                  "an IFS needs at least one map", id="ifs-no-maps"),
     pytest.param(lambda: IfsSystem(CANTOR.maps, ((1.0, 1.0),)), ValidationError,
                  "domain box must have positive width on every axis", id="ifs-flat-box"),
-    pytest.param(lambda: IfsSystem((Similitude.of(0.5, [0.0, 0.0]),), UNIT), ValidationError,
+    pytest.param(lambda: IfsSystem((Similitude(0.5, [0.0, 0.0]),), UNIT), ValidationError,
                  "map dimension does not match the domain box", id="ifs-map-dimension"),
     pytest.param(lambda: sample_restricted(CANTOR, TWO_SIDED_ONES, ZERO, 10, 8, seed=1),
                  ValidationError, "restricted sampling takes a one-sided base",

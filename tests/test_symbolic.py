@@ -335,7 +335,6 @@ def test_gap_json_round_trip():
         GapSequence("quadratic"),
         GapSequence("constant", c=4),
         GapSequence("list", values=[0, 2, 5]),
-        GapSequence("affine", a=2, b=1),
         GapSequence("linear"),
     ):
         assert GapSequence.from_json(gaps.to_json()) == gaps
@@ -347,16 +346,14 @@ def test_gap_json_fields_per_rule():
     assert GapSequence("linear").to_json() == {"rule": "linear"}
     assert GapSequence("constant", c=0).to_json() == {"rule": "constant", "c": 0}
     assert GapSequence("list", values=[0, 2]).to_json() == {"rule": "list", "values": [0, 2]}
-    assert GapSequence("affine", a=2, b=1).to_json() == {"rule": "affine", "a": 2, "b": 1}
 
 
 @pytest.mark.parametrize("kwargs", [
     {"rule": "quadratic", "c": 5},
     {"rule": "linear", "values": ()},
     {"rule": "constant"},
-    {"rule": "constant", "c": 1, "b": 0},
-    {"rule": "affine", "a": 1},
-    {"rule": "list", "values": (1,), "a": 0},
+    {"rule": "constant", "c": 1, "values": (0,)},
+    {"rule": "list", "values": (1,), "c": 0},
 ])
 def test_gap_rule_takes_exactly_its_parameters(kwargs):
     with pytest.raises(ValidationError, match="^gap rule"):
@@ -555,11 +552,6 @@ def test_gap_condition_list_inconclusive():
     rep = check_gap_condition(GapSequence("list", values=[1] * 30), 100)
     assert rep.verdict == "inconclusive"
     assert len(rep.ratios) == 30
-
-
-def test_gap_condition_affine_passes_when_quadratic_term_present():
-    assert check_gap_condition(GapSequence("affine", a=3, b=7), 50).verdict == "pass"
-    assert check_gap_condition(GapSequence("affine", a=0, b=7), 50).verdict == "fail"
 
 
 def test_gap_condition_requires_ten_points():
