@@ -353,6 +353,7 @@ def test_gap_json_fields_per_rule():
     {"rule": "linear", "values": ()},
     {"rule": "constant"},
     {"rule": "constant", "c": 1, "values": (0,)},
+    {"rule": "list"},
     {"rule": "list", "values": (1,), "c": 0},
 ])
 def test_gap_rule_takes_exactly_its_parameters(kwargs):
