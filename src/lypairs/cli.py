@@ -371,9 +371,9 @@ def _parse_gaps(text: str) -> GapSequence:
     rule, colon, arg = text.partition(":")
     if colon and rule == "list":
         data = _read_json(arg, "gap list file")
-        if isinstance(data, list):
-            data = {"rule": "list", "values": data}
-        return _from_json(GapSequence.from_json, data, "gap list file")
+        if not isinstance(data, list):
+            raise ValidationError("gap list file must hold a JSON array of gap values")
+        return GapSequence("list", values=data)
     if colon and rule == "constant":
         try:
             c = int(arg)
@@ -391,12 +391,9 @@ def _parse_gaps(text: str) -> GapSequence:
 
 
 def _build_system(args) -> SystemSpec:
-    text = args.system
-    if not text:
+    if not args.system:
         raise ValidationError(f"{args.command} needs --system")
-    if text.lstrip().startswith("{"):
-        return _from_json(SystemSpec.from_json, json.loads(text), "--system JSON")
-    return SystemSpec(text, a=args.a, beta1=args.beta1, beta2=args.beta2, beta=args.beta,
+    return SystemSpec(args.system, a=args.a, beta1=args.beta1, beta2=args.beta2, beta=args.beta,
                       tau=args.tau)
 
 
@@ -653,7 +650,7 @@ def cmd_sample(args) -> int:
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", help="tent|baker|horseshoe|solenoid or inline JSON spec")
+    p.add_argument("--system", help="tent|baker|horseshoe|solenoid")
     p.add_argument("--a", type=float, help="tent slope parameter (a > 1)")
     p.add_argument("--beta1", type=float, help="baker/solenoid first contraction")
     p.add_argument("--beta2", type=float, help="baker/solenoid second contraction")
@@ -779,7 +776,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _with_config(args, argv) -> argparse.Namespace:
     """argv parsed again, with the --config file's keys as the subcommand's
-    defaults, so that explicit flags still override them.  The defaults go
+    defaults, so that explicit flags still override them.  A key is a
+    flag's dest name (``eps_min``); ``config`` is not one.  The defaults go
     into a parser of its own, so no later call sees them."""
     data = _read_json(args.config, "config file")
     if not isinstance(data, dict):
@@ -788,13 +786,12 @@ def _with_config(args, argv) -> argparse.Namespace:
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = sub.choices[args.command]
     actions = {a.dest: a for a in command._actions
-               if a.option_strings and a.default is not argparse.SUPPRESS}
+               if a.option_strings and a.default is not argparse.SUPPRESS and a.dest != "config"}
     values = {}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+        if key not in actions:
             raise ValidationError(f"config key {key!r} unknown for this command")
-        values[attr] = _config_value(actions[attr], key, value)
+        values[key] = _config_value(actions[key], key, value)
     command.set_defaults(**values)
     return parser.parse_args(argv)
 
@@ -821,9 +818,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except MemoryError as exc:  # numpy refuses an array of the sizes asked for
         print(f"error: not enough memory: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:  # inline --system JSON; files raise ValidationError
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -222,6 +222,10 @@ class IfsSystem:
         return float(np.linalg.norm(self.box_arr[:, 1] - self.box_arr[:, 0]))
 
     def to_json(self) -> dict:
+        """The IFS file form.  A file's maps must be separated by a positive
+        gap, so an IFS built with ``separation_required=False`` (the 1/2
+        halves fold of the baker's and the solenoid's future block) has no
+        file form: ``load_ifs`` raises ``OverlapError`` on what this writes."""
         return {
             "w": self.w,
             "K": [list(ax) for ax in self.box],

@@ -83,7 +83,8 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ParameterOutOfRange(f"unknown system kind {self.kind!r}")
+            raise ParameterOutOfRange(f"unknown system kind {self.kind!r}; use "
+                                      f"{', '.join(KINDS[:-1])} or {KINDS[-1]}")
         for name in ("a", "beta1", "beta2", "beta", "tau"):
             v = getattr(self, name)
             if v is None:

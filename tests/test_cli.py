@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lypairs import cli, symbolic
 from lypairs.analysis import GridLadder, box_count
 from lypairs.cli import build_parser, main
+from lypairs.errors import ValidationError
 from lypairs.fractal import (
     _CHUNK,
     load_ifs,
@@ -97,12 +98,6 @@ def test_dimension_horseshoe_total(capsys):
                      str(1 / 3), "--tau", "3")
     assert rc == 0
     assert "D[total] = 1.261859507" in out
-
-
-def test_dimension_inline_json_system(capsys):
-    rc, out, _ = run(capsys, "dimension", "--system", '{"kind": "tent", "a": 2.0}')
-    assert rc == 0
-    assert "= 0.5" in out
 
 
 def test_dimension_needs_a_source(capsys):
@@ -215,11 +210,22 @@ def test_construct_constant_gaps_from_a_filler_file(capsys, tmp_path):
     (["dimension", "--ifs", "{ifs-key}"], "unknown key 'name' in an IFS file; it takes w, K, maps"),
     (["construct", "--length", "5", "--seed", "1", "--base", "{sidee}"],
      "unknown key 'past' in a one-sided sequence; it takes m, side, digits"),
+    # one spelling per input: a system is a kind name, a gap list file an
+    # array, a config key a flag's dest name
+    (["dimension", "--system", "moon"],
+     "unknown system kind 'moon'; use tent, baker, horseshoe or solenoid"),
+    (["dimension", "--system", '{"kind": "tent", "a": 3}', "--a", "2"],
+     """unknown system kind '{"kind": "tent", "a": 3}'; use tent, baker, horseshoe or solenoid"""),
+    (["construct", "--length", "5", "--seed", "1", "--gaps", "list:{gap-rule}"],
+     "gap list file must hold a JSON array of gap values"),
+    (["verify", "--system", "tent", "--a", "2", "--seed", "1", "--config", "{pair-modes}"],
+     "config key 'pair-mode' unknown for this command"),
 ], ids=["constant-gap-value", "length-0", "blocks-0", "config-list", "base-side",
         "tent-2a-overflows", "horseshoe-tau-inf", "sample-no-target", "boxdim-system-target",
         "sample-system-target", "dimension-seed-flag", "dimension-seed-config",
         "dimension-ifs-and-system", "boxdim-ifs-and-system", "sample-ifs-and-system",
-        "ifs-and-system-config", "ifs-map-key", "ifs-file-key", "sequence-key"])
+        "ifs-and-system-config", "ifs-map-key", "ifs-file-key", "sequence-key",
+        "system-kind", "system-json", "gap-rule-file", "hyphenated-config-key"])
 def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, cantor_json, argv, message):
     files = {"{cantor}": cantor_json, "{out}": str(tmp_path / "out.txt")}
     for name, data in {
@@ -231,10 +237,14 @@ def test_rejected_input_exits_2_with_its_message(capsys, tmp_path, cantor_json, 
         "flips-key": {**CANTOR, "maps": [{"ratio": 0.25, "t": [0.0]},
                                          {"ratio": 0.25, "t": [0.75], "flips": [-1]}]},
         "ifs-key": {**CANTOR, "name": "middle thirds"},
+        "gap-rule": {"rule": "quadratic"},
+        "pair-modes": {"pair-mode": "identical", "pair_mode": "constructed"},
     }.items():
         files[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    for name, path in files.items():
+        argv = [a.replace(name, path) for a in argv]
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -376,11 +386,10 @@ def test_verify_has_no_decay_option(capsys, tmp_path, source, message):
     assert message in err
 
 
-@pytest.mark.parametrize("source", ["flags", "inline", "config"])
+@pytest.mark.parametrize("source", ["flags", "config"])
 def test_system_rejects_parameters_of_another_kind(capsys, tmp_path, source):
     argv = {
         "flags": ["--system", "tent", "--a", "2", "--beta", "0.3"],
-        "inline": ["--system", '{"kind": "tent", "a": 2, "beta": 0.3}'],
         "config": ["--config", str(tmp_path / "config.json")],
     }[source]
     (tmp_path / "config.json").write_text(json.dumps({"system": "tent", "a": 2, "beta": 0.3}))
@@ -1015,10 +1024,12 @@ def test_flags_override_config(capsys, tmp_path):
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "experiment.json"
-    cfg.write_text(json.dumps({"system": "tent", "a": 2.0, "seed": 5, "bogus": 1}))
-    rc, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert rc == 2
-    assert "bogus" in err
+    # a config file names no further config file
+    for key, value in (("bogus", 1), ("config", "/nonexistent.json")):
+        cfg.write_text(json.dumps({"system": "tent", "a": 2.0, "seed": 5, key: value}))
+        rc, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert f"config key {key!r} unknown" in err
 
 
 def boxdim_argv(cantor_json, tmp_path, name):
@@ -1078,7 +1089,7 @@ def test_config_bool_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--config", "{bad}"],
-    ["verify", "--system", "{bad", "--seed", "1"],
+    ["construct", "--length", "5", "--seed", "1", "--filler", "{bad}"],
     ["verify", "--system", "tent", "--a", "2", "--seed", "1", "--gaps", "list:{bad}"],
     ["boxdim", "--ifs", "{bad}", "--seed", "1", "--count", "100"],
     ["construct", "--length", "5", "--seed", "1", "--base", "{bad}"],
@@ -1106,7 +1117,7 @@ def test_malformed_json_file_exits_2_with_the_decoder_message(capsys, tmp_path, 
     assert err == "error: malformed JSON input: Expecting value: line 1 column 1 (char 0)\n"
 
 
-# a gap rule file carrying a key of another rule, or an unknown key
+# a gap rule object carrying a key of another rule, or an unknown key
 FOREIGN_GAP_KEYS = {
     "list": {"rule": "list", "values": [1] * 10, "c": 3},
     "constant": {"rule": "constant", "c": 1, "a": 2},
@@ -1115,6 +1126,13 @@ FOREIGN_GAP_KEYS = {
     "quadratic": {"rule": "quadratic", "c": 9, "typo": 1},
     "affine": {"rule": "affine", "a": 1, "b": 0, "values": [1]},
 }
+
+
+@pytest.mark.parametrize("rule", list(FOREIGN_GAP_KEYS))
+def test_gap_reader_rejects_foreign_keys(rule):
+    # GapSequence.from_json stays a library reader; list:FILE takes only an array
+    with pytest.raises(ValidationError):
+        symbolic._from_json(GapSequence.from_json, FOREIGN_GAP_KEYS[rule], "gap rule")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1134,11 +1152,20 @@ FOREIGN_GAP_KEYS = {
     ["verify", "--system", '{"kind": "tent", "a": 2, "foo": 1}', "--seed", "1"],
     *(["construct", "--length", "30", "--seed", "1", "--gaps", f"list:{{gaps-{rule}}}"]
       for rule in FOREIGN_GAP_KEYS),
+    # one spelling per input: a second one could contradict the first
+    ["dimension", "--system", '{"kind": "tent", "a": 3}', "--a", "2", "--beta", "0.2"],
+    ["construct", "--length", "30", "--seed", "1", "--gaps", "list:{gap-rule}"],
+    ["verify", "--system", "tent", "--a", "2", "--seed", "1", "--config", "{pair-modes}"],
 ])
 def test_input_shapes_exit_2(capsys, tmp_path, cantor_json, argv):
     (tmp_path / "file.json").write_text(json.dumps({"values": ["x"], "maps": [{"ratio": "x"}]}))
     (tmp_path / "short.json").write_text(json.dumps({"m": 2, "digits": [1, 2]}))
+    (tmp_path / "gap-rule.json").write_text(json.dumps({"rule": "quadratic"}))
+    (tmp_path / "pair-modes.json").write_text(
+        json.dumps({"pair-mode": "identical", "pair_mode": "constructed"}))
     paths = {"{file}": tmp_path / "file.json", "{short}": tmp_path / "short.json",
+             "{gap-rule}": tmp_path / "gap-rule.json",
+             "{pair-modes}": tmp_path / "pair-modes.json",
              "{cantor}": cantor_json, "{dir}": tmp_path}
     for rule, data in FOREIGN_GAP_KEYS.items():
         paths[f"{{gaps-{rule}}}"] = tmp_path / f"gaps-{rule}.json"
@@ -1161,8 +1188,6 @@ NON_INTEGER_INPUTS = {
     "past-digit": ("base", {"m": 2, "side": "two", "past": [1, 2.5], "future": [1, 2] * 20}),
     "alphabet": ("base", {"m": 2.5, "digits": [1, 2] * 20}),
     "gap-list": ("gaps", [0.5, 1.9] * 10),
-    "gap-values": ("gaps", {"rule": "list", "values": [1, 2, 3.5] * 5}),
-    "gap-constant": ("gaps", {"rule": "constant", "c": 2.7}),
     "flips": ("ifs", {**CANTOR, "maps": [{**m, "orth": [1.5]} for m in CANTOR["maps"]]}),
     "flips-matrix": ("ifs", {**CANTOR, "maps": [{**m, "orth": [[True]]} for m in CANTOR["maps"]]}),
     "w": ("ifs", {**CANTOR, "w": 3}),
@@ -1197,7 +1222,8 @@ def test_non_integer_json_field_exits_2(capsys, tmp_path, case):
 @pytest.mark.parametrize("kind, data", [
     ("base", {"m": 2.0, "digits": [1.0, 2.0] * 20}),
     ("gaps", [1.0, 0.0, 2.0] * 10),
-    ("gaps", {"rule": "constant", "c": 2.0}),
+    ("ifs", {**CANTOR, "maps": [{"ratio": 1 / 3, "t": [1 / 3], "orth": [-1.0]},
+                                CANTOR["maps"][1]]}),
     ("ifs", {**CANTOR, "w": 1.0, "maps": [{**m, "orth": [1.0]} for m in CANTOR["maps"]]}),
 ])
 def test_integral_floats_read_as_integers(capsys, tmp_path, kind, data):
@@ -1389,11 +1415,11 @@ def _cli_flags(paths):
     formats = {"format": (pick("json", "csv"), pick("xml"))}
     system = {
         "system": (
-            pick("tent", "baker", "horseshoe", "solenoid", '{"kind": "tent", "a": 3}',
-                 '{"kind": "baker", "beta1": 0.3, "beta2": 0.25}',
-                 '{"kind": "solenoid", "beta1": 0.25, "beta2": 0.5}'),
+            pick("tent", "baker", "horseshoe", "solenoid"),
             pick("moon", "[1]", '{"kind": "horseshoe"}', '{"a": 2}', '{"kind": "tent", "a": "x"}',
-                 '{"kind": "baker", "beta1": [0.3], "beta2": 0.3}', '{"kind": 1}', "{"),
+                 '{"kind": "baker", "beta1": [0.3], "beta2": 0.3}', '{"kind": 1}', "{",
+                 '{"kind": "tent", "a": 3}', '{"kind": "baker", "beta1": 0.3, "beta2": 0.25}',
+                 '{"kind": "solenoid", "beta1": 0.25, "beta2": 0.5}'),
         ),
         "a": floats("2", "3.5"), "beta1": floats("0.3", "0.25"),
         "beta2": floats("0.3", "0.5"), "beta": floats("0.3"), "tau": floats("3", "4"),
@@ -1406,7 +1432,7 @@ def _cli_flags(paths):
                         "{binary}"))}
     gaps = {"gaps": (pick("zero", "linear", "quadratic", "constant:3", "list:{gaps}"),
                      pick("constant:-1", "constant:x", "bogus", "list:{missing}",
-                          "list:{bad_gaps}", "list:{sequence}"))}
+                          "list:{bad_gaps}", "list:{sequence}", "list:{gap_rule}"))}
     sequences = ("{sequence}", "{missing}", "{bad_sequence}", "{cantor}", "{binary}")
     sampled = {
         **gaps,
@@ -1441,6 +1467,7 @@ def cli_inputs(tmp_path_factory):
         "bad_ifs": {"w": 1, "maps": [{"ratio": "x"}]},
         "gaps": [1, 0, 2, 5, 1],
         "bad_gaps": {"rule": "list", "values": ["x"]},
+        "gap_rule": {"rule": "quadratic"},
         "sequence": {"m": 2, "digits": [1, 2, 2, 1] * 10},
         "bad_sequence": {"m": 2, "digits": [1, 3]},
     }
@@ -1475,8 +1502,12 @@ def _cli_call(draw, paths):
         keys = sorted(k for k, texts in flags.items() if texts is not None and k != "count")
         config = {k: draw(flags[k][0]) for k in draw(st.sets(st.sampled_from(keys), max_size=3))}
         if bad == "config":
-            key = draw(st.sampled_from([k for k in flags if k != "out"] + ["bogus"]))
+            key = draw(st.sampled_from([k for k in flags if k != "out"] + ["bogus", "config"]))
             config[key] = draw(st.sampled_from([None, [1], {"x": 1}, True, 1.5, "x"]))
+            hyphenated = [k for k in keys if "_" in k]
+            if hyphenated and draw(st.booleans()):  # a valid value under the flag's spelling
+                key = draw(st.sampled_from(hyphenated))
+                config[key.replace("_", "-")] = draw(flags[key][0])
     return argv, config
 
 
