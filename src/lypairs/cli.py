@@ -380,13 +380,15 @@ def _parse_gaps(text: str) -> GapSequence:
         except ValueError as exc:
             raise ValidationError(f"bad constant gap value in {text!r}") from exc
         return GapSequence("constant", c=c)
+    if text == "zero":
+        return GapSequence("constant", c=0)
     if not colon:
         try:
             return GapSequence.from_json({"rule": rule})
         except ValidationError:
             pass  # an unknown rule, or one that takes parameters
     raise ValidationError(
-        f"unknown gap rule {text!r}; use zero|constant:c|linear|quadratic|list:file"
+        f"unknown gap rule {text!r}; use zero|constant:c|linear|quadratic|list:FILE"
     )
 
 
@@ -664,7 +666,8 @@ def _add_target_flags(p: argparse.ArgumentParser, count: int) -> None:
     p.add_argument("--target", choices=("attractor", "restricted", "pairs", "system"),
                    default="attractor", help="what to sample (default %(default)s)")
     p.add_argument("--gaps", default="quadratic",
-                   help="gap rule for restricted/pairs (default %(default)s)")
+                   help="gap rule for restricted/pairs (default %(default)s): "
+                   "zero|constant:c|linear|quadratic|list:FILE")
     p.add_argument("--base", default="random",
                    help="random|sequence JSON file for restricted (default %(default)s)")
     p.add_argument("--count", type=int, default=count, help="sample size (default %(default)s)")
@@ -699,7 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a partner sequence and schedule")
     p.add_argument("--m", type=int, default=2, help="alphabet size (default %(default)s)")
     p.add_argument("--length", type=int, help="partner prefix length (required)")
-    p.add_argument("--gaps", default="quadratic", help="gap rule (default %(default)s)")
+    p.add_argument("--gaps", default="quadratic",
+                   help="gap rule (default %(default)s): "
+                   "zero|constant:c|linear|quadratic|list:FILE")
     p.add_argument("--base", default="random",
                    help="random|ones|sequence JSON file (default %(default)s)")
     p.add_argument("--filler", default="random",
@@ -710,7 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certified Li-Yorke verdict for a pair")
     _add_system_flags(p)
-    p.add_argument("--gaps", default="quadratic", help="gap rule (default %(default)s)")
+    p.add_argument("--gaps", default="quadratic",
+                   help="gap rule (default %(default)s): "
+                   "zero|constant:c|linear|quadratic|list:FILE")
     p.add_argument("--blocks", type=int, default=12,
                    help="schedule blocks to check (default %(default)s)")
     p.add_argument("--depth", type=int, default=18, help="coding depth (default %(default)s)")

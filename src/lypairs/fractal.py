@@ -221,20 +221,6 @@ class IfsSystem:
     def diam(self) -> float:
         return float(np.linalg.norm(self.box_arr[:, 1] - self.box_arr[:, 0]))
 
-    def to_json(self) -> dict:
-        """The IFS file form.  A file's maps must be separated by a positive
-        gap, so an IFS built with ``separation_required=False`` (the 1/2
-        halves fold of the baker's and the solenoid's future block) has no
-        file form: ``load_ifs`` raises ``OverlapError`` on what this writes."""
-        return {
-            "w": self.w,
-            "K": [list(ax) for ax in self.box],
-            "maps": [
-                {"ratio": s.ratio, "orth": list(s.flips), "t": list(s.translation)}
-                for s in self.maps
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "IfsSystem":
         _only_keys(data, ("w", "K", "maps"), "an IFS file")
@@ -251,7 +237,8 @@ class IfsSystem:
 
 
 def load_ifs(path) -> IfsSystem:
-    """The IFS of a JSON file; a missing file or a wrong key or type raises ValidationError."""
+    """The IFS of a JSON file; a missing file or a wrong key or type raises
+    ValidationError, and maps with no positive gap raise OverlapError."""
     return _from_json(IfsSystem.from_json, _read_json(path, "IFS file"), "IFS file")
 
 

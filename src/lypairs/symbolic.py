@@ -381,21 +381,11 @@ class GapSequence:
             return n
         return n * n
 
-    def to_json(self) -> dict:
-        params = {name: getattr(self, name) for name in GAP_PARAMS[self.rule]}
-        if "values" in params:
-            params["values"] = list(self.values)
-        return {"rule": self.rule, **params}
-
     @classmethod
     def from_json(cls, data: dict) -> "GapSequence":
-        """Inverse of ``to_json``; ``{"rule": "zero"}`` reads as constant 0."""
-        if data.get("rule") == "zero":
-            if set(data) != {"rule"}:
-                raise ValidationError("gap rule zero takes no parameters")
-            return cls("constant", c=0)
-        if data.get("rule") not in GAP_PARAMS:  # before another rule's keys fail cls(**data)
-            raise ValidationError(f"unknown gap rule {data.get('rule')!r}")
+        _only_keys(data, ("rule", "values", "c"), "a gap sequence")
+        if "rule" not in data:
+            raise ValidationError("a gap sequence needs a rule")
         return cls(**data)
 
 

@@ -56,7 +56,7 @@ from .fractal import (
     _collect,
 )
 from .fractal import sample_attractor  # noqa: F401  (bench/spans.py wraps this name)
-from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _reals
+from .symbolic import ONE_SIDED, TWO_SIDED, SymbolSequence, _only_keys, _reals
 
 # the parameters each kind takes; a parameter of another kind is an error
 PARAMS = {
@@ -140,6 +140,9 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "SystemSpec":
+        _only_keys(data, ("kind", "a", "beta1", "beta2", "beta", "tau"), "a system spec")
+        if "kind" not in data:
+            raise ValidationError("a system spec needs a kind")
         return cls(**data)
 
 
@@ -295,12 +298,14 @@ def conjugacy_defect(
 ) -> float:
     """Max over random sequences of |apply_map(center pi(s)) - center pi(shift s)|.
 
-    Bounded by (1 + L) * coded_radius(spec, depth) up to float rounding,
-    L the branch Lipschitz constant: the two centers code the same orbit
-    point through one application of the map.  Trial j draws from the
-    sub-seed ``spawn_key=(j // 256,)``: ``depth`` past digits (two-sided
-    systems, most recent first), then ``prefix_len`` future digits.  A
-    sub-seed's trials are drawn in one call, which yields the same digits.
+    The two centers code the same orbit point through one application of
+    the map.  The acceptance suite (criterion 3) compares the defect with
+    ``(1 + L) * coded_radius(spec, depth) + 1e-10``, L the branch Lipschitz
+    constant; at depth 40 the ``1e-10`` decides that check.  Trial j draws
+    from the sub-seed ``spawn_key=(j // 256,)``: ``depth`` past digits
+    (two-sided systems, most recent first), then ``prefix_len`` future
+    digits, of which only the first ``depth + 1`` are read.  A sub-seed's
+    trials are drawn in one call, which yields the same digits.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")

@@ -20,6 +20,7 @@ from lypairs.cli import build_parser, main
 from lypairs.errors import ValidationError
 from lypairs.fractal import (
     _CHUNK,
+    IfsSystem,
     load_ifs,
     sample_attractor,
     sample_pair_set,
@@ -121,6 +122,14 @@ def test_construct_all_ones_zero_gaps(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     assert data["partner"]["digits"] == [1, 2, 1, 1, 2, 1]
     assert data["schedule"]["blocks"][0]["start"] == 1
+    # zero is the CLI's word for constant:0
+    constant = tmp_path / "constant.json"
+    assert run(
+        capsys,
+        "construct", "--m", "2", "--length", "6", "--gaps", "constant:0",
+        "--base", "ones", "--seed", "0", "--out", str(constant),
+    ) == (0, out, "")
+    assert constant.read_bytes() == out_file.read_bytes()
 
 
 def test_construct_extract_round_trip(capsys, tmp_path):
@@ -1130,9 +1139,20 @@ FOREIGN_GAP_KEYS = {
 
 @pytest.mark.parametrize("rule", list(FOREIGN_GAP_KEYS))
 def test_gap_reader_rejects_foreign_keys(rule):
-    # GapSequence.from_json stays a library reader; list:FILE takes only an array
+    # list:FILE takes only an array; the reader is called directly
     with pytest.raises(ValidationError):
-        symbolic._from_json(GapSequence.from_json, FOREIGN_GAP_KEYS[rule], "gap rule")
+        GapSequence.from_json(FOREIGN_GAP_KEYS[rule])
+
+
+@pytest.mark.parametrize("reader, data", [
+    (IfsSystem.from_json, {"K": [[0, 1]], "maps": [], "foo": 1}),
+    (SymbolSequence.from_json, {"m": 2, "digits": [1], "foo": 1}),
+    (GapSequence.from_json, {"rule": "quadratic", "foo": 1}),
+    (SystemSpec.from_json, {"kind": "tent", "a": 2, "foo": 1}),
+], ids=["ifs", "sequence", "gaps", "system"])
+def test_each_reader_names_an_unknown_key(reader, data):
+    with pytest.raises(ValidationError, match="^unknown key 'foo' in "):
+        reader(data)
 
 
 @pytest.mark.parametrize("argv", [

@@ -833,6 +833,21 @@ def test_coded_box_holds_a_fixed_point_outside_k():
     assert np.allclose(ifs.coded_box, [[-2e-9, 1 + 2e-9]], rtol=0, atol=2e-15)
 
 
+def test_coded_box_holds_a_center_that_rounding_puts_outside_k():
+    # K spans one fixed point to the other, far from 0, so one ulp (1.1e-13)
+    # is large against the slack: the fixed point of map 2, coded in
+    # floats, lands one ulp above K's top plus slack / (1 - r), and only
+    # coded_box's rounding pad holds it
+    k = (983.2212831795613, 983.2213417841166)
+    ifs = IfsSystem((Similitude(0.3638920936489423, [625.4348319231511]),
+                     Similitude(0.2936364084799911, [694.511758241751])), (k,))
+    assert ifs.gap > 2e-5
+    x = code_point(ifs, [2] * 40).center[0]
+    assert x > k[1] + ifs.slack / (1.0 - max(ifs.ratios))
+    assert _code_batch(ifs, np.full((1, 40), 2, np.int8))[0, 0] == x
+    assert ifs.coded_box[0, 0] <= x <= ifs.coded_box[0, 1]
+
+
 def test_axis_ratios_mark_equal_signed_ratios():
     assert cantor_ifs().axis_ratios == (1 / 3,)
     assert planar_ifs().axis_ratios == (None, None)
@@ -864,12 +879,13 @@ def test_sampler_rejects_bad_arguments():
 
 
 def test_ifs_json_round_trip(tmp_path):
-    """An IFS file gives back the box and the coding table byte for byte,
-    every flip and translation: the golden IFS and each coding IFS of the
-    four systems at the benchmark's parameters, whose fold maps carry a -1
-    flip.  A file holds no ``separation_required``, so the touching 1/2
-    fold of the baker and the solenoid is rebuilt from the file's maps, and
-    every other IFS is read back with ``load_ifs``."""
+    """An IFS file written from the maps gives back the box and the coding
+    table byte for byte, every flip and translation: the golden IFS and
+    each coding IFS of the four systems at the benchmark's parameters,
+    whose fold maps carry a -1 flip.  A file holds no
+    ``separation_required``, so the touching 1/2 fold of the baker and the
+    solenoid is rebuilt from the file's maps, and every other IFS is read
+    back with ``load_ifs``."""
     import json
 
     third = 1 / 3
@@ -880,7 +896,10 @@ def test_ifs_json_round_trip(tmp_path):
     assert sum(-1 in s.flips for ifs in systems for s in ifs.maps) == 5
     path = tmp_path / "ifs.json"
     for ifs in systems:
-        path.write_text(json.dumps(ifs.to_json()))
+        written = [{"ratio": s.ratio, "orth": list(s.flips), "t": list(s.translation)}
+                   for s in ifs.maps]
+        path.write_text(json.dumps({"w": ifs.w, "K": [list(ax) for ax in ifs.box],
+                                    "maps": written}))
         if ifs.separation_required:
             again = load_ifs(path)
         else:

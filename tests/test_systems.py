@@ -124,6 +124,11 @@ def test_spec_rejects_parameters_of_another_kind(data):
         SystemSpec.from_json(data)
 
 
+def test_spec_reader_needs_a_kind():
+    with pytest.raises(ValidationError, match="^a system spec needs a kind$"):
+        SystemSpec.from_json({"a": 2})
+
+
 def test_spec_parameters_are_real_numbers():
     with pytest.raises(ValidationError, match="real numbers"):
         SystemSpec.from_json({"kind": "tent", "a": "3"})
